@@ -36,9 +36,11 @@
 // hot path only pays the dirty-tracking walk.
 //
 // Exit codes: 0 = within budget, 1 = overhead above threshold, 77 = skipped
-// (registered with SKIP_RETURN_CODE 77: Debug builds, sanitizers and
-// GENMIG_NO_METRICS builds measure instrumentation that is either absent or
-// swamped by unrelated costs).
+// (Debug builds, sanitizers and GENMIG_NO_METRICS builds measure
+// instrumentation that is either absent or swamped by unrelated costs).
+// Wall-clock ratios swing with machine load, so the nightly workflow runs
+// this binary; the deterministic, counted guarantees are ctests in
+// tests/obs/hot_path_test.cc.
 
 #include <arpa/inet.h>
 #include <dirent.h>

@@ -10,7 +10,6 @@
 #include <string>
 #include <type_traits>
 
-#include "codegen/engine.h"
 #include "ops/aggregate.h"
 #include "ops/coalesce.h"
 #include "ops/dedup.h"
@@ -264,30 +263,12 @@ void BM_StatelessChainFusedBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_StatelessChainFusedBatched)->Arg(20000);
 
-// --- Codegen (ahead-of-time native compilation) pairs -----------------------
-//
-// The compiled benchmarks and their interpreted twins compile the SAME
-// logical plan — once with codegen hooks (native plugin per query shape),
-// once without (PR 6 fused/batched interpreter) — so the measured gap is
-// purely native straight-line code vs the vectorized interpreter. The CI
-// perf gate (BENCH_hotpath.json, tools/check_perf.py) holds compiled over
-// interpreted-batched at >= 1.5x for both workloads; on machines with no
-// host toolchain the compiled benchmarks SkipWithError and the gate treats
-// them as absent.
-
-/// One codegen engine (one shape cache) for the whole bench binary: the
-/// native plugins compile once outside the timed regions.
-std::shared_ptr<const CodegenHooks> BenchCodegenHooks() {
-  static std::shared_ptr<const CodegenHooks> hooks =
-      codegen::Engine::MakeHooks(std::make_shared<codegen::Engine>());
-  return hooks;
-}
+// --- Expr-predicate fused chain ---------------------------------------------
 
 /// The stateless-chain workload as a logical plan, with the predicate
 /// restricted to what Expr can express (no % operator): keeps keys >= 16
 /// (48/64) and payloads != 102 (6/7), ~64% combined selectivity over
-/// ChainInput. Window(50) is absorbed by both the fusion pass (WindowStage)
-/// and the codegen chain analyzer (window_extend).
+/// ChainInput. The fusion pass absorbs Window(50) as a window stage.
 LogicalPtr ExprChainPlan() {
   using namespace logical;  // NOLINT
   auto src = SourceNode("S", Schema::OfInts({"k", "p"}));
@@ -299,35 +280,17 @@ LogicalPtr ExprChainPlan() {
   return Project(Select(Window(src, 50), pred), {1, 0});
 }
 
-/// The join-probe workload as a logical plan (no Window nodes: the bench
-/// injects pre-windowed elements, exactly like BM_JoinProbeScalar/Batched).
-LogicalPtr ProbeJoinPlan() {
-  using namespace logical;  // NOLINT
-  auto a = SourceNode("A", Schema::OfInts({"k"}));
-  auto b = SourceNode("B", Schema::OfInts({"k"}));
-  return EquiJoin(a, b, 0, 0);
-}
-
-/// Compiles `plan` and times batched execution through the box. `expect_op`
-/// non-empty asserts the box actually contains a native operator of that
-/// name (otherwise the run silently measures the interpreted fallback).
-void RunChainPlanBench(benchmark::State& state, const LogicalPtr& plan,
-                       const CompileOptions& copts, size_t n,
-                       const std::string& expect_op) {
+/// The plan compiler's path for the same chain: Expr predicates evaluated
+/// column-wise, fused into one FusedStateless, batched through the box.
+void BM_StatelessChainExprFusedBatched(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
   const auto input = ChainInput(n);
   auto chunks = Chunks(input, TupleBatch::kDefaultRows);
+  const LogicalPtr plan = ExprChainPlan();
+  CompileOptions copts;
+  copts.fuse_stateless = true;
   for (auto _ : state) {
     Box box = CompilePlan(*plan, "", copts);
-    if (!expect_op.empty()) {
-      bool found = false;
-      for (const auto& op : box.ops()) {
-        if (op->name().find(expect_op) != std::string::npos) found = true;
-      }
-      if (!found) {
-        state.SkipWithError(("codegen declined " + expect_op).c_str());
-        return;
-      }
-    }
     Source src("s");
     CountingSink sink("k");
     src.ConnectTo(0, box.input(0), 0);
@@ -338,81 +301,7 @@ void RunChainPlanBench(benchmark::State& state, const LogicalPtr& plan,
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
 }
-
-/// Interpreted twin of BM_StatelessChainCompiled: the same Expr-predicate
-/// plan fused into one FusedStateless (PR 6 vectorized path). This is the
-/// denominator of the compiled_chain_speedup gate — same plan, same
-/// batches, only the execution engine differs.
-void BM_StatelessChainExprFusedBatched(benchmark::State& state) {
-  CompileOptions copts;
-  copts.fuse_stateless = true;
-  RunChainPlanBench(state, ExprChainPlan(), copts,
-                    static_cast<size_t>(state.range(0)), "");
-}
 BENCHMARK(BM_StatelessChainExprFusedBatched)->Arg(20000);
-
-/// The same plan lowered to a native plugin: predicate + projection +
-/// window extension as straight-line C++ over the batch columns, no Value
-/// dispatch, no std::function hops.
-void BM_StatelessChainCompiled(benchmark::State& state) {
-  if (!codegen::Engine::Available()) {
-    state.SkipWithError("no host toolchain: codegen unavailable");
-    return;
-  }
-  CompileOptions copts;
-  copts.fuse_stateless = true;  // Fallback parity, not used when compiled.
-  copts.codegen = BenchCodegenHooks();
-  // Pay the one-time native compile outside the timed region.
-  { Box warm = CompilePlan(*ExprChainPlan(), "warm_", copts); }
-  RunChainPlanBench(state, ExprChainPlan(), copts,
-                    static_cast<size_t>(state.range(0)), "cchain");
-}
-BENCHMARK(BM_StatelessChainCompiled)->Arg(20000);
-
-/// Native twin of BM_JoinProbeBatched: the equi-join compiled to a typed
-/// int64 hash table (no Value hashing) behind the stable plugin ABI, fed
-/// the identical pre-windowed high-cardinality batches.
-void BM_JoinProbeCompiled(benchmark::State& state) {
-  if (!codegen::Engine::Available()) {
-    state.SkipWithError("no host toolchain: codegen unavailable");
-    return;
-  }
-  const size_t n = static_cast<size_t>(state.range(0));
-  const auto left = KeyedWindowed(n, static_cast<int64_t>(n) * 50, 100, 1);
-  const auto right = KeyedWindowed(n, static_cast<int64_t>(n) * 50, 100, 2);
-  auto lchunks = Chunks(left, TupleBatch::kDefaultRows);
-  auto rchunks = Chunks(right, TupleBatch::kDefaultRows);
-  const LogicalPtr plan = ProbeJoinPlan();
-  CompileOptions copts;
-  copts.codegen = BenchCodegenHooks();
-  { Box warm = CompilePlan(*plan, "warm_", copts); }
-  for (auto _ : state) {
-    Box box = CompilePlan(*plan, "", copts);
-    bool found = false;
-    for (const auto& op : box.ops()) {
-      if (op->name().find("chashjoin") != std::string::npos) found = true;
-    }
-    if (!found) {
-      state.SkipWithError("codegen declined chashjoin");
-      return;
-    }
-    CountingSink sink("k");
-    Source l("l");
-    Source r("r");
-    l.ConnectTo(0, box.input(0), 0);
-    r.ConnectTo(0, box.input(1), 0);
-    box.output()->ConnectTo(0, &sink, 0);
-    for (size_t i = 0; i < lchunks.size(); ++i) {
-      l.InjectBatch(lchunks[i]);
-      r.InjectBatch(rchunks[i]);
-    }
-    l.Close();
-    r.Close();
-    benchmark::DoNotOptimize(sink.count());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * 2 * n));
-}
-BENCHMARK(BM_JoinProbeCompiled)->Arg(2000);
 
 void BM_DuplicateElimination(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -547,9 +436,6 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext(
       "toolchain_no_metrics",
       genmig::bench::ToolchainNoMetrics() ? "true" : "false");
-  benchmark::AddCustomContext(
-      "codegen_available",
-      genmig::codegen::Engine::Available() ? "true" : "false");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -15,13 +15,6 @@
 // plan replicas on their own threads (src/par), with the same GenMig rewrite
 // broadcast to every shard at one coordinated T_split.
 //
-// Pass --codegen {off,eager,background} to run the query through the Dsms
-// engine with ahead-of-time native compilation (src/codegen): eager compiles
-// the plan to a dlopen'ed plugin before serving starts; background keeps
-// serving interpreted while the host compiler runs, then deploys the
-// compiled plan through a regular GenMig — migration as zero-downtime
-// deploy. A stats line reports compile wall time and the swap's T_split.
-//
 // Pass --replay trace.csv to replay a recorded CSV trace (lines
 // "<timestamp>,<item>", in *arrival* order — late lines allowed) through a
 // DisorderBuffer at --speedup N times real time (default 10; <= 0 replays
@@ -162,8 +155,6 @@ int main(int argc, char** argv) {
   bool stats_json = false;
   const char* trace_out = nullptr;
   int shards = 1;
-  bool use_codegen = false;
-  Dsms::Options::Codegen codegen_mode = Dsms::Options::Codegen::kOff;
   const char* replay_path = nullptr;
   double speedup = 10.0;
   int64_t delta = -1;  // < 0: use the trace's observed max lateness.
@@ -185,21 +176,6 @@ int main(int argc, char** argv) {
       if (shards < 1) {
         std::fprintf(stderr, "--shards wants a positive count, got '%s'\n",
                      argv[i]);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--codegen") == 0 && i + 1 < argc) {
-      use_codegen = true;
-      const char* mode = argv[++i];
-      if (std::strcmp(mode, "off") == 0) {
-        codegen_mode = Dsms::Options::Codegen::kOff;
-      } else if (std::strcmp(mode, "eager") == 0) {
-        codegen_mode = Dsms::Options::Codegen::kEager;
-      } else if (std::strcmp(mode, "background") == 0) {
-        codegen_mode = Dsms::Options::Codegen::kBackground;
-      } else {
-        std::fprintf(stderr,
-                     "--codegen wants off, eager, or background; got '%s'\n",
-                     mode);
         return 2;
       }
     } else if (std::strcmp(argv[i], "--replay") == 0 && i + 1 < argc) {
@@ -241,7 +217,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "unknown option '%s'\nusage: %s [--stats | --stats-json] "
                    "[--trace-out PATH] [--shards N] "
-                   "[--codegen {off,eager,background}] "
                    "[--replay trace.csv [--speedup N] [--delta D]] "
                    "[--telemetry-port P [--serve-seconds S]] "
                    "[--journal-out PATH] "
@@ -462,69 +437,6 @@ int main(int argc, char** argv) {
                  dsms.Results(id.value()).size());
     std::fprintf(out, "exiting mid-stream ('crash') — rerun with "
                  "--checkpoint-dir %s --restore to resume\n", ckpt_dir);
-    return 0;
-  }
-
-  // Codegen mode (--codegen MODE): the same query through the Dsms engine
-  // with ahead-of-time native compilation. In background mode the query
-  // starts serving interpreted; once the worker has compiled the plan the
-  // engine deploys it through a regular GenMig at a normal T_split.
-  if (use_codegen) {
-    Dsms::Options options;
-    options.codegen = codegen_mode;
-    options.fuse_stateless = true;       // Fused chains compile as one loop.
-    options.executor.batch_size = 256;   // Vectorized injection.
-    Dsms dsms(options);
-    dsms.RegisterRawStream("Orders", Schema::OfInts({"item"}),
-                           GenerateKeyedStream(3000, 10, 50, 1));
-    dsms.RegisterRawStream("Shipments", Schema::OfInts({"item"}),
-                           GenerateKeyedStream(3000, 10, 50, 2));
-    Result<Dsms::QueryId> id = dsms.InstallPlan(plan);
-    if (!id.ok()) {
-      std::fprintf(out, "install failed: %s\n",
-                   id.status().ToString().c_str());
-      return 1;
-    }
-    if (codegen_mode == Dsms::Options::Codegen::kBackground) {
-      // Serve interpreted for the first 12s of application time, then make
-      // sure the compile finished so the deploy-swap lands mid-stream.
-      dsms.RunUntil(Timestamp(12000));
-      dsms.WaitCodegenReady();
-    }
-    dsms.RunToCompletion();
-
-    const Dsms::CodegenStatus cg = dsms.CodegenInfo(id.value());
-    const char* mode_name =
-        cg.mode == Dsms::Options::Codegen::kOff
-            ? "off"
-            : cg.mode == Dsms::Options::Codegen::kEager ? "eager"
-                                                        : "background";
-    std::fprintf(out,
-                 "codegen: mode=%s available=%s ready=%s compile=%.1f ms "
-                 "(chains=%zu joins=%zu cache_hits=%zu declines=%zu)\n",
-                 mode_name, cg.available ? "yes" : "no",
-                 cg.ready ? "yes" : "no",
-                 static_cast<double>(cg.engine.compile_ns_total) / 1e6,
-                 cg.engine.chains_compiled, cg.engine.joins_compiled,
-                 cg.engine.cache_hits, cg.engine.declines);
-    if (cg.swapped) {
-      std::fprintf(out,
-                   "codegen: interpreter->compiled GenMig deployed at "
-                   "T_split=%s\n", cg.swap_t_split.ToString().c_str());
-    } else if (!cg.available &&
-               cg.mode != Dsms::Options::Codegen::kOff) {
-      std::fprintf(out, "codegen: no usable host compiler — served by the "
-                   "vectorized interpreter\n");
-    }
-    const MaterializedStream& results = dsms.Results(id.value());
-    std::fprintf(out, "finished: %d migration(s) completed, %zu total "
-                 "results\n", dsms.Info(id.value()).migrations_completed,
-                 results.size());
-    std::fprintf(out, "first results: ");
-    for (size_t i = 0; i < 3 && i < results.size(); ++i) {
-      std::fprintf(out, "%s ", results[i].ToString().c_str());
-    }
-    std::fprintf(out, "\n");
     return 0;
   }
 

@@ -33,16 +33,6 @@ Dsms::Dsms(Options options)
       timeline_sampler_.set_spill(timeline_spill_.get());
     }
   }
-  // Codegen engine + hooks are created once and shared by every query (and
-  // every shard replica): identical shapes hit the cache instead of
-  // recompiling. When the host toolchain or dlopen is unavailable the hooks
-  // stay null and every mode degrades to the interpreted path.
-  if (options_.codegen != Options::Codegen::kOff &&
-      codegen::Engine::Available()) {
-    codegen_engine_ =
-        std::make_shared<codegen::Engine>(options_.codegen_cache_dir);
-    codegen_hooks_ = codegen::Engine::MakeHooks(codegen_engine_);
-  }
   // The tracer mirrors every migration phase transition into the journal, so
   // engine-level and shard-local migrations alike leave a complete decision
   // trail without per-call-site wiring.
@@ -77,17 +67,12 @@ Dsms::Dsms(Options options)
   const bool periodic_ckpt =
       ckpt_store_ != nullptr && options_.checkpoint_period > 0;
   if (options_.reoptimize_period > 0 || options_.calibration_period > 0 ||
-      options_.timeline_period > 0 ||
-      options_.codegen == Options::Codegen::kBackground || periodic_ckpt ||
-      telemetry_ != nullptr) {
+      options_.timeline_period > 0 || periodic_ckpt || telemetry_ != nullptr) {
     exec_.after_step = [this, periodic_ckpt]() {
       app_time_t_.store(exec_.current_time().t, std::memory_order_relaxed);
       if (options_.reoptimize_period > 0) MaybeAutoReoptimize();
       if (options_.calibration_period > 0) MaybeCalibrate();
       if (options_.timeline_period > 0) MaybeSampleTimeline();
-      if (options_.codegen == Options::Codegen::kBackground) {
-        MaybeCodegenSwap();
-      }
       if (periodic_ckpt) MaybeCheckpoint();
       if (telemetry_ != nullptr) MaybeRefreshStatus();
     };
@@ -97,9 +82,6 @@ Dsms::Dsms(Options options)
 Dsms::~Dsms() {
   // Stop serving before any engine structure the handlers read goes away.
   if (telemetry_ != nullptr) telemetry_->Stop();
-  for (auto& query : queries_) {
-    if (query->codegen_worker.joinable()) query->codegen_worker.join();
-  }
   journal_.Flush();
 }
 
@@ -126,10 +108,9 @@ void Dsms::SetupTelemetry() {
   if (!telemetry_->Start()) telemetry_.reset();
 }
 
-CompileOptions Dsms::MakeCompileOptions(bool with_codegen) const {
+CompileOptions Dsms::MakeCompileOptions() const {
   CompileOptions copt;
   copt.fuse_stateless = options_.fuse_stateless;
-  if (with_codegen) copt.codegen = codegen_hooks_;  // Null when off/unavailable.
   return copt;
 }
 
@@ -258,10 +239,7 @@ Result<Dsms::QueryId> Dsms::Install(LogicalPtr plan) {
       copt.registry = &registry_;
       copt.tracer = &tracer_;
     }
-    // Sharded queries compile eagerly in every codegen mode: their replicas
-    // are built on worker threads anyway, and one shared engine means one
-    // native compile plus N - 1 cache hits.
-    copt.compile = MakeCompileOptions(/*with_codegen=*/true);
+    copt.compile = MakeCompileOptions();
     // Disordered streams reach the coordinator as raw arrival sequences
     // (Executor::feed_elements); the router reorders them itself.
     copt.disordered_inputs = disordered_;
@@ -289,19 +267,7 @@ Result<Dsms::QueryId> Dsms::Install(LogicalPtr plan) {
   std::string qname = "q";
   qname.append(std::to_string(queries_.size()));
   query->controller = std::make_unique<MigrationController>(
-      qname,
-      CompilePlan(*query->stripped, "",
-                  MakeCompileOptions(options_.codegen ==
-                                     Options::Codegen::kEager)));
-  if (options_.codegen == Options::Codegen::kEager &&
-      codegen_hooks_ != nullptr) {
-    obs::JournalEvent ev;
-    ev.kind = obs::JournalEvent::Kind::kCodegenDeploy;
-    ev.app_time = exec_.current_time();
-    ev.subject = qname;
-    ev.strs.emplace_back("mode", "eager");
-    journal_.Append(std::move(ev));
-  }
+      qname, CompilePlan(*query->stripped, "", MakeCompileOptions()));
   query->controller->ConnectTo(0, &query->sink, 0);
   if (options_.calibration_period > 0) {
     query->calibrator = CostCalibrator(options_.calibrator);
@@ -349,97 +315,10 @@ Result<Dsms::QueryId> Dsms::Install(LogicalPtr plan) {
     query->taps.push_back(tap);
   }
 
-  // Background codegen: keep serving the interpreted plan; a worker thread
-  // compiles the same shapes into the cache, then after_step swaps the
-  // compiled plan in through a regular GenMig (StartCodegenSwap).
-  if (options_.codegen == Options::Codegen::kBackground &&
-      codegen_hooks_ != nullptr) {
-    Query* raw = query.get();
-    LogicalPtr stripped = query->stripped;
-    CompileOptions copt = MakeCompileOptions(/*with_codegen=*/true);
-    raw->codegen_worker = std::thread([raw, stripped, copt]() {
-      // Throwaway box: its only job is warming the shape cache so the
-      // swap's CompilePlan on the execution thread is all cache hits.
-      Box warm = CompilePlan(*stripped, "warm_", copt);
-      (void)warm;
-      raw->codegen_ready.store(true, std::memory_order_release);
-    });
-  }
-
   queries_.push_back(std::move(query));
   query_count_.store(queries_.size(), std::memory_order_relaxed);
   if (telemetry_ != nullptr) RefreshStatusCache();
   return static_cast<QueryId>(queries_.size()) - 1;
-}
-
-void Dsms::WaitCodegenReady() {
-  for (auto& query : queries_) {
-    if (query->codegen_worker.joinable()) query->codegen_worker.join();
-  }
-}
-
-void Dsms::MaybeCodegenSwap() {
-  for (auto& query : queries_) {
-    Query* q = query.get();
-    if (q->parallel || q->codegen_swapped || q->controller == nullptr) continue;
-    if (!q->codegen_ready.load(std::memory_order_acquire)) continue;
-    if (q->controller->migration_in_progress()) continue;
-    StartCodegenSwap(q);
-  }
-}
-
-void Dsms::StartCodegenSwap(Query* query) {
-  // All shapes were compiled by the worker, so this CompilePlan only pays
-  // cache lookups; the swap itself is an ordinary GenMig at a normal
-  // T_split — snapshot-equivalent by construction.
-  Box new_box =
-      CompilePlan(*query->stripped, "", MakeCompileOptions(true));
-  new_box.ReorderInputs(query->source_names);
-  query->prev_plan = query->plan;  // Same plan; the old box is interpreted.
-  query->controller->StartGenMig(std::move(new_box), GenMigOptionsFor(*query));
-  query->codegen_swapped = true;
-  query->codegen_swap_t_split = query->controller->t_split();
-  obs::JournalEvent ev;
-  ev.kind = obs::JournalEvent::Kind::kCodegenDeploy;
-  ev.app_time = exec_.current_time();
-  ev.subject = "q" + std::to_string(IndexOf(query));
-  ev.strs.emplace_back("mode", "background_swap");
-  ev.nums.emplace_back("t_split",
-                       static_cast<double>(query->codegen_swap_t_split.t));
-  journal_.Append(std::move(ev));
-}
-
-size_t Dsms::IndexOf(const Query* query) const {
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    if (queries_[i].get() == query) return i;
-  }
-  return queries_.size();  // Unreachable for installed queries.
-}
-
-Dsms::CodegenStatus Dsms::CodegenInfo(QueryId id) const {
-  const Query& query = *queries_.at(static_cast<size_t>(id));
-  CodegenStatus status;
-  status.available = codegen_hooks_ != nullptr;
-  status.mode = options_.codegen;
-  if (codegen_engine_ != nullptr) status.engine = codegen_engine_->stats();
-  if (!status.available) return status;
-  switch (options_.codegen) {
-    case Options::Codegen::kOff:
-      break;
-    case Options::Codegen::kEager:
-      status.ready = true;  // Compiled at install; no swap needed.
-      break;
-    case Options::Codegen::kBackground:
-      if (query.parallel) {
-        status.ready = true;  // Shard replicas compile eagerly.
-      } else {
-        status.ready = query.codegen_ready.load(std::memory_order_acquire);
-        status.swapped = query.codegen_swapped;
-        status.swap_t_split = query.codegen_swap_t_split;
-      }
-      break;
-  }
-  return status;
 }
 
 void Dsms::RunToCompletion() {
@@ -718,7 +597,6 @@ Status Dsms::Restore() {
     if (!plan.ok()) return plan.status();
     q->plan = plan.value();
     q->stripped = logical::StripWindows(q->plan);
-    const bool with_codegen = options_.codegen == Options::Codegen::kEager;
     const bool in_flight =
         control.phase == MigrationController::Phase::kParallel;
     // The active box hosts the OLD plan while a migration is in flight; the
@@ -734,13 +612,11 @@ Status Dsms::Restore() {
       q->prev_plan = old_plan.value();
       active_plan = logical::StripWindows(q->prev_plan);
     }
-    Box active =
-        CompilePlan(*active_plan, "", MakeCompileOptions(with_codegen));
+    Box active = CompilePlan(*active_plan, "", MakeCompileOptions());
     active.ReorderInputs(q->source_names);
     q->controller->ReplaceActiveBox(std::move(active));
     if (in_flight) {
-      Box nbox =
-          CompilePlan(*q->stripped, "", MakeCompileOptions(with_codegen));
+      Box nbox = CompilePlan(*q->stripped, "", MakeCompileOptions());
       nbox.ReorderInputs(q->source_names);
       q->controller->RestoreGenMigParallel(std::move(nbox), control.genmig,
                                            control.t_split);
@@ -824,15 +700,7 @@ Dsms::QueryInfo Dsms::Info(QueryId id) const {
 void Dsms::StartGenMigTo(Query* query, const LogicalPtr& candidate) {
   query->prev_plan = query->plan;  // The old box keeps running this plan.
   query->stripped = logical::StripWindows(candidate);
-  // Once a query runs compiled (eager, or background after the swap), its
-  // re-optimization targets compile too — a new shape may pay one native
-  // compile here, after which the cache covers it.
-  const bool with_codegen =
-      options_.codegen == Options::Codegen::kEager ||
-      (options_.codegen == Options::Codegen::kBackground &&
-       query->codegen_swapped);
-  Box new_box =
-      CompilePlan(*query->stripped, "", MakeCompileOptions(with_codegen));
+  Box new_box = CompilePlan(*query->stripped, "", MakeCompileOptions());
   new_box.ReorderInputs(query->source_names);
   query->controller->StartGenMig(std::move(new_box), GenMigOptionsFor(*query));
   query->plan = candidate;
@@ -1215,13 +1083,6 @@ void Dsms::RefreshStatusCache() {
                     ", \"fires\": %d, \"last_armed\": %" PRId64 "}",
                     a.calibrations, a.last_ratio, a.fires, a.last_armed.t);
       out += buf;
-      if (options_.codegen == Options::Codegen::kBackground) {
-        std::snprintf(
-            buf, sizeof(buf), ", \"codegen\": {\"ready\": %s, \"swapped\": %s}",
-            q.codegen_ready.load(std::memory_order_acquire) ? "true" : "false",
-            q.codegen_swapped ? "true" : "false");
-        out += buf;
-      }
     }
     out += "}";
   }

@@ -19,11 +19,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ckpt/store.h"
-#include "codegen/engine.h"
 #include "cql/parser.h"
 #include "migration/controller.h"
 #include "migration/trigger_policy.h"
@@ -101,8 +99,8 @@ class Dsms {
     /// is an operator port, not a public service.
     std::string telemetry_host = "127.0.0.1";
     /// In-memory ring capacity of the decision journal (obs/journal.h):
-    /// trigger evaluations, migration phase transitions, codegen deploys,
-    /// disorder-delta adaptations. The journal always records; the ring
+    /// trigger evaluations, migration phase transitions and disorder-delta
+    /// adaptations. The journal always records; the ring
     /// bounds what Snapshot() retains.
     size_t journal_capacity = 4096;
     /// Non-empty: every journal event is also appended to this JSONL file
@@ -123,24 +121,6 @@ class Dsms {
     /// names and counts, so the per-operator cost calibration maps the fused
     /// operator onto its first logical node only.
     bool fuse_stateless = false;
-    /// Ahead-of-time native compilation of query plans (src/codegen/):
-    ///  * kOff        — fully interpreted (plus fusion, if enabled).
-    ///  * kEager      — compilable regions are lowered to native plugins at
-    ///    install time (blocking on the host compiler; shape-cache hits are
-    ///    instant).
-    ///  * kBackground — queries install interpreted and keep serving while a
-    ///    worker thread compiles; once ready, the engine swaps the compiled
-    ///    plan in through a regular GenMig at a normal T_split (migration as
-    ///    deployment — snapshot-equivalent by construction). Parallel
-    ///    (sharded) queries use eager compilation in this mode too: their
-    ///    shard replicas are built on worker threads anyway.
-    /// When no host compiler or dlopen is available the hooks decline
-    /// silently and every mode behaves like kOff.
-    enum class Codegen { kOff, kEager, kBackground };
-    Codegen codegen = Codegen::kOff;
-    /// Shape-cache directory for compiled plugins; empty = the JitCompiler
-    /// default ($GENMIG_CODEGEN_CACHE or <temp>/genmig-shape-cache).
-    std::string codegen_cache_dir;
     /// Executor knobs; executor.batch_size > 1 turns on vectorized
     /// (TupleBatch) injection for the single-threaded engine.
     Executor::Options executor;
@@ -305,8 +285,8 @@ class Dsms {
     return obs::ToChromeTrace(registry_, &tracer_, &timeline_);
   }
 
-  /// Decision journal: every trigger evaluation, migration phase transition,
-  /// codegen deploy and disorder adaptation, as structured events
+  /// Decision journal: every trigger evaluation, migration phase transition
+  /// and disorder adaptation, as structured events
   /// (obs/journal.h). Thread-safe; records regardless of telemetry_port.
   const obs::EventJournal& journal() const { return journal_; }
   obs::EventJournal& journal() { return journal_; }
@@ -346,28 +326,6 @@ class Dsms {
   };
   RuntimeStats Stats() const;
 
-  // --- Codegen ------------------------------------------------------------------
-
-  /// Blocks until every background codegen worker finished compiling (the
-  /// swap migration itself still happens on the execution thread, at the
-  /// next step). No-op for kOff/kEager or when codegen is unavailable.
-  void WaitCodegenReady();
-
-  /// Per-query codegen introspection plus the engine-wide compiler counters.
-  struct CodegenStatus {
-    bool available = false;  // Host toolchain + dlopen usable.
-    Options::Codegen mode = Options::Codegen::kOff;
-    /// Background mode: the worker finished warming the shape cache.
-    /// Eager mode: true (compilation happened at install).
-    bool ready = false;
-    /// Background mode: the interpreter->compiled GenMig swap was started.
-    bool swapped = false;
-    /// T_split of the swap migration (MinInstant until swapped).
-    Timestamp swap_t_split = Timestamp::MinInstant();
-    codegen::Engine::Stats engine;  // Cumulative, engine-wide.
-  };
-  CodegenStatus CodegenInfo(QueryId id) const;
-
   // --- Dynamic query optimization ---------------------------------------------
 
   /// Re-costs every idle query under the current statistics and starts a
@@ -400,13 +358,6 @@ class Dsms {
     bool parallel = false;
     std::unique_ptr<par::Coordinator> coordinator;
     MaterializedStream parallel_results;
-    // Background codegen (Options::codegen == kBackground): the worker warms
-    // the shape cache off-thread; after_step observes `codegen_ready` and
-    // swaps the interpreted box for a compiled one via a regular GenMig.
-    std::thread codegen_worker;
-    std::atomic<bool> codegen_ready{false};
-    bool codegen_swapped = false;
-    Timestamp codegen_swap_t_split = Timestamp::MinInstant();
   };
 
   /// A shared windowed-source subplan (Section 1: "save system resources by
@@ -430,18 +381,10 @@ class Dsms {
   void CalibrateAndArm(Timestamp now);
   /// Compiles `candidate` and starts a GenMig migration of `query` to it.
   void StartGenMigTo(Query* query, const LogicalPtr& candidate);
-  /// Physical-compilation options; `with_codegen` attaches the native-code
-  /// hooks (when Options::codegen enabled them).
-  CompileOptions MakeCompileOptions(bool with_codegen) const;
-  /// GenMig options derived from the query's leaf windows (shared by
-  /// re-optimization migrations and the background-codegen swap).
+  /// Physical-compilation options of every box the engine compiles.
+  CompileOptions MakeCompileOptions() const;
+  /// GenMig options derived from the query's leaf windows.
   MigrationController::GenMigOptions GenMigOptionsFor(const Query& query) const;
-  /// after_step hook: starts the interpreter->compiled swap migration for
-  /// every query whose background compile finished.
-  void MaybeCodegenSwap();
-  /// Compiles the query's current plan with codegen hooks (all cache hits by
-  /// now) and GenMigs to it.
-  void StartCodegenSwap(Query* query);
   /// /metrics handler body (503 under GENMIG_NO_METRICS).
   obs::HttpResponse MetricsResponse() const;
   /// Rebuilds the cached /status JSON. Engine thread only: it walks live
@@ -462,8 +405,6 @@ class Dsms {
   /// Throttled CollectBlobs + CommitAsync (after_step; busy rounds and
   /// transient migration phases defer to the next period).
   void MaybeCheckpoint();
-  /// Index of `query` in queries_ (the journal subject "q<index>").
-  size_t IndexOf(const Query* query) const;
 
   Options options_;
   Executor exec_;
@@ -478,8 +419,6 @@ class Dsms {
   Timestamp last_reopt_check_ = Timestamp::MinInstant();
   Timestamp last_calibration_ = Timestamp::MinInstant();
   Timestamp last_timeline_sample_ = Timestamp::MinInstant();
-  std::shared_ptr<codegen::Engine> codegen_engine_;      // Null when kOff.
-  std::shared_ptr<const CodegenHooks> codegen_hooks_;    // Null when kOff.
   obs::MetricsRegistry registry_;
   obs::MigrationTracer tracer_;
   obs::TimeSeriesRing timeline_;

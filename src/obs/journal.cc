@@ -197,8 +197,6 @@ const char* JournalKindName(JournalEvent::Kind kind) {
       return "trigger_eval";
     case JournalEvent::Kind::kMigrationPhase:
       return "migration_phase";
-    case JournalEvent::Kind::kCodegenDeploy:
-      return "codegen_deploy";
     case JournalEvent::Kind::kDisorderAdapt:
       return "disorder_adapt";
     case JournalEvent::Kind::kCheckpoint:
@@ -212,8 +210,6 @@ bool JournalKindFromName(const std::string& name, JournalEvent::Kind* out) {
     *out = JournalEvent::Kind::kTriggerEval;
   } else if (name == "migration_phase") {
     *out = JournalEvent::Kind::kMigrationPhase;
-  } else if (name == "codegen_deploy") {
-    *out = JournalEvent::Kind::kCodegenDeploy;
   } else if (name == "disorder_adapt") {
     *out = JournalEvent::Kind::kDisorderAdapt;
   } else if (name == "checkpoint") {

@@ -9,8 +9,6 @@
 //                      hysteresis/armed state, and whether the trigger fired.
 //   kMigrationPhase  — one MigrationTracer state transition (kRequested ..
 //                      kCompleted) with the migration id, lane and T_split.
-//   kCodegenDeploy   — a compiled native plan was hot-swapped in (or the
-//                      background build was started/failed).
 //   kDisorderAdapt   — a DisorderBuffer retargeted its slack delta from the
 //                      observed lateness quantile.
 //   kCheckpoint      — a durable-state cycle (src/ckpt) began, committed or
@@ -19,7 +17,7 @@
 // Decision points are rare (one trigger evaluation per calibration period,
 // a handful of phase transitions per migration), so the journal is mutex
 // guarded and deliberately NOT on the per-element hot path — asserted by
-// bench/metrics_guard.cc. Storage is a bounded ring (old events overwritten)
+// tests/obs/hot_path_test.cc. Storage: a bounded ring (old events overwritten)
 // plus an optional line-buffered JSONL spill file that keeps the full
 // history. Each event serializes to one self-contained JSON object per line,
 // so `python3 -m json.tool` validates any line and tools can tail the spill
@@ -47,7 +45,6 @@ struct JournalEvent {
   enum class Kind : uint8_t {
     kTriggerEval,
     kMigrationPhase,
-    kCodegenDeploy,
     kDisorderAdapt,
     kCheckpoint,
   };

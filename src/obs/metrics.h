@@ -12,8 +12,9 @@
 // -----------------
 //  * Detached (no registry): one pointer test per push — unmeasurable.
 //  * Attached: counter increments per push; clock reads and virtual state
-//    probes only every kSampleEvery-th push. Verified to stay under 5% on the
-//    operator micro-benchmarks by bench/metrics_guard.cc.
+//    probes only every kSampleEvery-th push. Counted by
+//    tests/obs/hot_path_test.cc; the 5% wall-clock budget on the operator
+//    micro-benchmarks is enforced nightly by bench/metrics_guard.cc.
 //  * Compiled out (-DGENMIG_NO_METRICS): the operator-base hooks vanish
 //    entirely; this registry still links (empty) so call sites need no #ifs.
 //

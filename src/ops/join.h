@@ -44,8 +44,7 @@ class JoinBase : public Operator {
   virtual MaterializedStream ExportState(int in_port) const = 0;
 
   // Checkpointing rides on the Moving-States hooks, so every JoinBase
-  // subclass — including the codegen CompiledHashJoin — is covered by this
-  // one implementation.
+  // subclass is covered by this one implementation.
   bool CkptStateful() const override { return true; }
   void CkptExport(StateEnc* enc) const override;
   bool CkptImport(StateDec* dec) override;

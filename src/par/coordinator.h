@@ -68,9 +68,7 @@ class Coordinator {
     size_t batch_size = 0;
     obs::MetricsRegistry* registry = nullptr;  // Nullable.
     obs::MigrationTracer* tracer = nullptr;    // Nullable.
-    /// Physical-compilation options for every shard's plan replica (fusion,
-    /// codegen hooks). Shards share one codegen engine through the hooks, so
-    /// N identical replicas cost one native compile and N cache hits.
+    /// Physical-compilation options for every shard's plan replica (fusion).
     CompileOptions compile;
     /// Streams listed here are in *arrival* order (bounded out-of-order);
     /// the router reorders each through its own DisorderBuffer before

@@ -39,9 +39,7 @@ class Compiler {
       : box_(box), name_prefix_(std::move(name_prefix)), options_(options) {}
 
   Operator* Compile(const LogicalNode& node) {
-    const bool try_codegen =
-        options_.codegen != nullptr && options_.codegen->stateless_chain;
-    if ((options_.fuse_stateless || try_codegen) && IsFusible(node)) {
+    if (options_.fuse_stateless && IsFusible(node)) {
       // Walk down the maximal stateless chain rooted here. The chain is
       // collected top-down; stages execute bottom-up (child first).
       std::vector<const LogicalNode*> chain;
@@ -50,19 +48,7 @@ class Compiler {
         chain.push_back(cur);
         cur = cur->children[0].get();
       }
-      if (try_codegen) {
-        // Native code first; the hook declines unsupported shapes and the
-        // chain falls back to fusion (or per-node operators) below.
-        std::unique_ptr<Operator> compiled =
-            options_.codegen->stateless_chain(Name("cchain"), chain);
-        if (compiled != nullptr) {
-          Operator* child = Compile(*cur);
-          Operator* op = box_->Add(std::move(compiled));
-          child->ConnectTo(0, op, 0);
-          return op;
-        }
-      }
-      if (options_.fuse_stateless && chain.size() >= 2) {
+      if (chain.size() >= 2) {
         Operator* child = Compile(*cur);
         std::vector<FusedStateless::Stage> stages;
         stages.reserve(chain.size());
@@ -112,17 +98,6 @@ class Compiler {
       case LogicalNode::Kind::kJoin: {
         Operator* left = Compile(*node.children[0]);
         Operator* right = Compile(*node.children[1]);
-        if (options_.codegen != nullptr && options_.codegen->hash_join &&
-            node.equi_keys.has_value() && node.predicate == nullptr) {
-          std::unique_ptr<Operator> compiled =
-              options_.codegen->hash_join(Name("chashjoin"), node);
-          if (compiled != nullptr) {
-            Operator* j = box_->Add(std::move(compiled));
-            left->ConnectTo(0, j, 0);
-            right->ConnectTo(0, j, 1);
-            return j;
-          }
-        }
         JoinBase* join = nullptr;
         if (node.equi_keys.has_value() && node.predicate == nullptr) {
           join = box_->Make<SymmetricHashJoin>(

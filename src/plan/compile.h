@@ -16,26 +16,6 @@
 
 namespace genmig {
 
-/// Native-code hooks, wired up by the codegen subsystem (src/codegen/) via
-/// engine options — plan/ itself has no codegen dependency. During physical
-/// compilation each hook inspects a plan region and either returns a drop-in
-/// compiled Operator or nullptr to decline (unsupported shape, no host
-/// toolchain, failed compile), in which case the interpreted compilation of
-/// that region proceeds unchanged.
-struct CodegenHooks {
-  /// Offered every maximal stateless chain (select/project/time-window),
-  /// ordered root-first; execution order is back-to-front and
-  /// chain.back()->children[0] is the chain's input.
-  std::function<std::unique_ptr<Operator>(
-      const std::string& name, const std::vector<const LogicalNode*>& chain)>
-      stateless_chain;
-  /// Offered every pure hash equi-join node (equi_keys set, no residual
-  /// predicate).
-  std::function<std::unique_ptr<Operator>(const std::string& name,
-                                          const LogicalNode& join)>
-      hash_join;
-};
-
 /// Physical compilation knobs.
 struct CompileOptions {
   /// Collapses every maximal chain (length >= 2) of adjacent stateless
@@ -44,11 +24,6 @@ struct CompileOptions {
   /// have different operator names/counts, which plan-shape-sensitive tests
   /// and cost models must opt into.
   bool fuse_stateless = false;
-
-  /// Optional native-code hooks; null compiles a purely interpreted plan.
-  /// Shared (not owned): one codegen engine serves every box compiled from
-  /// the same options, so identical shapes hit its plugin cache.
-  std::shared_ptr<const CodegenHooks> codegen;
 };
 
 /// Compiles `root` into a physical Box. Operator names are derived from the

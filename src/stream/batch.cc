@@ -102,28 +102,6 @@ void TupleBatch::AppendFilteredFrom(const TupleBatch& other,
   rows_ += kept;
 }
 
-void TupleBatch::AppendGatheredColumnsFrom(const TupleBatch& other,
-                                           const uint32_t* rows, size_t count,
-                                           const std::vector<size_t>& cols,
-                                           Duration extend_end) {
-  if (count == 0) return;
-  EnsureArity(cols.size());
-  for (size_t c = 0; c < cols.size(); ++c) {
-    GENMIG_CHECK_LT(cols[c], other.num_columns());
-    std::vector<Value>& dst = columns_[c];
-    const std::vector<Value>& src = other.columns_[cols[c]];
-    for (size_t k = 0; k < count; ++k) dst.push_back(src[rows[k]]);
-  }
-  for (size_t k = 0; k < count; ++k) {
-    const size_t r = rows[k];
-    t_start_.push_back(other.t_start_[r]);
-    t_end_.push_back(other.t_end_[r] + extend_end);
-    epoch_.push_back(other.epoch_[r]);
-    ingress_ns_.push_back(other.ingress_ns_[r]);
-  }
-  rows_ += count;
-}
-
 Tuple TupleBatch::RowTuple(size_t row) const {
   std::vector<Value> fields;
   fields.reserve(columns_.size());

@@ -78,15 +78,6 @@ class TupleBatch {
   void AppendFilteredFrom(const TupleBatch& other,
                           const std::vector<uint8_t>& keep);
 
-  /// Combined gather for a whole stateless chain: appends the rows of
-  /// `other` listed (ascending) in `rows[0..count)`, keeping only the
-  /// columns listed in `cols` (in that order) and extending every surviving
-  /// end timestamp by `extend_end` — selection + projection + window in one
-  /// branch-free pass over a precomputed survivor index list.
-  void AppendGatheredColumnsFrom(const TupleBatch& other, const uint32_t* rows,
-                                 size_t count, const std::vector<size_t>& cols,
-                                 Duration extend_end);
-
   // --- Row access ----------------------------------------------------------
 
   const Value& at(size_t column, size_t row) const {
@@ -100,10 +91,6 @@ class TupleBatch {
   uint32_t epoch(size_t row) const { return epoch_[row]; }
   uint64_t ingress_ns(size_t row) const { return ingress_ns_[row]; }
 
-  const std::vector<Timestamp>& starts() const { return t_start_; }
-  const std::vector<Timestamp>& ends() const { return t_end_; }
-  const std::vector<uint32_t>& epochs() const { return epoch_; }
-  const std::vector<uint64_t>& ingresses() const { return ingress_ns_; }
   const std::vector<Value>& column(size_t i) const { return columns_[i]; }
 
   /// Mutable interval access (TimeWindow's batch path extends ends in

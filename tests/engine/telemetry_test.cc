@@ -403,23 +403,5 @@ TEST(TelemetryTest, CheckpointsSurfaceInMetricsStatusAndJournal) {
   EXPECT_EQ(static_cast<uint64_t>(last_commit->Num("bytes")), stats.bytes);
 }
 
-TEST(TelemetryTest, CodegenDeploysAreJournaled) {
-  Dsms::Options options;
-  options.codegen = Dsms::Options::Codegen::kEager;
-  Dsms dsms(options);
-  dsms.RegisterStream("S", Schema::OfInts({"x"}),
-                      ToPhysicalStream(GenerateKeyedStream(300, 5, 4, 9)));
-  auto id = dsms.InstallQuery("SELECT * FROM S [RANGE 50] WHERE x > 1");
-  ASSERT_TRUE(id.ok()) << id.status().ToString();
-  dsms.RunToCompletion();
-
-  const std::vector<JournalEvent> deploys =
-      dsms.journal().SnapshotKind(JournalEvent::Kind::kCodegenDeploy);
-  if (dsms.CodegenInfo(id.value()).ready) {
-    ASSERT_GE(deploys.size(), 1u);
-    EXPECT_EQ(deploys.front().Str("mode"), "eager");
-  }
-}
-
 }  // namespace
 }  // namespace genmig

@@ -11,7 +11,7 @@
 // GENMIG_FUZZ_DISORDER=1 widens the Disordered* sweeps from their default
 // smoke size to the full GENMIG_FUZZ_ITERS count: Zipf-keyed cases with
 // bounded-shuffled (out-of-order) arrivals and a random mid-run migration in
-// scalar, batched, sharded, and compiled modes, all against the exact
+// scalar, batched, sharded, and fused modes, all against the exact
 // in-order src/ref oracle.
 
 #include <gtest/gtest.h>
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "../migration/migration_test_util.h"
-#include "codegen/engine.h"
 #include "migration/controller.h"
 #include "migration/trigger_policy.h"
 #include "par/coordinator.h"
@@ -151,14 +150,39 @@ FuzzCase MakeCase(uint64_t seed, bool zipf_keys = false) {
   return c;
 }
 
+/// Fused mode. Fusion collapses chains of two or more stateless operators,
+/// and a fuzz plan has at most one (the new plan's column-restoring
+/// projection), so both plans get the same select -> project tail, which the
+/// oracle sees too: it keeps the rows whose payload y is not a seed-drawn
+/// value. The new box is fused, the old box on half the seeds.
+void FuseOneOrBothBoxes(std::mt19937_64& rng, LogicalPtr* old_plan,
+                        LogicalPtr* new_plan, CompileOptions* old_copts,
+                        CompileOptions* new_copts) {
+  const ExprPtr keep =
+      Expr::Compare(Expr::CmpOp::kNe, Expr::Column(1),
+                    Expr::Const(Value(static_cast<int64_t>(rng() % 3))));
+  std::vector<size_t> all((*old_plan)->schema.size());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+  *old_plan = logical::Project(logical::Select(*old_plan, keep), all);
+  *new_plan = logical::Project(logical::Select(*new_plan, keep), all);
+  new_copts->fuse_stateless = true;
+  old_copts->fuse_stateless = rng() % 2 == 0;
+}
+
+bool HasFusedOperator(const Box& box) {
+  for (const auto& op : box.ops()) {
+    if (op->name().rfind("fused", 0) == 0) return true;
+  }
+  return false;
+}
+
 /// Runs one seeded case end to end and checks the output against the
 /// no-migration oracle. Returns the number of completed migrations.
 /// `batch_size` > 1 drives the identical case through the vectorized
 /// injection path (Executor::Options::batch_size — PushBatch all the way to
-/// the controller, including mid-batch T_split slicing). `compiled` attaches
-/// native-code hooks to the new box (and, on half the seeds, the old box
-/// too) — randomizing interpreter->compiled and compiled->compiled GenMigs.
-int RunOneSeed(uint64_t seed, size_t batch_size = 0, bool compiled = false) {
+/// the controller, including mid-batch T_split slicing). `fused` migrates
+/// between unfused and fused boxes of one logical plan (FuseOneOrBothBoxes).
+int RunOneSeed(uint64_t seed, size_t batch_size = 0, bool fused = false) {
   std::mt19937_64 rng(seed ^ 0x9e3779b97f4a7c15ull);
   const FuzzCase c = MakeCase(seed);
 
@@ -190,21 +214,21 @@ int RunOneSeed(uint64_t seed, size_t batch_size = 0, bool compiled = false) {
   // output is still snapshot-equivalent but only per-input ordered.
   const bool relax = exec_options.policy != Executor::Policy::kGlobalOrder;
 
-  // Drawn last so the compiled sweep reuses the exact cases (plans, inputs,
-  // triggers, scheduling) of the interpreted sweeps above.
+  // Drawn last so the fused sweep reuses the exact cases (plans, inputs,
+  // triggers, scheduling) of the unfused sweeps above.
   CompileOptions old_copts;
   CompileOptions new_copts;
-  if (compiled) {
-    static const std::shared_ptr<const CodegenHooks> hooks =
-        codegen::Engine::MakeHooks(std::make_shared<codegen::Engine>());
-    new_copts.codegen = hooks;
-    if (rng() % 2 == 0) old_copts.codegen = hooks;
+  LogicalPtr old_plan = c.old_plan;
+  LogicalPtr new_plan = c.new_plan;
+  if (fused) {
+    FuseOneOrBothBoxes(rng, &old_plan, &new_plan, &old_copts, &new_copts);
   }
 
   int fired = 0;
   auto result = testutil::RunLogicalMigration(
-      c.old_plan, c.new_plan, c.inputs, Timestamp(trigger_time),
+      old_plan, new_plan, c.inputs, Timestamp(trigger_time),
       [&](MigrationController& controller, Box new_box) {
+        EXPECT_EQ(HasFusedOperator(new_box), fused) << "seed=" << seed;
         auto box = std::make_shared<Box>(std::move(new_box));
         // The new box's ports follow the new plan's (shuffled) leaf order;
         // the controller's ports follow the old plan's. Map by name, as the
@@ -223,7 +247,7 @@ int RunOneSeed(uint64_t seed, size_t batch_size = 0, bool compiled = false) {
       },
       exec_options, relax, old_copts, new_copts);
 
-  const Status eq = ref::CheckPlanOutput(*c.old_plan, c.inputs, result.output);
+  const Status eq = ref::CheckPlanOutput(*old_plan, c.inputs, result.output);
   EXPECT_TRUE(eq.ok()) << "seed=" << seed << ": " << eq.ToString();
   if (!relax) {
     EXPECT_TRUE(IsOrderedByStart(result.output)) << "seed=" << seed;
@@ -329,7 +353,7 @@ DisorderSpec MakeDisorder(const FuzzCase& c, uint64_t seed) {
 }
 
 int RunOneDisorderSeed(uint64_t seed, size_t batch_size = 0,
-                       bool compiled = false) {
+                       bool fused = false) {
   std::mt19937_64 rng(seed ^ 0x9e3779b97f4a7c15ull);
   const FuzzCase c = MakeCase(seed, /*zipf_keys=*/true);
   const DisorderSpec d = MakeDisorder(c, seed);
@@ -361,17 +385,17 @@ int RunOneDisorderSeed(uint64_t seed, size_t batch_size = 0,
 
   CompileOptions old_copts;
   CompileOptions new_copts;
-  if (compiled) {
-    static const std::shared_ptr<const CodegenHooks> hooks =
-        codegen::Engine::MakeHooks(std::make_shared<codegen::Engine>());
-    new_copts.codegen = hooks;
-    if (rng() % 2 == 0) old_copts.codegen = hooks;
+  LogicalPtr old_plan = c.old_plan;
+  LogicalPtr new_plan = c.new_plan;
+  if (fused) {
+    FuseOneOrBothBoxes(rng, &old_plan, &new_plan, &old_copts, &new_copts);
   }
 
   int fired = 0;
   auto result = testutil::RunLogicalMigration(
-      c.old_plan, c.new_plan, d.arrivals, Timestamp(trigger_time),
+      old_plan, new_plan, d.arrivals, Timestamp(trigger_time),
       [&](MigrationController& controller, Box new_box) {
+        EXPECT_EQ(HasFusedOperator(new_box), fused) << "seed=" << seed;
         auto box = std::make_shared<Box>(std::move(new_box));
         box->ReorderInputs(logical::CollectSourceNames(*c.old_plan));
         auto fire = [&fired, box, options](MigrationController& ctrl) {
@@ -389,7 +413,7 @@ int RunOneDisorderSeed(uint64_t seed, size_t batch_size = 0,
 
   // The oracle sees the ORDERED inputs: with a lossless delta, the engine's
   // view after reordering must be exactly the ordered stream.
-  const Status eq = ref::CheckPlanOutput(*c.old_plan, c.inputs, result.output);
+  const Status eq = ref::CheckPlanOutput(*old_plan, c.inputs, result.output);
   EXPECT_TRUE(eq.ok()) << "seed=" << seed << ": " << eq.ToString();
   if (!relax) {
     EXPECT_TRUE(IsOrderedByStart(result.output)) << "seed=" << seed;
@@ -501,19 +525,15 @@ TEST(EquivalenceFuzzTest, DisorderedShardedRunsMatchOracleAcrossShardCounts) {
   }
 }
 
-TEST(EquivalenceFuzzTest, DisorderedCompiledPlansSurviveRandomAutoMigrations) {
-  if (!codegen::Engine::Available()) {
-    GTEST_SKIP() << "no host compiler / dlopen; codegen disabled";
-  }
-  const size_t iters =
-      std::getenv("GENMIG_FUZZ_DISORDER") != nullptr ? NumIters() : 5;
+TEST(EquivalenceFuzzTest, DisorderedFusedPlansSurviveRandomAutoMigrations) {
+  const size_t iters = DisorderIters();
   for (size_t i = 0; i < iters; ++i) {
     const uint64_t seed = 3000 + i;
     const size_t batch_size =
         i % 2 == 0 ? 0 : 2 + (seed * 2654435761u) % 255;
     SCOPED_TRACE("seed=" + std::to_string(seed) +
                  " batch_size=" + std::to_string(batch_size));
-    RunOneDisorderSeed(seed, batch_size, /*compiled=*/true);
+    RunOneDisorderSeed(seed, batch_size, /*fused=*/true);
     if (::testing::Test::HasFailure()) {
       ADD_FAILURE() << "first failing seed: " << seed;
       break;
@@ -576,18 +596,12 @@ TEST(EquivalenceFuzzTest, ShardedBatchedRunsMatchScalarCanonicalForm) {
   }
 }
 
-// Compiled mode: the same randomized harness with natively compiled boxes.
-// The new box always carries codegen hooks and the old box does on half the
-// seeds, so migrations randomly cross the interpreter/compiled boundary.
-// Auto-skips when the host toolchain is missing. A short smoke sweep by
-// default; set GENMIG_FUZZ_COMPILED (with GENMIG_FUZZ_ITERS) for the full
-// nightly sweep.
-TEST(EquivalenceFuzzTest, CompiledPlansSurviveRandomAutoMigrations) {
-  if (!codegen::Engine::Available()) {
-    GTEST_SKIP() << "no host compiler / dlopen; codegen disabled";
-  }
-  const bool full = std::getenv("GENMIG_FUZZ_COMPILED") != nullptr;
-  const size_t iters = full ? NumIters() : 10;
+// Fused mode: the same cases with the new box fused and the old box fused
+// on half the seeds, so migrations randomly cross between physically
+// different boxes of one logical plan. Even seeds inject scalar, odd seeds
+// batched.
+TEST(EquivalenceFuzzTest, FusedPlansSurviveRandomAutoMigrations) {
+  const size_t iters = NumIters();
   int total_migrations = 0;
   for (size_t i = 0; i < iters; ++i) {
     const uint64_t seed = 1000 + i;  // Same cases as the interpreted sweeps.
@@ -595,14 +609,14 @@ TEST(EquivalenceFuzzTest, CompiledPlansSurviveRandomAutoMigrations) {
         i % 2 == 0 ? 0 : 2 + (seed * 2654435761u) % 255;
     SCOPED_TRACE("seed=" + std::to_string(seed) +
                  " batch_size=" + std::to_string(batch_size));
-    total_migrations += RunOneSeed(seed, batch_size, /*compiled=*/true);
+    total_migrations += RunOneSeed(seed, batch_size, /*fused=*/true);
     if (::testing::Test::HasFailure()) {
       ADD_FAILURE() << "first failing seed: " << seed;
       break;
     }
   }
   EXPECT_GE(total_migrations, static_cast<int>(iters / 3))
-      << "compiled fuzz harness migrated too rarely to be meaningful";
+      << "fused fuzz harness migrated too rarely to be meaningful";
 }
 
 TEST(EquivalenceFuzzTest, RandomPlansSurviveRandomAutoMigrations) {

@@ -111,7 +111,8 @@ inline MigrationRunResult RunMigrationScenario(
 /// compilation of `old_plan` and migrates to the window-stripped compilation
 /// of `new_plan` via `trigger`. The oracle plans (with windows) stay as-is.
 /// `old_copts`/`new_copts` pick the physical compilation per box (e.g.
-/// codegen hooks on one side only — an interpreter->compiled migration).
+/// fusion on one side only — a migration between physically different boxes
+/// of one logical plan).
 inline MigrationRunResult RunLogicalMigration(
     const LogicalPtr& old_plan, const LogicalPtr& new_plan,
     const ref::InputMap& inputs, Timestamp trigger_time,

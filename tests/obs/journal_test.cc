@@ -36,8 +36,7 @@ TEST(JournalEventTest, PayloadAccessors) {
 TEST(JournalEventTest, KindNamesRoundTrip) {
   for (JournalEvent::Kind kind :
        {JournalEvent::Kind::kTriggerEval, JournalEvent::Kind::kMigrationPhase,
-        JournalEvent::Kind::kCodegenDeploy,
-        JournalEvent::Kind::kDisorderAdapt}) {
+        JournalEvent::Kind::kDisorderAdapt, JournalEvent::Kind::kCheckpoint}) {
     JournalEvent::Kind parsed;
     ASSERT_TRUE(JournalKindFromName(JournalKindName(kind), &parsed));
     EXPECT_EQ(parsed, kind);
@@ -142,7 +141,7 @@ TEST(JournalTest, FromJsonlRejectsGarbage) {
 TEST(JournalTest, ParseJsonlSkipsBlanksAndHonorsStrict) {
   EventJournal journal;
   journal.Append(MakeEvent(JournalEvent::Kind::kTriggerEval, 1));
-  journal.Append(MakeEvent(JournalEvent::Kind::kCodegenDeploy, 2));
+  journal.Append(MakeEvent(JournalEvent::Kind::kCheckpoint, 2));
   std::string text;
   for (const JournalEvent& ev : journal.Snapshot()) {
     text += EventJournal::ToJsonl(ev);
@@ -153,7 +152,7 @@ TEST(JournalTest, ParseJsonlSkipsBlanksAndHonorsStrict) {
       EventJournal::ParseJsonl(text, /*strict=*/true, &ok);
   EXPECT_TRUE(ok);
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[1].kind, JournalEvent::Kind::kCodegenDeploy);
+  EXPECT_EQ(events[1].kind, JournalEvent::Kind::kCheckpoint);
 
   text += "BROKEN LINE\n";
   events = EventJournal::ParseJsonl(text, /*strict=*/true, &ok);

@@ -321,6 +321,9 @@ TEST(RenderPrometheusTest, ConcurrentScrapeWhileRegisteringAndMutating) {
   std::atomic<uint64_t> scraped_bytes{0};
   for (int s = 0; s < 2; ++s) {
     scrapers.emplace_back([&] {
+      // Scrape only once the writer has registered a slot; otherwise a late
+      // writer thread leaves every render empty.
+      while (registry.size() == 0) std::this_thread::yield();
       for (int i = 0; i < 50; ++i) {
         scraped_bytes += RenderPrometheus(registry).size();
       }

@@ -12,14 +12,8 @@ BENCH_hotpath.json and exits non-zero when either check fails:
      silently falling back to scalar), not single-digit noise.
   2. Speedup ratios: machine-independent ratios between benchmarks measured
      in the SAME run (batched vs scalar join probe, fused+batched vs scalar
-     stateless chain, compiled vs batched-interpreted chain and join probe).
-     These are the real acceptance criteria and are immune to runner speed
-     differences.
-
-Baseline entries and ratios may carry `"requires": "codegen"`: they are
-skipped (visibly) when the results file's context reports
-codegen_available != true, so the gate still passes on machines without a
-usable host compiler, where the compiled benchmarks self-skip.
+     stateless chain). These are the real acceptance criteria and are immune
+     to runner speed differences.
 
 Usage:
   check_perf.py --results results.json [--baseline BENCH_hotpath.json]
@@ -39,8 +33,8 @@ import sys
 def load_results(path):
     """Returns ({benchmark name: items_per_second}, context dict) from
     google-benchmark JSON. Benchmarks that self-skipped (SkipWithError — they
-    carry error_message and no items_per_second) are simply absent from the
-    map; requires-gating in check() decides whether that is acceptable."""
+    carry error_message and no items_per_second) are absent from the map,
+    so check() reports them as missing."""
     with open(path) as f:
         data = json.load(f)
     out = {}
@@ -55,15 +49,7 @@ def load_results(path):
     return out, data.get("context", {})
 
 
-def requirement_met(spec, context):
-    """True unless the entry declares `"requires": "codegen"` and the results
-    context says codegen was unavailable on the benchmark runner."""
-    if spec.get("requires") != "codegen":
-        return True
-    return str(context.get("codegen_available", "")).lower() == "true"
-
-
-def check(baseline, results, context):
+def check(baseline, results):
     failures = []
     max_drop = float(baseline.get("max_drop_fraction", 0.25))
 
@@ -74,9 +60,6 @@ def check(baseline, results, context):
                 f"(malformed BENCH_hotpath.json — regenerate with "
                 f"--write-baseline)"
             )
-            continue
-        if not requirement_met(entry, context):
-            print(f"[SKIP] {name}: requires codegen, unavailable on this runner")
             continue
         recorded = float(entry["items_per_second"])
         floor = recorded * (1.0 - max_drop)
@@ -103,9 +86,6 @@ def check(baseline, results, context):
                 f"key(s) {', '.join(repr(k) for k in missing_keys)} "
                 f"(malformed BENCH_hotpath.json)"
             )
-            continue
-        if not requirement_met(spec, context):
-            print(f"[SKIP] {key}: requires codegen, unavailable on this runner")
             continue
         missing_ops = [b for b in (spec["num"], spec["den"]) if b not in results]
         if missing_ops:
@@ -136,7 +116,7 @@ def check(baseline, results, context):
 
 def write_baseline(path, results, context, old):
     """Refreshes recorded throughputs, keeping gate config (ratio specs,
-    `requires` flags, max_drop_fraction) from `old` and stamping the runner's
+    max_drop_fraction) from `old` and stamping the runner's
     toolchain context so the record is attributable to a machine/compiler."""
     gated = old.get("benchmarks", {}) if old else {}
     names = list(gated) or sorted(results)
@@ -144,10 +124,7 @@ def write_baseline(path, results, context, old):
     for name in names:
         if name not in results:
             continue
-        entry = {"items_per_second": results[name]}
-        if gated.get(name, {}).get("requires"):
-            entry["requires"] = gated[name]["requires"]
-        benchmarks[name] = entry
+        benchmarks[name] = {"items_per_second": results[name]}
     toolchain = {
         key[len("toolchain_"):]: value
         for key, value in sorted(context.items())
@@ -160,8 +137,7 @@ def write_baseline(path, results, context, old):
             "tools/check_perf.py --results r.json --write-baseline "
             "BENCH_hotpath.json. CI fails when a gated benchmark drops more "
             "than max_drop_fraction below its record, or a speedup ratio "
-            "falls under its minimum. Entries/ratios with requires=codegen "
-            "are skipped on runners without a host compiler."
+            "falls under its minimum."
         ),
         "max_drop_fraction": old.get("max_drop_fraction", 0.25) if old else 0.25,
         "toolchain": toolchain,
@@ -201,7 +177,7 @@ def main():
         write_baseline(args.write_baseline, results, context, old)
         return 0
 
-    failures = check(old, results, context)
+    failures = check(old, results)
     if failures:
         print("\nPerf gate FAILED:", file=sys.stderr)
         for f in failures:
