@@ -8,7 +8,8 @@ DuplicateElimination::DuplicateElimination(std::string name)
 void DuplicateElimination::OnElement(int, const StreamElement& element) {
   const Timestamp s = element.interval.start;
   const Timestamp t = element.interval.end;
-  Coverage& cov = coverage_[element.tuple];
+  Slot& slot = *coverage_.try_emplace(element.tuple).first;
+  Coverage& cov = slot.second;
 
   // Emit the uncovered sub-intervals of [s, t), left to right.
   Timestamp cur = s;
@@ -34,6 +35,7 @@ void DuplicateElimination::OnElement(int, const StreamElement& element) {
   Timestamp merged_start = s;
   Timestamp merged_end = t;
   uint32_t merged_epoch = element.epoch;
+  Timestamp absorbed_end = Timestamp::MinInstant();
   auto it = cov.lower_bound(s);
   if (it != cov.begin()) {
     auto prev = std::prev(it);
@@ -42,6 +44,7 @@ void DuplicateElimination::OnElement(int, const StreamElement& element) {
   while (it != cov.end() && it->first <= merged_end) {
     if (it->first < merged_start) merged_start = it->first;
     if (merged_end < it->second.end) merged_end = it->second.end;
+    if (absorbed_end < it->second.end) absorbed_end = it->second.end;
     if (it->second.epoch < merged_epoch) merged_epoch = it->second.epoch;
     NoteRunRemove(it->second.epoch);
     it = cov.erase(it);
@@ -52,7 +55,8 @@ void DuplicateElimination::OnElement(int, const StreamElement& element) {
   NoteRunInsert(merged_epoch);
   ++state_units_;
   state_bytes_ += element.tuple.PayloadBytes();
-  if (merged_end < min_cover_end_) min_cover_end_ = merged_end;
+  // An absorbed run that ended at merged_end already has its entry.
+  if (absorbed_end != merged_end) expiry_.Push(merged_end, &slot);
 }
 
 size_t DuplicateElimination::CountStateWithEpochBelow(uint32_t epoch) const {
@@ -67,12 +71,11 @@ size_t DuplicateElimination::CountStateWithEpochBelow(uint32_t epoch) const {
 void DuplicateElimination::OnWatermarkAdvance() {
   const Timestamp wm = MinInputWatermark();
   buffer_.FlushUpTo(wm, [this](const StreamElement& e) { Emit(0, e); });
-  if (min_cover_end_ > wm) return;  // Nothing expired.
-  Timestamp new_min = Timestamp::MaxInstant();
-  for (auto map_it = coverage_.begin(); map_it != coverage_.end();) {
-    Coverage& cov = map_it->second;
-    const size_t payload = map_it->first.PayloadBytes();
+  expiry_.PopExpired(wm, [this, wm](const auto& entry) {
     // Runs are disjoint and sorted, so expired runs form a prefix.
+    Coverage& cov = entry.handle->second;
+    if (cov.empty() || wm < cov.begin()->second.end) return;
+    const size_t payload = entry.handle->first.PayloadBytes();
     auto run = cov.begin();
     while (run != cov.end() && run->second.end <= wm) {
       NoteRunRemove(run->second.epoch);
@@ -80,25 +83,17 @@ void DuplicateElimination::OnWatermarkAdvance() {
       --state_units_;
       state_bytes_ -= payload;
     }
-    if (run != cov.end() && run->second.end < new_min) new_min = run->second.end;
-    map_it = cov.empty() ? coverage_.erase(map_it) : std::next(map_it);
-  }
-  min_cover_end_ = new_min;
+    if (cov.empty()) emptied_.push_back(entry.handle);
+  });
+  // Erased only now: entries popped later in the same pass may still refer
+  // to a tuple that ran out of runs. None is left once the pass is over,
+  // since every entry ends at or before some run of its tuple.
+  for (Slot* slot : emptied_) coverage_.erase(slot->first);
+  emptied_.clear();
 }
 
 void DuplicateElimination::OnAllInputsEos() {
   buffer_.FlushAll([this](const StreamElement& e) { Emit(0, e); });
-}
-
-Timestamp DuplicateElimination::MaxStateEnd() const {
-  Timestamp max_end = Timestamp::MinInstant();
-  for (const auto& [tuple, cov] : coverage_) {
-    if (!cov.empty()) {
-      const Timestamp end = cov.rbegin()->second.end;
-      if (max_end < end) max_end = end;
-    }
-  }
-  return max_end;
 }
 
 void DuplicateElimination::CkptExport(StateEnc* enc) const {
@@ -120,11 +115,14 @@ void DuplicateElimination::CkptExport(StateEnc* enc) const {
   }
   enc->U64(state_bytes_);
   enc->U64(state_units_);
-  enc->Ts(min_cover_end_);
+  // Formerly a lower bound on the run ends that gated expiry. The index is
+  // rebuilt on import instead, so the slot only keeps the format unchanged.
+  enc->Ts(expiry_.Front());
 }
 
 bool DuplicateElimination::CkptImport(StateDec* dec) {
   coverage_.clear();
+  expiry_ = ExpiryIndex<Slot*>();
   epoch_counts_.clear();
   const uint64_t ntuples = dec->U64();
   for (uint64_t i = 0; i < ntuples && dec->ok(); ++i) {
@@ -138,7 +136,8 @@ bool DuplicateElimination::CkptImport(StateDec* dec) {
       run.epoch = dec->U32();
       cov.emplace(start, run);
     }
-    coverage_.emplace(std::move(tuple), std::move(cov));
+    Slot& slot = *coverage_.emplace(std::move(tuple), std::move(cov)).first;
+    for (const auto& [start, run] : slot.second) expiry_.Push(run.end, &slot);
   }
   if (!buffer_.CkptImport(dec)) return false;
   const uint64_t nepochs = dec->U64();
@@ -148,7 +147,7 @@ bool DuplicateElimination::CkptImport(StateDec* dec) {
   }
   state_bytes_ = static_cast<size_t>(dec->U64());
   state_units_ = static_cast<size_t>(dec->U64());
-  min_cover_end_ = dec->Ts();
+  dec->Ts();  // The former expiry bound; see CkptExport.
   return dec->ok();
 }
 

@@ -9,6 +9,8 @@
 // start after the generating element's start timestamp (when a prefix is
 // already covered), so pieces of different tuples may be produced out of
 // order; an OrderedOutputBuffer releases them up to the input watermark.
+// An ExpiryIndex entry (run end, tuple) is pushed whenever a run takes a new
+// end, so a watermark advance visits only the tuples that have a run due.
 
 #ifndef GENMIG_OPS_DEDUP_H_
 #define GENMIG_OPS_DEDUP_H_
@@ -16,7 +18,9 @@
 #include <map>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
+#include "ops/expiry_index.h"
 #include "ops/operator.h"
 #include "stream/ordered_buffer.h"
 
@@ -33,7 +37,7 @@ class DuplicateElimination : public Operator {
     return state_units_ + buffer_.size();
   }
   size_t QueueDepth() const override { return buffer_.size(); }
-  Timestamp MaxStateEnd() const override;
+  Timestamp MaxStateEnd() const override { return expiry_.Back(); }
   size_t CountStateWithEpochBelow(uint32_t epoch) const override;
 
   bool CkptStateful() const override { return true; }
@@ -52,6 +56,9 @@ class DuplicateElimination : public Operator {
   };
   /// Disjoint coverage per tuple: maps run start -> run, sorted by start.
   using Coverage = std::map<Timestamp, Run>;
+  using CoverageMap = std::unordered_map<Tuple, Coverage, TupleHash>;
+  /// A map node: its address is stable until the tuple is erased.
+  using Slot = CoverageMap::value_type;
 
   void NoteRunInsert(uint32_t epoch) {
     ++epoch_counts_[epoch];
@@ -64,12 +71,16 @@ class DuplicateElimination : public Operator {
     MetricsStateExpire();
   }
 
-  std::unordered_map<Tuple, Coverage, TupleHash> coverage_;
+  CoverageMap coverage_;
+  /// Every run's end is in here. A run absorbed by a merge leaves its entry
+  /// behind; that entry's end is at most the merged run's, and popping it
+  /// finds nothing due.
+  ExpiryIndex<Slot*> expiry_;
+  std::vector<Slot*> emptied_;  // Scratch for OnWatermarkAdvance.
   OrderedOutputBuffer buffer_;
   std::map<uint32_t, size_t> epoch_counts_;
   size_t state_bytes_ = 0;
   size_t state_units_ = 0;
-  Timestamp min_cover_end_ = Timestamp::MaxInstant();
 };
 
 }  // namespace genmig

@@ -7,14 +7,12 @@ namespace genmig {
 // --- JoinBase ---------------------------------------------------------------
 
 size_t JoinBase::StateBytes() const {
-  return buffer_.PayloadBytes() + StateElementBytes();
+  return buffer_.PayloadBytes() + state_bytes_[0] + state_bytes_[1];
 }
 
 size_t JoinBase::StateUnits() const {
   return buffer_.size() + StateElementCount();
 }
-
-Timestamp JoinBase::MaxStateEnd() const { return StateMaxEnd(); }
 
 void JoinBase::OnWatermarkAdvance() {
   const Timestamp wm = MinInputWatermark();
@@ -122,11 +120,8 @@ void NestedLoopsJoin::OnElement(int in_port, const StreamElement& element) {
       EmitJoined(in_port, element, stored);
     }
   }
-  state_[in_port].push_back(element);
   NoteStateInsert(in_port, element);
-  if (element.interval.end < min_state_end_[in_port]) {
-    min_state_end_[in_port] = element.interval.end;
-  }
+  Insert(in_port, element);
 }
 
 void NestedLoopsJoin::OnBatch(int in_port, const TupleBatch& batch) {
@@ -137,7 +132,7 @@ void NestedLoopsJoin::OnBatch(int in_port, const TupleBatch& batch) {
   // cannot overlap any probe in this batch and produces no extra results.
   EnterBatchMode();
   const int other = 1 - in_port;
-  Timestamp min_end = min_state_end_[in_port];
+  size_t added_bytes = 0;
   for (size_t i = 0; i < batch.size(); ++i) {
     StreamElement element = batch.Row(i);
     for (const StreamElement& stored : state_[other]) {
@@ -147,62 +142,44 @@ void NestedLoopsJoin::OnBatch(int in_port, const TupleBatch& batch) {
         EmitJoined(in_port, element, stored);
       }
     }
-    if (element.interval.end < min_end) min_end = element.interval.end;
-    state_[in_port].push_back(std::move(element));
+    added_bytes += element.PayloadBytes();
+    Insert(in_port, std::move(element));
   }
-  min_state_end_[in_port] = min_end;
-  NoteStateInsertBatch(in_port, batch);
+  NoteStateInsertBatch(in_port, batch, added_bytes);
+}
+
+void NestedLoopsJoin::Insert(int side, StreamElement element) {
+  const Timestamp end = element.interval.end;
+  State& state = state_[side];
+  expiry_[side].Push(end, state.insert(state.end(), std::move(element)));
 }
 
 void NestedLoopsJoin::ExpireStates(Timestamp watermark) {
   for (int side = 0; side < 2; ++side) {
-    if (min_state_end_[side] > watermark) continue;  // Nothing expired.
-    Timestamp new_min = Timestamp::MaxInstant();
-    auto& st = state_[side];
-    size_t kept = 0;
-    for (size_t i = 0; i < st.size(); ++i) {
-      if (st[i].interval.end > watermark) {
-        if (st[i].interval.end < new_min) new_min = st[i].interval.end;
-        if (kept != i) st[kept] = std::move(st[i]);
-        ++kept;
-      } else {
-        NoteStateRemove(side, st[i]);
-      }
-    }
-    st.resize(kept);
-    min_state_end_[side] = new_min;
+    expiry_[side].PopExpired(watermark, [this, side](const auto& entry) {
+      NoteStateRemove(side, *entry.handle);
+      state_[side].erase(entry.handle);
+    });
   }
-}
-
-size_t NestedLoopsJoin::StateElementBytes() const {
-  size_t bytes = 0;
-  for (int side = 0; side < 2; ++side) {
-    for (const StreamElement& e : state_[side]) bytes += e.PayloadBytes();
-  }
-  return bytes;
 }
 
 size_t NestedLoopsJoin::StateElementCount() const {
-  return state_[0].size() + state_[1].size();
+  return expiry_[0].size() + expiry_[1].size();
 }
 
-Timestamp NestedLoopsJoin::StateMaxEnd() const {
-  Timestamp max_end = Timestamp::MinInstant();
-  for (int side = 0; side < 2; ++side) {
-    for (const StreamElement& e : state_[side]) {
-      if (max_end < e.interval.end) max_end = e.interval.end;
-    }
-  }
-  return max_end;
+Timestamp NestedLoopsJoin::MaxStateEnd() const {
+  return std::max(expiry_[0].Back(), expiry_[1].Back());
 }
 
-void NestedLoopsJoin::SeedState(int in_port, const MaterializedStream& elements) {
+MaterializedStream NestedLoopsJoin::ExportState(int in_port) const {
+  return MaterializedStream(state_[in_port].begin(), state_[in_port].end());
+}
+
+void NestedLoopsJoin::SeedState(int in_port,
+                                const MaterializedStream& elements) {
   for (const StreamElement& e : elements) {
-    state_[in_port].push_back(e);
     NoteStateInsert(in_port, e);
-    if (e.interval.end < min_state_end_[in_port]) {
-      min_state_end_[in_port] = e.interval.end;
-    }
+    Insert(in_port, e);
   }
 }
 
@@ -220,19 +197,14 @@ void SymmetricHashJoin::OnElement(int in_port, const StreamElement& element) {
   const Value& key = element.tuple.field(key_field_[in_port]);
   auto it = state_[other].find(key);
   if (it != state_[other].end()) {
-    for (const StreamElement& stored : it->second) {
+    for (const StreamElement& stored : it->second.rows) {
       if (element.interval.Overlaps(stored.interval)) {
         EmitJoined(in_port, element, stored);
       }
     }
   }
-  state_[in_port][key].push_back(element);
-  ++state_count_[in_port];
   NoteStateInsert(in_port, element);
-  state_bytes_[in_port] += element.PayloadBytes();
-  if (element.interval.end < min_state_end_[in_port]) {
-    min_state_end_[in_port] = element.interval.end;
-  }
+  Insert(in_port, key, element);
 }
 
 void SymmetricHashJoin::OnBatch(int in_port, const TupleBatch& batch) {
@@ -245,81 +217,77 @@ void SymmetricHashJoin::OnBatch(int in_port, const TupleBatch& batch) {
   const int other = 1 - in_port;
   const std::vector<Value>& keys = batch.column(key_field_[in_port]);
   auto& probe_state = state_[other];
-  auto& build_state = state_[in_port];
-  // Per-side accumulators are folded in once per batch; the epoch lineage
-  // maps are updated per run of equal epochs (NoteStateInsertBatch).
+  // The byte counter is folded in once per batch and the epoch lineage maps
+  // per run of equal epochs (NoteStateInsertBatch).
   size_t added_bytes = 0;
-  Timestamp min_end = min_state_end_[in_port];
   for (size_t i = 0; i < batch.size(); ++i) {
     StreamElement element = batch.Row(i);
     auto it = probe_state.find(keys[i]);
     if (it != probe_state.end()) {
-      for (const StreamElement& stored : it->second) {
+      for (const StreamElement& stored : it->second.rows) {
         if (element.interval.Overlaps(stored.interval)) {
           EmitJoined(in_port, element, stored);
         }
       }
     }
     added_bytes += element.PayloadBytes();
-    if (element.interval.end < min_end) min_end = element.interval.end;
-    build_state[keys[i]].push_back(std::move(element));
+    Insert(in_port, keys[i], std::move(element));
   }
-  state_count_[in_port] += batch.size();
-  state_bytes_[in_port] += added_bytes;
-  min_state_end_[in_port] = min_end;
-  NoteStateInsertBatch(in_port, batch);
+  NoteStateInsertBatch(in_port, batch, added_bytes);
+}
+
+void SymmetricHashJoin::Insert(int side, const Value& key,
+                               StreamElement element) {
+  Slot& slot = *state_[side].try_emplace(key).first;
+  expiry_[side].Push(element.interval.end, &slot);
+  slot.second.rows.push_back(std::move(element));
 }
 
 void SymmetricHashJoin::ExpireStates(Timestamp watermark) {
   for (int side = 0; side < 2; ++side) {
-    if (min_state_end_[side] > watermark) continue;
-    Timestamp new_min = Timestamp::MaxInstant();
-    auto& st = state_[side];
-    for (auto it = st.begin(); it != st.end();) {
-      auto& bucket = it->second;
+    // Pass 1: count each bucket's expired rows. A bucket holds exactly one
+    // index entry per row, so every row with end <= watermark is counted.
+    touched_.clear();
+    expiry_[side].PopExpired(watermark, [this](const auto& entry) {
+      if (entry.handle->second.due++ == 0) touched_.push_back(entry.handle);
+    });
+    // Pass 2: remove them from each touched bucket, keeping the order of
+    // the rest. They form a prefix whenever the port's ends are monotone.
+    for (Slot* slot : touched_) {
+      Bucket& bucket = slot->second;
+      std::vector<StreamElement>& rows = bucket.rows;
       size_t kept = 0;
-      for (size_t i = 0; i < bucket.size(); ++i) {
-        if (bucket[i].interval.end > watermark) {
-          if (bucket[i].interval.end < new_min) new_min = bucket[i].interval.end;
-          if (kept != i) bucket[kept] = std::move(bucket[i]);
+      size_t i = 0;
+      for (; bucket.due > 0; ++i) {
+        if (watermark < rows[i].interval.end) {
+          if (kept != i) rows[kept] = std::move(rows[i]);
           ++kept;
-        } else {
-          --state_count_[side];
-          NoteStateRemove(side, bucket[i]);
-          state_bytes_[side] -= bucket[i].PayloadBytes();
+          continue;
         }
+        NoteStateRemove(side, rows[i]);
+        --bucket.due;
       }
-      bucket.resize(kept);
-      it = bucket.empty() ? st.erase(it) : std::next(it);
+      rows.erase(rows.begin() + static_cast<ptrdiff_t>(kept),
+                 rows.begin() + static_cast<ptrdiff_t>(i));
+      // Erase by key hashes once; erase(iterator) would hash again. The key
+      // lives in the erased node, which is freed only after the lookup.
+      if (rows.empty()) state_[side].erase(slot->first);
     }
-    min_state_end_[side] = new_min;
   }
-}
-
-size_t SymmetricHashJoin::StateElementBytes() const {
-  return state_bytes_[0] + state_bytes_[1];
 }
 
 size_t SymmetricHashJoin::StateElementCount() const {
-  return state_count_[0] + state_count_[1];
+  return expiry_[0].size() + expiry_[1].size();
 }
 
-Timestamp SymmetricHashJoin::StateMaxEnd() const {
-  Timestamp max_end = Timestamp::MinInstant();
-  for (int side = 0; side < 2; ++side) {
-    for (const auto& [key, bucket] : state_[side]) {
-      for (const StreamElement& e : bucket) {
-        if (max_end < e.interval.end) max_end = e.interval.end;
-      }
-    }
-  }
-  return max_end;
+Timestamp SymmetricHashJoin::MaxStateEnd() const {
+  return std::max(expiry_[0].Back(), expiry_[1].Back());
 }
 
 MaterializedStream SymmetricHashJoin::ExportState(int in_port) const {
   MaterializedStream out;
   for (const auto& [key, bucket] : state_[in_port]) {
-    out.insert(out.end(), bucket.begin(), bucket.end());
+    out.insert(out.end(), bucket.rows.begin(), bucket.rows.end());
   }
   return out;
 }
@@ -327,13 +295,8 @@ MaterializedStream SymmetricHashJoin::ExportState(int in_port) const {
 void SymmetricHashJoin::SeedState(int in_port,
                                   const MaterializedStream& elements) {
   for (const StreamElement& e : elements) {
-    state_[in_port][e.tuple.field(key_field_[in_port])].push_back(e);
-    ++state_count_[in_port];
     NoteStateInsert(in_port, e);
-    state_bytes_[in_port] += e.PayloadBytes();
-    if (e.interval.end < min_state_end_[in_port]) {
-      min_state_end_[in_port] = e.interval.end;
-    }
+    Insert(in_port, e.tuple.field(key_field_[in_port]), e);
   }
 }
 

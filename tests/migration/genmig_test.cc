@@ -151,6 +151,39 @@ TEST(GenMigTest, EndTimestampOptimizationShortensMigration) {
   EXPECT_TRUE(eq.ok()) << eq.ToString();
 }
 
+TEST(GenMigTest, EndTimestampSplitPinnedOnMixedStatefulPlan) {
+  // Optimization 2 sets T_split just above the largest end timestamp left in
+  // the old box, which here holds a hash join, a nested-loops join fed by
+  // join results (end timestamps out of order) and a duplicate elimination.
+  // The expected value was recorded before the operators' expiry moved to a
+  // time-ordered index; it must not change.
+  auto old_plan = Dedup(Project(
+      Join(EquiJoin(WindowedSource("S0"), WindowedSource("S1", 25), 0, 0),
+           WindowedSource("S2", 40),
+           Expr::Compare(Expr::CmpOp::kEq, Expr::Column(0), Expr::Column(2))),
+      {0}));
+  auto new_plan = Dedup(Project(
+      EquiJoin(WindowedSource("S0"),
+               Join(WindowedSource("S1", 25), WindowedSource("S2", 40),
+                    Expr::Compare(Expr::CmpOp::kEq, Expr::Column(0),
+                                  Expr::Column(1))),
+               0, 0),
+      {0}));
+  auto inputs = MakeKeyedInputs(3, 300, 4, 5, /*seed=*/29);
+  MigrationController::GenMigOptions opts;
+  opts.end_timestamp_split = true;
+  const Timestamp start(500);
+  auto result = RunLogicalMigration(
+      old_plan, new_plan, inputs, start,
+      [&](MigrationController& c, Box b) {
+        c.StartGenMig(std::move(b), opts);
+      });
+  EXPECT_EQ(result.migrations_completed, 1);
+  EXPECT_EQ(result.t_split, Timestamp(557, 1));
+  const Status eq = ref::CheckPlanOutput(*old_plan, inputs, result.output);
+  EXPECT_TRUE(eq.ok()) << eq.ToString();
+}
+
 TEST(GenMigTest, BackToBackMigrations) {
   auto inputs = MakeKeyedInputs(3, 300, 4, 5, /*seed=*/27);
   auto ld_box = logical::StripWindows(LeftDeep3());

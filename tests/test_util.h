@@ -3,7 +3,9 @@
 #ifndef GENMIG_TESTS_TEST_UTIL_H_
 #define GENMIG_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ops/sink.h"
@@ -128,6 +130,23 @@ inline int64_t TotalValidity(const MaterializedStream& s, const Tuple& t) {
     if (e.tuple == t) total += e.interval.end.t - e.interval.start.t;
   }
   return total;
+}
+
+/// The elements of `s` from index `from` on, as sorted strings (tuple,
+/// interval and epoch): a multiset that gtest prints readably.
+inline std::vector<std::string> SortedStrings(const MaterializedStream& s,
+                                              size_t from = 0) {
+  std::vector<std::string> out;
+  for (size_t i = from; i < s.size(); ++i) out.push_back(s[i].ToString());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Total value-payload bytes of `s`.
+inline size_t PayloadBytes(const MaterializedStream& s) {
+  size_t bytes = 0;
+  for (const StreamElement& e : s) bytes += e.PayloadBytes();
+  return bytes;
 }
 
 }  // namespace testutil
