@@ -92,18 +92,17 @@ void MigrationController::NotifyMigrationCompleted() {
 
 void MigrationController::InstallDirect(Box* box) {
   CallbackOp* terminal = MakeCallback("terminal");
-  terminal->on_element = [this](const StreamElement& e) { EmitOut(e); };
-  terminal->on_watermark = [this](Timestamp wm) {
-    if (wm != Timestamp::MaxInstant()) AdvanceOutBound(wm);
-  };
+  MakeTerminal(terminal);
   box->output()->ConnectTo(0, terminal, 0);
 }
 
-void MigrationController::EmitOut(const StreamElement& element) {
-  if (last_output_start_ < element.interval.start) {
-    last_output_start_ = element.interval.start;
-  }
-  Emit(0, element);
+void MigrationController::MakeTerminal(CallbackOp* cb) {
+  cb->on_element = [this](const StreamElement& e) { Emit(0, e); };
+  cb->on_batch = [this](const TupleBatch& b) { EmitBatch(0, b); };
+  cb->on_watermark = [this](Timestamp wm) {
+    if (wm != Timestamp::MaxInstant()) AdvanceOutBound(wm);
+  };
+  cb->on_eos = nullptr;
 }
 
 void MigrationController::AdvanceOutBound(Timestamp wm) {
@@ -119,6 +118,14 @@ void MigrationController::OnElement(int in_port, const StreamElement& element) {
     target.op->PushElement(target.port, stamped);
   }
   Maintain();
+}
+
+void MigrationController::OnBatch(int in_port, const TupleBatch& batch) {
+  stamped_ = batch;
+  stamped_.set_epochs(epoch_);
+  for (const Edge& target : input_targets_[static_cast<size_t>(in_port)]) {
+    target.op->PushBatch(target.port, stamped_);
+  }
 }
 
 void MigrationController::OnInputEos(int in_port) {
@@ -151,7 +158,7 @@ void MigrationController::OnAllInputsEos() {
     FinishParallelTrack();
   }
   if (ms_active_) {
-    ms_buffer_.FlushAll([this](const StreamElement& e) { EmitOut(e); });
+    ms_buffer_.FlushAll([this](const StreamElement& e) { Emit(0, e); });
   }
 }
 
@@ -297,7 +304,7 @@ void MigrationController::InstallParallelMachinery() {
 
   // Merge output -> controller output.
   CallbackOp* merge_out = MakeCallback("merge_out");
-  merge_out->on_element = [this](const StreamElement& e) { EmitOut(e); };
+  merge_out->on_element = [this](const StreamElement& e) { Emit(0, e); };
   merge_out->on_watermark = [this](Timestamp wm) {
     if (wm != Timestamp::MaxInstant()) AdvanceOutBound(wm);
   };
@@ -366,11 +373,7 @@ void MigrationController::FinishGenMig() {
   Trace(obs::MigrationEvent::kReferencePointSwitch);
   // Splice the merge out: the new box's output callback becomes the
   // terminal. The merge is empty (checked by the caller).
-  new_out_cb_->on_element = [this](const StreamElement& e) { EmitOut(e); };
-  new_out_cb_->on_watermark = [this](Timestamp wm) {
-    if (wm != Timestamp::MaxInstant()) AdvanceOutBound(wm);
-  };
-  new_out_cb_->on_eos = []() {};
+  MakeTerminal(new_out_cb_);
 
   RetireBox(std::move(active_box_));
   active_box_ = std::move(new_box_);
@@ -499,7 +502,7 @@ void MigrationController::StartParallelTrack(Box new_box, Duration window) {
   CallbackOp* old_out = MakeCallback("pt_old_out");
   old_out->on_element = [this](const StreamElement& e) {
     if (e.epoch < pt_epoch_) {
-      EmitOut(e);
+      Emit(0, e);
     } else {
       ++pt_dropped_;
     }
@@ -559,7 +562,7 @@ void MigrationController::FinishParallelTrack() {
             " dropped=" + std::to_string(pt_dropped_));
   // Flush the buffered new-box output — the burst of Figure 4.
   for (const StreamElement& e : pt_buffer_) {
-    EmitOut(e);
+    Emit(0, e);
   }
   pt_buffer_.clear();
   pt_buffer_bytes_ = 0;
@@ -567,10 +570,7 @@ void MigrationController::FinishParallelTrack() {
   for (int i = 0; i < num_inputs(); ++i) {
     input_targets_[static_cast<size_t>(i)] = {Edge{new_box_.input(i), 0}};
   }
-  new_out_cb_->on_element = [this](const StreamElement& e) { EmitOut(e); };
-  new_out_cb_->on_watermark = [this](Timestamp wm) {
-    if (wm != Timestamp::MaxInstant()) AdvanceOutBound(wm);
-  };
+  MakeTerminal(new_out_cb_);
 
   RetireBox(std::move(active_box_));
   active_box_ = std::move(new_box_);
@@ -623,7 +623,7 @@ void MigrationController::StartMovingStates(Box new_box,
   };
   new_out->on_watermark = [this](Timestamp wm) {
     if (wm == Timestamp::MaxInstant()) return;
-    ms_buffer_.FlushUpTo(wm, [this](const StreamElement& e) { EmitOut(e); });
+    ms_buffer_.FlushUpTo(wm, [this](const StreamElement& e) { Emit(0, e); });
     AdvanceOutBound(wm);
   };
   active_box_.output()->ConnectTo(0, new_out, 0);

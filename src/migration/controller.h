@@ -207,15 +207,25 @@ class MigrationController : public Operator {
 
  protected:
   void OnElement(int in_port, const StreamElement& element) override;
+  /// Stamps the lineage epoch on every row and forwards the batch intact to
+  /// the current input targets (the box, or the Splits during GenMig, which
+  /// slice it at T_split). Does not run Maintain(): PushBatch advances the
+  /// port watermark only after OnBatch returns, and OnWatermarkAdvance then
+  /// runs it with the post-batch watermark, so T_split is chosen above
+  /// every row the old box already holds.
+  void OnBatch(int in_port, const TupleBatch& batch) override;
   void OnInputEos(int in_port) override;
   void OnWatermarkAdvance() override;
   void OnAllInputsEos() override;
   Timestamp OutputWatermark() const override { return out_bound_; }
 
  private:
-  /// Wires `box`'s output to a fresh terminal CallbackOp that emits straight
-  /// through the controller, and points the input targets at the box.
+  /// Wires `box`'s output to a fresh terminal CallbackOp (MakeTerminal).
   void InstallDirect(Box* box);
+  /// Makes `cb` the terminal of the hosted box: elements, whole batches and
+  /// progress go straight out through the controller. Every box swap (a new
+  /// hosted plan, a finished GenMig or Parallel Track) goes through here.
+  void MakeTerminal(CallbackOp* cb);
 
   // GenMig machinery.
   void TryEnterParallel();
@@ -250,7 +260,6 @@ class MigrationController : public Operator {
   void RetireMachinery();
   void RetireBox(Box box);
 
-  void EmitOut(const StreamElement& element);
   void AdvanceOutBound(Timestamp wm);
 
   // --- Hosted plans ----------------------------------------------------------
@@ -264,6 +273,8 @@ class MigrationController : public Operator {
   std::vector<Timestamp> fwd_wm_;
   /// Lineage epoch stamped onto forwarded elements.
   uint32_t epoch_ = 1;
+  /// OnBatch's epoch-stamped copy of the input batch (reused).
+  TupleBatch stamped_;
 
   // --- Phase / strategy state ---------------------------------------------------
   Phase phase_ = Phase::kDirect;
@@ -293,7 +304,6 @@ class MigrationController : public Operator {
 
   // Output side.
   Timestamp out_bound_ = Timestamp::MinInstant();
-  Timestamp last_output_start_ = Timestamp::MinInstant();
 
   // Observability.
   obs::MetricsRegistry* registry_ = nullptr;

@@ -95,28 +95,51 @@ class StatsTap : public Operator {
  protected:
   void OnElement(int, const StreamElement& element) override {
     const Timestamp now = element.interval.start;
-    arrivals_.push_back(now);
-    if (last_seen_.size() < element.tuple.size()) {
-      last_seen_.resize(element.tuple.size());
-    }
-    for (size_t c = 0; c < element.tuple.size(); ++c) {
-      last_seen_[c][element.tuple.field(c)] = now;
-    }
-    Prune(now);
+    Observe(now, element.tuple.size(),
+            [&element](size_t c) -> const Value& {
+              return element.tuple.field(c);
+            });
+    PruneArrivals(now);
     Emit(0, element);
   }
 
+  /// Same statistics as a row-by-row replay: the arrivals are pruned once,
+  /// at the last row, while the distinct-map sweep is checked per row so
+  /// that it erases exactly what the replay would (the maps, and with them
+  /// the checkpoint bytes, stay identical).
+  void OnBatch(int, const TupleBatch& batch) override {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      Observe(batch.start(i), batch.num_columns(),
+              [&batch, i](size_t c) -> const Value& { return batch.at(c, i); });
+    }
+    PruneArrivals(batch.start(batch.size() - 1));
+    EmitBatch(0, batch);
+  }
+
  private:
-  void Prune(Timestamp now) {
+  /// Records one arrival at `now`; `value(c)` is its value in column c.
+  template <typename ValueAt>
+  void Observe(Timestamp now, size_t columns, const ValueAt& value) {
+    arrivals_.push_back(now);
+    if (last_seen_.size() < columns) last_seen_.resize(columns);
+    for (size_t c = 0; c < columns; ++c) last_seen_[c][value(c)] = now;
+    MaybeSweepDistinct(now);
+  }
+
+  void PruneArrivals(Timestamp now) {
     const Timestamp cutoff = now - horizon_;
     while (!arrivals_.empty() && arrivals_.front() < cutoff) {
       arrivals_.pop_front();
     }
-    // Amortize the distinct-map pruning: only sweep when maps grew
-    // substantially since the last sweep.
+  }
+
+  // Amortize the distinct-map pruning: only sweep when maps grew
+  // substantially since the last sweep.
+  void MaybeSweepDistinct(Timestamp now) {
     size_t total = 0;
     for (const auto& m : last_seen_) total += m.size();
     if (total < 2 * last_prune_size_ + 16) return;
+    const Timestamp cutoff = now - horizon_;
     for (auto& m : last_seen_) {
       for (auto it = m.begin(); it != m.end();) {
         it = it->second < cutoff ? m.erase(it) : std::next(it);

@@ -1,5 +1,8 @@
 #include "plan/executor.h"
 
+#include <algorithm>
+#include <cstddef>
+
 #include "common/check.h"
 
 namespace genmig {
@@ -102,6 +105,23 @@ int Executor::PickFeed() {
   return -1;
 }
 
+Timestamp Executor::SliceBound() {
+  // The batch_size smallest pending starts lie within the first batch_size
+  // pending rows of each feed (every queue is ordered by start).
+  const size_t k = options_.batch_size;
+  slice_scratch_.clear();
+  for (const Feed& f : feeds_) {
+    const size_t end = std::min(f.elements.size(), f.pos + k);
+    for (size_t i = f.pos; i < end; ++i) {
+      slice_scratch_.push_back(f.elements[i].interval.start);
+    }
+  }
+  if (slice_scratch_.size() < k) return Timestamp::MaxInstant();
+  const auto kth = slice_scratch_.begin() + static_cast<std::ptrdiff_t>(k - 1);
+  std::nth_element(slice_scratch_.begin(), kth, slice_scratch_.end());
+  return *kth;
+}
+
 bool Executor::StepUpTo(Timestamp limit) {
   const int feed_idx = PickFeed();
   if (feed_idx < 0) {
@@ -126,21 +146,16 @@ bool Executor::StepUpTo(Timestamp limit) {
     --remaining_;
     ++pushed_;
   } else {
-    Refill(feed, options_.batch_size);
-    // Gather up to batch_size consecutive elements of this feed. Under
-    // kGlobalOrder the batch must not overtake another feed: rows past the
-    // first stop at the smallest pending start of the other feeds (ties may
-    // ride along — equal-timestamp interleavings across feeds are already
-    // policy-dependent in the scalar path).
-    Timestamp other_min = Timestamp::MaxInstant();
+    // Under kGlobalOrder a batch may run ahead of the other feeds, but by
+    // at most one batch: its rows stop at the batch_size-th smallest pending
+    // start over all feeds. Per-port order is all the operators need
+    // (Remark 2); the bound only caps how far one port leads the others.
+    Timestamp bound = Timestamp::MaxInstant();
     if (options_.policy == Policy::kGlobalOrder) {
-      for (size_t i = 0; i < feeds_.size(); ++i) {
-        if (static_cast<int>(i) == feed_idx) continue;
-        const Feed& f = feeds_[i];
-        if (f.pos >= f.elements.size()) continue;
-        const Timestamp ts = f.elements[f.pos].interval.start;
-        if (ts < other_min) other_min = ts;
-      }
+      for (Feed& f : feeds_) Refill(f, options_.batch_size);
+      bound = SliceBound();
+    } else {
+      Refill(feed, options_.batch_size);
     }
     batch_scratch_.Clear();
     size_t count = 0;
@@ -148,10 +163,10 @@ bool Executor::StepUpTo(Timestamp limit) {
            feed.pos + count < feed.elements.size()) {
       const StreamElement& e = feed.elements[feed.pos + count];
       // The first row is always pushed (scalar Step semantics — RunUntil's
-      // pre-check owns the boundary); the limit and the no-overtake rule
-      // only truncate the extra rows.
+      // pre-check owns the boundary); the limit and the slice bound only
+      // truncate the extra rows.
       if (count > 0 && !(e.interval.start < limit)) break;
-      if (count > 0 && other_min < e.interval.start) break;
+      if (count > 0 && bound < e.interval.start) break;
       batch_scratch_.Append(e);
       ++count;
     }

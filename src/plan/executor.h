@@ -40,9 +40,14 @@ class Executor {
     bool eager_heartbeats = false;
     /// 0 or 1: scalar injection (one element per Step). Greater than 1: each
     /// Step injects up to this many consecutive elements of the chosen feed
-    /// as one TupleBatch (vectorized path). Under kGlobalOrder a batch never
-    /// overtakes another feed's pending element, so the global temporal
-    /// order across feeds is preserved at batch granularity.
+    /// as one TupleBatch (vectorized path). Under kGlobalOrder the batch
+    /// takes the chosen feed's pending rows up to the batch_size-th smallest
+    /// pending start over all feeds, so no batch runs more than one batch
+    /// ahead of the global temporal order. Within a feed the order is exact;
+    /// across feeds it is not, which GenMig and every operator tolerate
+    /// because their results depend only on per-port order (Remark 2). The
+    /// bound is a pure function of the feed positions: checkpoints carry no
+    /// extra cursor for it.
     size_t batch_size = 0;
   };
 
@@ -178,6 +183,10 @@ class Executor {
   /// watermark as a heartbeat when it advanced past the last announcement.
   void AnnounceDisorderHorizon(Feed& feed);
 
+  /// kGlobalOrder batching: the batch_size-th smallest pending start over
+  /// all feeds (MaxInstant when fewer rows are pending).
+  Timestamp SliceBound();
+
   /// Step, but never pushing an element with start >= `limit` (RunUntil's
   /// boundary; batches are truncated at the limit, not skipped past it).
   bool StepUpTo(Timestamp limit);
@@ -190,6 +199,7 @@ class Executor {
   size_t pushed_ = 0;
   Timestamp current_time_ = Timestamp::MinInstant();
   TupleBatch batch_scratch_;  // Reused across batched Steps.
+  std::vector<Timestamp> slice_scratch_;  // SliceBound's working set.
 };
 
 }  // namespace genmig

@@ -97,6 +97,9 @@ class TupleBatch {
   /// place on its private copy).
   void set_end(size_t row, Timestamp end) { t_end_[row] = end; }
   void set_ingress_ns(size_t row, uint64_t ns) { ingress_ns_[row] = ns; }
+  /// Stamps every row with lineage epoch `epoch` (the migration controller's
+  /// batch path, on its private copy).
+  void set_epochs(uint32_t epoch) { epoch_.assign(rows_, epoch); }
 
   /// Gathers row `row` into an owning Tuple (used at batch/scalar
   /// boundaries; the hot batch paths read columns directly).

@@ -224,5 +224,150 @@ TEST(GenMigTest, MigrationTriggeredAtStreamEndStillCorrect) {
   EXPECT_TRUE(eq.ok()) << eq.ToString();
 }
 
+
+// --- Batched input at the migration boundary ---------------------------------
+
+/// Single-column stream with one element per time unit in [from, to).
+MaterializedStream Ticks(int64_t from, int64_t to, int64_t salt) {
+  MaterializedStream s;
+  for (int64_t t = from; t < to; ++t) {
+    s.push_back(testutil::El((t * salt) % 4, t, t + 1));
+  }
+  return s;
+}
+
+/// Rows [from, to) of `s` (one element per time unit from 0) as one batch.
+TupleBatch Slice(const MaterializedStream& s, int64_t from, int64_t to) {
+  return TupleBatch::FromStream(s, static_cast<size_t>(from),
+                                static_cast<size_t>(to - from));
+}
+
+TEST(GenMigTest, TSplitSeesThePostBatchWatermark) {
+  // A batch spanning more than w time units reaches the box, and the
+  // trigger it trips starts a migration. T_split must lie above every
+  // instant the old box now references, i.e. above the batch's last start
+  // + w: the controller picks it from the watermark *after* the batch.
+  // Choosing it inside the controller's batch handler, from the pre-batch
+  // watermark, gives a T_split the old box has already passed.
+  auto old_plan = EquiJoin(WindowedSource("S0"), WindowedSource("S1"), 0, 0);
+  auto new_plan =
+      Join(WindowedSource("S0"), WindowedSource("S1"),
+           Expr::Compare(Expr::CmpOp::kEq, Expr::Column(0), Expr::Column(1)));
+  const ref::InputMap inputs = {{"S0", Ticks(0, 400, 1)},
+                                {"S1", Ticks(0, 400, 3)}};
+  const MaterializedStream& s0 = inputs.at("S0");
+  const MaterializedStream& s1 = inputs.at("S1");
+
+  MigrationController controller("ctrl",
+                                 CompilePlan(*logical::StripWindows(old_plan)));
+  CollectorSink sink("sink");
+  controller.ConnectTo(0, &sink, 0);
+  Source src0("s0");
+  Source src1("s1");
+  TimeWindow w0("w0", kWindow);
+  TimeWindow w1("w1", kWindow);
+  src0.ConnectTo(0, &w0, 0);
+  src1.ConnectTo(0, &w1, 0);
+  w0.ConnectTo(0, &controller, 0);
+  w1.ConnectTo(0, &controller, 1);
+
+  TupleBatch b = Slice(s0, 0, 10);
+  src0.InjectBatch(b);
+  b = Slice(s1, 0, 10);
+  src1.InjectBatch(b);
+  // Armed now; the next batch grows the old box's state past the threshold.
+  controller.SetCostTrigger(controller.StateBytes() + 1,
+                            [&](MigrationController& c) {
+                              c.StartGenMig(
+                                  CompilePlan(*logical::StripWindows(new_plan)),
+                                  CoalesceOpts());
+                            });
+  constexpr int64_t kLastStart = 159;
+  b = Slice(s0, 10, kLastStart + 1);  // Spans 149 > w time units.
+  src0.InjectBatch(b);
+  ASSERT_TRUE(controller.migration_in_progress());
+  EXPECT_GT(controller.t_split().t, kLastStart + kWindow);
+
+  // The rest, alternating batches of 37 rows per stream.
+  int64_t next0 = kLastStart + 1;
+  int64_t next1 = 10;
+  while (next0 < 400 || next1 < 400) {
+    if (next1 < 400) {
+      b = Slice(s1, next1, std::min<int64_t>(next1 + 37, 400));
+      src1.InjectBatch(b);
+      next1 += 37;
+    }
+    if (next0 < 400) {
+      b = Slice(s0, next0, std::min<int64_t>(next0 + 37, 400));
+      src0.InjectBatch(b);
+      next0 += 37;
+    }
+  }
+  src0.Close();
+  src1.Close();
+  EXPECT_EQ(controller.migrations_completed(), 1);
+  const Status eq = ref::CheckPlanOutput(*old_plan, inputs, sink.collected());
+  EXPECT_TRUE(eq.ok()) << eq.ToString();
+}
+
+/// Collects like CollectorSink and counts the batches that arrive whole.
+class BatchCountingSink : public CollectorSink {
+ public:
+  using CollectorSink::CollectorSink;
+  size_t batches() const { return batches_; }
+
+ protected:
+  void OnBatch(int in_port, const TupleBatch& batch) override {
+    ++batches_;
+    CollectorSink::OnBatch(in_port, batch);
+  }
+
+ private:
+  size_t batches_ = 0;
+};
+
+TEST(GenMigTest, BatchesStillLeaveTheControllerAfterAMigration) {
+  // Every box swap re-installs the output terminal with its batch hook;
+  // without it, the new box's result batches would be split into rows at
+  // the controller for the rest of the run.
+  auto inputs = MakeKeyedInputs(3, 300, 4, 5, /*seed=*/31);
+  MigrationController controller(
+      "ctrl", CompilePlan(*logical::StripWindows(LeftDeep3())));
+  BatchCountingSink sink("sink");
+  controller.ConnectTo(0, &sink, 0);
+  Executor::Options opts;
+  opts.batch_size = 32;
+  Executor exec(opts);
+  const std::vector<std::string> names = {"S0", "S1", "S2"};
+  std::vector<std::unique_ptr<TimeWindow>> windows;
+  for (size_t i = 0; i < names.size(); ++i) {
+    const int feed = exec.AddFeed(names[i], inputs.at(names[i]));
+    windows.push_back(std::make_unique<TimeWindow>("w" + names[i], kWindow));
+    exec.ConnectFeed(feed, windows.back().get(), 0);
+    windows.back()->ConnectTo(0, &controller, static_cast<int>(i));
+  }
+  size_t batches_at_completion = 0;
+  size_t rows_at_completion = 0;
+  exec.after_step = [&]() {
+    if (controller.migrations_completed() == 1 && rows_at_completion == 0) {
+      batches_at_completion = sink.batches();
+      rows_at_completion = sink.count() + 1;  // Non-zero marks "recorded".
+    }
+  };
+  exec.RunUntil(Timestamp(200));
+  EXPECT_GT(sink.batches(), 0u);
+  controller.StartGenMig(CompilePlan(*logical::StripWindows(RightDeep3())),
+                         CoalesceOpts());
+  exec.RunToCompletion();
+  ASSERT_EQ(controller.migrations_completed(), 1);
+  ASSERT_GT(rows_at_completion, 0u);
+  // Results after the migration arrive as batches, and plenty of them.
+  ASSERT_GT(sink.count() + 1, rows_at_completion + 50);
+  EXPECT_GT(sink.batches(), batches_at_completion + 5);
+  const Status eq =
+      ref::CheckPlanOutput(*LeftDeep3(), inputs, sink.collected());
+  EXPECT_TRUE(eq.ok()) << eq.ToString();
+}
+
 }  // namespace
 }  // namespace genmig

@@ -3,12 +3,15 @@
 // in bench/metrics_guard (run nightly); these tests count instead of time:
 //   * the decision journal sees zero appends while elements are pushed,
 //   * push latency is clocked on at most one in kSampleEvery pushes,
-//   * detached operators record nothing.
+//   * detached operators record nothing,
+//   * batched engine runs deliver whole batches to the stats tap, the
+//     migration controller and the join.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "engine/dsms.h"
 #include "migration/controller.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
@@ -165,6 +168,47 @@ TEST(HotPathGuardTest, DetachedOperatorsRecordNothing) {
   EXPECT_EQ(registry.size(), slots);
   EXPECT_EQ(registry.TotalElementsIn(), in);
   EXPECT_EQ(registry.TotalElementsOut(), out);
+}
+
+
+TEST(HotPathGuardTest, BatchedJoinKeepsBatchesWholeUpToTheJoin) {
+#ifdef GENMIG_NO_METRICS
+  GTEST_SKIP() << "instrumentation compiled out (GENMIG_NO_METRICS)";
+#endif
+  // A batch that is split into rows anywhere between the feed and the join
+  // drops rows_per_batch to about 1 at that operator and every one after it.
+  Dsms::Options options;
+  options.executor.batch_size = 256;
+  Dsms dsms(options);
+  dsms.RegisterRawStream("A", Schema::OfInts({"k"}),
+                         GenerateKeyedStream(4000, 1, 50, 8));
+  dsms.RegisterRawStream("B", Schema::OfInts({"k"}),
+                         GenerateKeyedStream(4000, 1, 50, 9));
+  auto id = dsms.InstallQuery(
+      "SELECT A.k FROM A [RANGE 100], B [RANGE 100] WHERE A.k = B.k");
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  dsms.RunToCompletion();
+  EXPECT_GT(dsms.Results(id.value()).size(), 0u);
+
+  int taps = 0;
+  int controllers = 0;
+  int joins = 0;
+  for (const OperatorMetrics& m : dsms.metrics().operators()) {
+    const bool tap = m.name.rfind("tap_", 0) == 0;
+    const bool controller = m.name == "q0";
+    const bool join = m.name.find("join") != std::string::npos;
+    if (!tap && !controller && !join) continue;
+    taps += tap;
+    controllers += controller;
+    joins += join;
+    ASSERT_GT(m.batches_in, 0u) << m.name;
+    EXPECT_GE(m.elements_in / m.batches_in, 64u)
+        << m.name << ": " << m.elements_in << " rows in " << m.batches_in
+        << " batches";
+  }
+  EXPECT_EQ(taps, 2);
+  EXPECT_EQ(controllers, 1);
+  EXPECT_EQ(joins, 1);
 }
 
 }  // namespace
