@@ -77,8 +77,8 @@ Outcome RunWithLag(size_t lag, bool heartbeats, double skew = kDefaultSkew) {
   controller.ConnectTo(0, &sink, 0);
   Source src0("s0");
   Source src1("s1");
-  TimeWindow w0("w0", kW);
-  TimeWindow w1("w1", kW);
+  StatelessChain w0("w0", StatelessChain::Window(kW));
+  StatelessChain w1("w1", StatelessChain::Window(kW));
   src0.ConnectTo(0, &w0, 0);
   src1.ConnectTo(0, &w1, 0);
   w0.ConnectTo(0, &controller, 0);
@@ -134,8 +134,8 @@ Outcome RunSparse(int64_t gap, bool heartbeats, double skew = kDefaultSkew) {
   controller.ConnectTo(0, &sink, 0);
   Source src0("s0");
   Source src1("s1");
-  TimeWindow w0("w0", kW);
-  TimeWindow w1("w1", kW);
+  StatelessChain w0("w0", StatelessChain::Window(kW));
+  StatelessChain w1("w1", StatelessChain::Window(kW));
   src0.ConnectTo(0, &w0, 0);
   src1.ConnectTo(0, &w1, 0);
   w0.ConnectTo(0, &controller, 0);

@@ -41,13 +41,13 @@ Outcome RunOne(Duration validity, bool end_timestamp_split) {
   CollectorSink sink("sink");
   controller.ConnectTo(0, &sink, 0);
   Executor exec;
-  std::vector<std::unique_ptr<TimeWindow>> windows;
+  std::vector<std::unique_ptr<StatelessChain>> windows;
   for (int s = 0; s < 2; ++s) {
     const int feed = exec.AddRawFeed(
         "S" + std::to_string(s),
         GenerateKeyedStream(4000, 10, 100, 7 + static_cast<uint64_t>(s)));
-    windows.push_back(std::make_unique<TimeWindow>(
-        "w" + std::to_string(s), validity));
+    windows.push_back(std::make_unique<StatelessChain>(
+        "w" + std::to_string(s), StatelessChain::Window(validity)));
     exec.ConnectFeed(feed, windows.back().get(), 0);
     windows.back()->ConnectTo(0, &controller, s);
   }

@@ -30,7 +30,7 @@ ExperimentResult RunJoinExperiment(const Figure45Config& cfg,
   sink.AttachMetrics(&registry);
 
   Executor exec;
-  std::vector<std::unique_ptr<TimeWindow>> windows;
+  std::vector<std::unique_ptr<StatelessChain>> windows;
   const auto streams = MakeStreams(cfg);
   for (int s = 0; s < cfg.num_streams; ++s) {
     const int feed = exec.AddFeed("S" + std::to_string(s),
@@ -38,8 +38,8 @@ ExperimentResult RunJoinExperiment(const Figure45Config& cfg,
     // Attached sources stamp a sampled ingress wall-clock onto elements;
     // the sink's e2e histogram is empty without this.
     exec.source(feed)->AttachMetrics(&registry);
-    windows.push_back(std::make_unique<TimeWindow>(
-        "w" + std::to_string(s), cfg.window));
+    windows.push_back(std::make_unique<StatelessChain>(
+        "w" + std::to_string(s), StatelessChain::Window(cfg.window)));
     exec.ConnectFeed(feed, windows.back().get(), 0);
     windows.back()->ConnectTo(0, &controller, s);
     windows.back()->AttachMetrics(&registry);

@@ -93,7 +93,7 @@ RowResult RunOne(int64_t delay, bool adaptive, uint64_t seed) {
   sink.AttachMetrics(&registry);
 
   Executor exec;
-  std::vector<std::unique_ptr<TimeWindow>> windows;
+  std::vector<std::unique_ptr<StatelessChain>> windows;
   std::vector<int> feeds;
   const auto names = CollectSourceNames(*old_plan);
   const auto leaf_windows = CollectLeafWindows(*old_plan);
@@ -116,8 +116,8 @@ RowResult RunOne(int64_t delay, bool adaptive, uint64_t seed) {
     }
     feeds.push_back(feed);
     exec.source(feed)->AttachMetrics(&registry);
-    windows.push_back(std::make_unique<TimeWindow>(
-        "w" + std::to_string(i), leaf_windows[i]));
+    windows.push_back(std::make_unique<StatelessChain>(
+        "w" + std::to_string(i), StatelessChain::Window(leaf_windows[i])));
     exec.ConnectFeed(feed, windows.back().get(), 0);
     windows.back()->ConnectTo(0, &controller, static_cast<int>(i));
     windows.back()->AttachMetrics(&registry);

@@ -41,8 +41,8 @@ MaterializedStream RunScenario(bool use_genmig, const ref::InputMap& inputs,
   sink.SetRelaxedInputOrdering(0);
   controller.ConnectTo(0, &sink, 0);
   Executor exec;
-  TimeWindow wa("wa", kW);
-  TimeWindow wb("wb", kW);
+  StatelessChain wa("wa", StatelessChain::Window(kW));
+  StatelessChain wb("wb", StatelessChain::Window(kW));
   exec.ConnectFeed(exec.AddFeed("A", inputs.at("A")), &wa, 0);
   exec.ConnectFeed(exec.AddFeed("B", inputs.at("B")), &wb, 0);
   wa.ConnectTo(0, &controller, 0);

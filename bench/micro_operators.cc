@@ -13,7 +13,6 @@
 #include "ops/aggregate.h"
 #include "ops/coalesce.h"
 #include "ops/dedup.h"
-#include "ops/fused.h"
 #include "ops/join.h"
 #include "ops/refpoint_merge.h"
 #include "ops/sink.h"
@@ -216,14 +215,15 @@ void ChainBatchPredicate(const TupleBatch& b, std::vector<uint8_t>* keep) {
 }
 
 /// Scalar baseline of the stateless chain: three operators (selection ->
-/// projection -> time window), one element at a time.
+/// projection -> time window, each a one-stage StatelessChain), one element
+/// at a time.
 void BM_StatelessChainScalar(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const auto input = ChainInput(n);
   for (auto _ : state) {
-    Filter f("f", ChainPredicate);
-    Map m("m", Map::Projection({1, 0}));
-    TimeWindow w("w", 50);
+    StatelessChain f("f", StatelessChain::Select(ChainPredicate));
+    StatelessChain m("m", StatelessChain::Project({1, 0}));
+    StatelessChain w("w", StatelessChain::Window(50));
     Source src("s");
     CountingSink sink("k");
     src.ConnectTo(0, &f, 0);
@@ -238,20 +238,19 @@ void BM_StatelessChainScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_StatelessChainScalar)->Arg(20000);
 
-/// The same chain collapsed by the fusion pass into one FusedStateless
-/// operator with columnar hooks, fed TupleBatches: one fused loop with a
-/// branch-free selection bitmap, whole-column projection and a summed
-/// window extension. The CI perf gate holds fused-batched/scalar at >= 3x.
+/// The same chain as one three-stage StatelessChain with a columnar
+/// predicate, fed TupleBatches: one loop with a branch-free selection
+/// bitmap, whole-column projection and a summed window extension. The CI
+/// perf gate holds fused-batched/scalar at >= 3x.
 void BM_StatelessChainFusedBatched(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const auto input = ChainInput(n);
   auto chunks = Chunks(input, TupleBatch::kDefaultRows);
   for (auto _ : state) {
-    FusedStateless fu("fu", {
-        FusedStateless::FilterStage(ChainPredicate, ChainBatchPredicate),
-        FusedStateless::MapStage(Map::Projection({1, 0}),
-                                 Map::BatchProjection({1, 0})),
-        FusedStateless::WindowStage(50),
+    StatelessChain fu("fu", {
+        StatelessChain::Select(ChainPredicate, ChainBatchPredicate),
+        StatelessChain::Project({1, 0}),
+        StatelessChain::Window(50),
     });
     Source src("s");
     CountingSink sink("k");
@@ -270,7 +269,7 @@ BENCHMARK(BM_StatelessChainFusedBatched)->Arg(20000);
 /// The stateless-chain workload as a logical plan, with the predicate
 /// restricted to what Expr can express (no % operator): keeps keys >= 16
 /// (48/64) and payloads != 102 (6/7), ~64% combined selectivity over
-/// ChainInput. The fusion pass absorbs Window(50) as a window stage.
+/// ChainInput. The compiler makes Window(50) the chain's first stage.
 LogicalPtr ExprChainPlan() {
   using namespace logical;  // NOLINT
   auto src = SourceNode("S", Schema::OfInts({"k", "p"}));
@@ -283,16 +282,14 @@ LogicalPtr ExprChainPlan() {
 }
 
 /// The plan compiler's path for the same chain: Expr predicates evaluated
-/// column-wise, fused into one FusedStateless, batched through the box.
+/// column-wise, one StatelessChain, batched through the box.
 void BM_StatelessChainExprFusedBatched(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const auto input = ChainInput(n);
   auto chunks = Chunks(input, TupleBatch::kDefaultRows);
   const LogicalPtr plan = ExprChainPlan();
-  CompileOptions copts;
-  copts.fuse_stateless = true;
   for (auto _ : state) {
-    Box box = CompilePlan(*plan, "", copts);
+    Box box = CompilePlan(*plan);
     Source src("s");
     CountingSink sink("k");
     src.ConnectTo(0, box.input(0), 0);

@@ -127,7 +127,7 @@ bool RunOne(const Rule& rule, bool refpoint, uint64_t seed,
   CollectorSink sink("sink");
   controller.ConnectTo(0, &sink, 0);
   Executor exec;
-  std::vector<std::unique_ptr<TimeWindow>> windows;
+  std::vector<std::unique_ptr<StatelessChain>> windows;
   const auto names = CollectSourceNames(*rule.old_plan);
   const auto leaf_windows = CollectLeafWindows(*rule.old_plan);
   for (size_t i = 0; i < names.size(); ++i) {
@@ -144,8 +144,8 @@ bool RunOne(const Rule& rule, bool refpoint, uint64_t seed,
     } else {
       feed = exec.AddFeed(names[i], inputs.at(names[i]));
     }
-    windows.push_back(std::make_unique<TimeWindow>(
-        "w" + std::to_string(i), leaf_windows[i]));
+    windows.push_back(std::make_unique<StatelessChain>(
+        "w" + std::to_string(i), StatelessChain::Window(leaf_windows[i])));
     exec.ConnectFeed(feed, windows.back().get(), 0);
     windows.back()->ConnectTo(0, &controller, static_cast<int>(i));
   }

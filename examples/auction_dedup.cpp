@@ -46,8 +46,8 @@ MaterializedStream RunWithStrategy(bool use_genmig,
   sink.SetRelaxedInputOrdering(0);  // PT's final flush is a burst.
   controller.ConnectTo(0, &sink, 0);
   Executor exec;
-  TimeWindow wb("wb", kWindow);
-  TimeWindow ww("ww", kWindow);
+  StatelessChain wb("wb", StatelessChain::Window(kWindow));
+  StatelessChain ww("ww", StatelessChain::Window(kWindow));
   exec.ConnectFeed(exec.AddFeed("bids", inputs.at("bids")), &wb, 0);
   exec.ConnectFeed(exec.AddFeed("watches", inputs.at("watches")), &ww, 0);
   wb.ConnectTo(0, &controller, 0);

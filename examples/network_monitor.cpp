@@ -79,7 +79,7 @@ int main() {
   controller.ConnectTo(0, &sink, 0);
 
   Executor exec;
-  std::vector<std::unique_ptr<TimeWindow>> windows;
+  std::vector<std::unique_ptr<StatelessChain>> windows;
   std::vector<std::unique_ptr<MonitorOp>> monitors;
   const int64_t kDrift = 30000;
   std::map<std::string, MaterializedStream> traffic = {
@@ -93,7 +93,8 @@ int main() {
   for (size_t i = 0; i < source_names.size(); ++i) {
     const std::string& name = source_names[i];
     const int feed = exec.AddFeed(name, traffic.at(name));
-    windows.push_back(std::make_unique<TimeWindow>("w_" + name, kWindow));
+    windows.push_back(std::make_unique<StatelessChain>(
+        "w_" + name, StatelessChain::Window(kWindow)));
     monitors.push_back(std::make_unique<MonitorOp>("mon_" + name));
     exec.ConnectFeed(feed, windows.back().get(), 0);
     windows.back()->ConnectTo(0, monitors.back().get(), 0);

@@ -31,8 +31,8 @@ MaterializedStream RunInterval(const std::vector<TimedTuple>& a,
                                const std::vector<TimedTuple>& b) {
   Source sa("a");
   Source sb("b");
-  TimeWindow wa("wa", kW);
-  TimeWindow wb("wb", kW);
+  StatelessChain wa("wa", StatelessChain::Window(kW));
+  StatelessChain wb("wb", StatelessChain::Window(kW));
   NestedLoopsJoin join("join", EqFirst);
   CollectorSink sink("sink");
   sa.ConnectTo(0, &wa, 0);

@@ -526,8 +526,8 @@ int main(int argc, char** argv) {
   sink.AttachMetrics(&registry);
 
   Executor exec;
-  TimeWindow w_orders("w_orders", 10000);
-  TimeWindow w_shipments("w_shipments", 10000);
+  StatelessChain w_orders("w_orders", StatelessChain::Window(10000));
+  StatelessChain w_shipments("w_shipments", StatelessChain::Window(10000));
   const int orders_feed =
       exec.AddRawFeed("Orders", GenerateKeyedStream(3000, 10, 50, 1));
   const int shipments_feed =

@@ -35,7 +35,6 @@
 #include "opt/rules.h"
 #include "opt/stats_tap.h"
 #include "par/coordinator.h"
-#include "plan/compile.h"
 #include "plan/executor.h"
 
 namespace genmig {
@@ -115,11 +114,8 @@ class Dsms {
     int shards = 1;
     /// Router->shard / shard->merge queue capacity of parallel queries.
     size_t shard_queue_capacity = 1024;
-    /// Compile query plans with the stateless-chain fusion pass
-    /// (CompileOptions::fuse_stateless): adjacent select/project/time-window
-    /// operators collapse into one fused loop. Changes physical operator
-    /// names and counts, so the per-operator cost calibration maps the fused
-    /// operator onto its first logical node only.
+    /// Ignored; every stateless chain is fused (plan/compile.h). Kept
+    /// because perfbench/ sets it.
     bool fuse_stateless = false;
     /// Executor knobs; executor.batch_size > 1 turns on vectorized
     /// (TupleBatch) injection for the single-threaded engine.
@@ -381,8 +377,6 @@ class Dsms {
   void CalibrateAndArm(Timestamp now);
   /// Compiles `candidate` and starts a GenMig migration of `query` to it.
   void StartGenMigTo(Query* query, const LogicalPtr& candidate);
-  /// Physical-compilation options of every box the engine compiles.
-  CompileOptions MakeCompileOptions() const;
   /// GenMig options derived from the query's leaf windows.
   MigrationController::GenMigOptions GenMigOptionsFor(const Query& query) const;
   /// /metrics handler body (503 under GENMIG_NO_METRICS).

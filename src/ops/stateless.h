@@ -1,11 +1,20 @@
-// Stateless standard operators: selection (Filter), projection / tuple
-// transformation (Map), and the sliding-window operator (TimeWindow).
+// Stateless operators: the Relay port and StatelessChain, the one
+// implementation of selection, projection and the time-based sliding window.
 //
 // A window operator is placed downstream of each source that carries a
 // window specification (Section 2.2). For a time-based sliding window of
 // size w it extends each element's validity: [tS, tE) becomes [tS, tE + w).
 // Stateless operators neither reorder nor buffer, so they preserve the
 // physical-stream ordering trivially.
+//
+// The plan compiler (plan/compile.h) turns every maximal chain of adjacent
+// select/project/time-window nodes, a single node included, into one
+// StatelessChain: one virtual dispatch, one ordering check and one
+// watermark/heartbeat/metrics pass per element or batch for the whole chain.
+// Chaining is sound because the stages are stateless and orthogonal:
+// selections and projections read only tuples (never validity intervals),
+// window stages read only intervals (never tuples) and commute with the
+// rest, so their end extensions are summed and applied once.
 
 #ifndef GENMIG_OPS_STATELESS_H_
 #define GENMIG_OPS_STATELESS_H_
@@ -35,147 +44,56 @@ class Relay : public Operator {
   void OnBatch(int, const TupleBatch& batch) override { EmitBatch(0, batch); }
 };
 
-/// Snapshot-reducible selection: keeps elements whose tuple satisfies the
-/// predicate; validity intervals are untouched.
+/// A chain of snapshot-reducible stateless stages run as one operator.
 ///
-/// The batch path evaluates the predicate over the whole batch into a
-/// selection bitmap, then gathers the surviving rows into one output batch
-/// (the emit decision is data, not control flow). Callers that can evaluate
-/// columnar — e.g. compiled Expr predicates — supply a BatchPredicate that
-/// fills the bitmap straight from the column arrays.
-class Filter : public Operator {
+/// The batch path evaluates each selection over the surviving rows into a
+/// bitmap and gathers the kept rows (the emit decision is data, not control
+/// flow), projects whole columns, and extends the end array once. The scalar
+/// path forwards the pushed element itself when no stage changes it (a chain
+/// of selections only).
+class StatelessChain : public Operator {
  public:
   using Predicate = std::function<bool(const Tuple&)>;
   /// Fills `keep` (pre-sized to batch.size(), all zero) with 0/1 per row.
   using BatchPredicate =
       std::function<void(const TupleBatch&, std::vector<uint8_t>*)>;
 
-  Filter(std::string name, Predicate predicate,
-         BatchPredicate batch_predicate = nullptr)
-      : Operator(std::move(name), 1, 1),
-        predicate_(std::move(predicate)),
-        batch_predicate_(std::move(batch_predicate)) {}
+  /// One stage of the chain, in execution (source-to-sink) order.
+  struct Stage {
+    enum class Kind { kSelect, kProject, kWindow };
 
- protected:
-  void OnElement(int, const StreamElement& element) override {
-    if (predicate_(element.tuple)) Emit(0, element);
-  }
-
-  void OnBatch(int, const TupleBatch& batch) override {
-    keep_.assign(batch.size(), 0);
-    if (batch_predicate_) {
-      batch_predicate_(batch, &keep_);
-    } else {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        keep_[i] = predicate_(batch.RowTuple(i)) ? 1 : 0;
-      }
-    }
-    out_.Clear();
-    out_.Reserve(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (keep_[i]) out_.AppendRowFrom(batch, i);
-    }
-    EmitBatch(0, out_);
-  }
-
- private:
-  Predicate predicate_;
-  BatchPredicate batch_predicate_;
-  std::vector<uint8_t> keep_;  // Scratch, reused across batches.
-  TupleBatch out_;             // Scratch, reused across batches.
-};
-
-/// Snapshot-reducible projection / per-tuple transformation. The function
-/// must be pure; validity intervals are untouched.
-///
-/// Like Filter, the batch path accepts an optional columnar variant that
-/// appends every transformed row of the input batch to the output batch in
-/// one pass over the column arrays (BatchProjection shuffles whole columns).
-class Map : public Operator {
- public:
-  using Function = std::function<Tuple(const Tuple&)>;
-  /// Appends one output row per input row (same intervals/epochs/stamps).
-  using BatchFunction = std::function<void(const TupleBatch&, TupleBatch*)>;
-
-  Map(std::string name, Function fn, BatchFunction batch_fn = nullptr)
-      : Operator(std::move(name), 1, 1),
-        fn_(std::move(fn)),
-        batch_fn_(std::move(batch_fn)) {}
-
-  /// Projection onto the given field indices.
-  static Function Projection(std::vector<size_t> indices) {
-    return [indices = std::move(indices)](const Tuple& t) {
-      return t.Project(indices);
-    };
-  }
-
-  /// Columnar projection: gathers the selected columns row by row without
-  /// materializing intermediate Tuples.
-  static BatchFunction BatchProjection(std::vector<size_t> indices);
-
- protected:
-  void OnElement(int, const StreamElement& element) override {
-    Emit(0, StreamElement(fn_(element.tuple), element.interval,
-                          element.epoch));
-  }
-
-  void OnBatch(int, const TupleBatch& batch) override {
-    out_.Clear();
-    out_.Reserve(batch.size());
-    if (batch_fn_) {
-      batch_fn_(batch, &out_);
-    } else {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        out_.AppendRow(fn_(batch.RowTuple(i)), batch.interval(i),
-                       batch.epoch(i), batch.ingress_ns(i));
-      }
-    }
-    EmitBatch(0, out_);
-  }
-
- private:
-  Function fn_;
-  BatchFunction batch_fn_;
-  TupleBatch out_;  // Scratch, reused across batches.
-};
-
-/// Time-based sliding-window operator: extends each element's validity by
-/// the window size w.
-class TimeWindow : public Operator {
- public:
-  TimeWindow(std::string name, Duration window)
-      : Operator(std::move(name), 1, 1), window_(window) {
-    GENMIG_CHECK_GE(window, 0);
-  }
-
-  Duration window() const { return window_; }
-
- protected:
-  void OnElement(int, const StreamElement& element) override {
-    StreamElement out = element;
-    out.interval.end = out.interval.end + window_;
-    Emit(0, out);
-  }
-
-  void OnBatch(int, const TupleBatch& batch) override {
-    out_ = batch;  // Column arrays are copied wholesale, then ends adjusted.
-    for (size_t i = 0; i < out_.size(); ++i) {
-      out_.set_end(i, out_.end(i) + window_);
-    }
-    EmitBatch(0, out_);
-  }
-
- private:
-  Duration window_;
-  TupleBatch out_;  // Scratch, reused across batches.
-};
-
-inline Map::BatchFunction Map::BatchProjection(std::vector<size_t> indices) {
-  return [indices = std::move(indices)](const TupleBatch& in,
-                                        TupleBatch* out) {
-    out->AppendColumnsFrom(in, indices);
+    Kind kind = Kind::kSelect;
+    // kSelect: the scalar predicate is mandatory; the columnar one optional
+    // (compiled Expr predicates fill the bitmap straight from the columns).
+    Predicate predicate;
+    BatchPredicate batch_predicate;
+    // kProject: output field i is input field fields[i].
+    std::vector<size_t> fields;
+    // kWindow: validity-end extension.
+    Duration window = 0;
   };
-}
+
+  static Stage Select(Predicate predicate,
+                      BatchPredicate batch_predicate = nullptr);
+  static Stage Project(std::vector<size_t> fields);
+  static Stage Window(Duration window);
+
+  StatelessChain(std::string name, std::vector<Stage> stages);
+  StatelessChain(std::string name, Stage stage)
+      : StatelessChain(std::move(name), std::vector<Stage>{std::move(stage)}) {}
+
+  const std::vector<Stage>& stages() const { return stages_; }
+
+ protected:
+  void OnElement(int, const StreamElement& element) override;
+  void OnBatch(int, const TupleBatch& batch) override;
+
+ private:
+  std::vector<Stage> stages_;
+  Duration window_ = 0;        // Sum of the window stages.
+  TupleBatch scratch_[2];      // Ping-pong buffers between stages.
+  std::vector<uint8_t> keep_;  // Selection bitmap scratch.
+};
 
 }  // namespace genmig
 

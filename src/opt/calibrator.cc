@@ -139,12 +139,15 @@ size_t CostCalibrator::ObservePlanBox(const LogicalNode& stripped,
   AdvanceTime(now);
   std::vector<const LogicalNode*> nodes;
   PostOrder(stripped, &nodes);
-  if (nodes.size() != box.ops().size()) return 0;  // Not a 1:1 compile.
+  // The output operator implements the root, the last node in post-order;
+  // any other plan is not the one the box was compiled from.
+  const std::vector<size_t>& op_nodes = box.op_nodes();
+  if (op_nodes.empty() || op_nodes.back() + 1 != nodes.size()) return 0;
   size_t read = 0;
 #ifndef GENMIG_NO_METRICS
   std::map<std::string, int> occurrences;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    std::string key = PlanSignature(*nodes[i]);
+  for (size_t i = 0; i < op_nodes.size(); ++i) {
+    std::string key = PlanSignature(*nodes[op_nodes[i]]);
     // Duplicate subplans in one tree (self-joins) get distinct keys so their
     // counters are not conflated; Lookup serves the first occurrence.
     const int occurrence = occurrences[key]++;
@@ -155,8 +158,6 @@ size_t CostCalibrator::ObservePlanBox(const LogicalNode& stripped,
                     m->push_ns.MeanNs(), now);
     ++read;
   }
-#else
-  (void)box;
 #endif
   return read;
 }

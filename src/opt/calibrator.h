@@ -96,12 +96,15 @@ class CostCalibrator : public PlanObservations {
                        uint64_t elements_out, uint64_t state_bytes,
                        double push_mean_ns, Timestamp now);
 
-  /// Observes every (logical node, physical operator) pair of a running
-  /// plan: `stripped` must be the window-stripped logical plan `box` was
-  /// compiled from (CompilePlan creates exactly one operator per logical
-  /// node in post-order, which is what makes the pairing by index valid).
+  /// Observes every operator of a running plan under the logical node it
+  /// implements: `stripped` must be the window-stripped logical plan `box`
+  /// was compiled from, and Box::op_nodes() (recorded by CompilePlan) pairs
+  /// each operator with its node's post-order index. A stateless chain is
+  /// observed under its top node, so its in-rate is the chain's input and
+  /// its push time the whole chain's; the nodes below stay unobserved.
   /// Operators without a metric slot are skipped. Returns the number of
-  /// slots read (0 under GENMIG_NO_METRICS or on a node/op count mismatch).
+  /// slots read (0 under GENMIG_NO_METRICS, for a hand-wired box, or for a
+  /// plan whose root is not the box output's node).
   size_t ObservePlanBox(const LogicalNode& stripped, const Box& box,
                         Timestamp now);
 

@@ -121,7 +121,6 @@ Status Coordinator::BuildRuntime() {
     config.out = out_queue_.get();
     config.registry = options_.registry;
     config.tracer = options_.tracer;
-    config.compile = options_.compile;
     config.source_front = &source_front_;
     config.on_progress = [this] {
       // Wakes WaitMigrationsComplete(); the lock pairs the shard's release

@@ -68,8 +68,6 @@ class Coordinator {
     size_t batch_size = 0;
     obs::MetricsRegistry* registry = nullptr;  // Nullable.
     obs::MigrationTracer* tracer = nullptr;    // Nullable.
-    /// Physical-compilation options for every shard's plan replica (fusion).
-    CompileOptions compile;
     /// Streams listed here are in *arrival* order (bounded out-of-order);
     /// the router reorders each through its own DisorderBuffer before
     /// routing. In this mode the router stops assuming global temporal

@@ -19,7 +19,7 @@ ShardRuntime::ShardRuntime(Config config)
   GENMIG_CHECK(config_.out != nullptr);
   GENMIG_CHECK_EQ(config_.port_sources.size(), config_.port_windows.size());
 
-  Box box = CompilePlan(*config_.stripped_plan, prefix_, config_.compile);
+  Box box = CompilePlan(*config_.stripped_plan, prefix_);
   GENMIG_CHECK_EQ(static_cast<size_t>(box.num_inputs()),
                   config_.port_sources.size());
   controller_ =
@@ -29,9 +29,9 @@ ShardRuntime::ShardRuntime(Config config)
   for (size_t i = 0; i < config_.port_sources.size(); ++i) {
     const Duration w = config_.port_windows[i];
     if (w > 0) {
-      auto win = std::make_unique<TimeWindow>(
+      auto win = std::make_unique<StatelessChain>(
           prefix_ + "w" + std::to_string(i) + "_" + config_.port_sources[i],
-          w);
+          StatelessChain::Window(w));
       win->ConnectTo(0, controller_.get(), static_cast<int>(i));
       port_targets_.push_back(PortTarget{win.get(), 0});
       windows_.push_back(std::move(win));
@@ -148,7 +148,7 @@ void ShardRuntime::Handle(const ShardInMsg& msg) {
       break;
     case ShardInMsg::Kind::kMigrate: {
       const MigrationOrder& order = *msg.order;
-      Box new_box = CompilePlan(*order.new_plan, prefix_, config_.compile);
+      Box new_box = CompilePlan(*order.new_plan, prefix_);
       new_box.ReorderInputs(order.input_order);
       controller_->StartGenMig(std::move(new_box), order.options);
       break;
@@ -214,7 +214,7 @@ Status ShardRuntime::CkptRestore(
   if (active_plan != nullptr) {
     // A broadcast migration had completed before the cut: the hosted box no
     // longer compiles from the original stripped plan.
-    Box box = CompilePlan(*active_plan, prefix_, config_.compile);
+    Box box = CompilePlan(*active_plan, prefix_);
     box.ReorderInputs(config_.port_sources);
     controller_->ReplaceActiveBox(std::move(box));
   }

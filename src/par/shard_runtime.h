@@ -27,7 +27,6 @@
 #include "ops/sink.h"
 #include "ops/stateless.h"
 #include "par/shard_queue.h"
-#include "plan/compile.h"
 #include "plan/logical.h"
 
 namespace genmig {
@@ -108,9 +107,6 @@ class ShardRuntime {
     BoundedQueue<ShardOutMsg>* out = nullptr;
     obs::MetricsRegistry* registry = nullptr;  // Nullable.
     obs::MigrationTracer* tracer = nullptr;    // Nullable.
-    /// Physical-compilation options for this shard's plan replica (and any
-    /// migration-target boxes it builds).
-    CompileOptions compile;
     /// Invoked (on the shard thread) whenever migrations_completed or
     /// migration_active changes — the coordinator's barrier wakeup.
     std::function<void()> on_progress;
@@ -178,7 +174,7 @@ class ShardRuntime {
 
   // Engine replica. Windows are per-port; a port without a window connects
   // straight to the controller.
-  std::vector<std::unique_ptr<TimeWindow>> windows_;
+  std::vector<std::unique_ptr<StatelessChain>> windows_;
   struct PortTarget {
     Operator* op = nullptr;
     int port = 0;

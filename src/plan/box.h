@@ -82,6 +82,15 @@ class Box {
 
   const std::vector<std::unique_ptr<Operator>>& ops() const { return ops_; }
 
+  /// For each operator (parallel to ops()), the post-order index of the
+  /// logical node it implements in the plan the box was compiled from; a
+  /// stateless chain records its top node. Empty for hand-wired boxes.
+  const std::vector<size_t>& op_nodes() const { return op_nodes_; }
+  void SetOpNodes(std::vector<size_t> op_nodes) {
+    GENMIG_CHECK_EQ(op_nodes.size(), ops_.size());
+    op_nodes_ = std::move(op_nodes);
+  }
+
   /// Attaches every owned operator to `registry` (fresh per-instance metric
   /// slots; no-op under GENMIG_NO_METRICS or when `registry` is null).
   void AttachMetrics(obs::MetricsRegistry* registry) {
@@ -133,6 +142,7 @@ class Box {
 
  private:
   std::vector<std::unique_ptr<Operator>> ops_;
+  std::vector<size_t> op_nodes_;
   std::vector<Operator*> inputs_;
   std::vector<std::string> input_names_;
   Operator* output_ = nullptr;

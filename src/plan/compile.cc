@@ -3,15 +3,15 @@
 #include "ops/count_window.h"
 #include "ops/dedup.h"
 #include "ops/difference.h"
-#include "ops/fused.h"
 #include "ops/join.h"
+#include "ops/stateless.h"
 #include "ops/union_op.h"
 
 namespace genmig {
 namespace {
 
-/// True for logical nodes the fusion pass may absorb into a FusedStateless.
-bool IsFusible(const LogicalNode& node) {
+/// True for the logical nodes a StatelessChain implements as one stage.
+bool IsStatelessStage(const LogicalNode& node) {
   switch (node.kind) {
     case LogicalNode::Kind::kSelect:
     case LogicalNode::Kind::kProject:
@@ -23,91 +23,40 @@ bool IsFusible(const LogicalNode& node) {
   }
 }
 
-/// Scalar + columnar predicate pair for a compiled selection.
-Filter::Predicate PredicateFor(const ExprPtr& pred) {
-  return [pred](const Tuple& t) { return pred->EvalBool(t); };
-}
-Filter::BatchPredicate BatchPredicateFor(const ExprPtr& pred) {
-  return [pred](const TupleBatch& batch, std::vector<uint8_t>* keep) {
-    pred->EvalBoolBatch(batch, keep);
-  };
-}
-
 class Compiler {
  public:
-  Compiler(Box* box, std::string name_prefix, const CompileOptions& options)
-      : box_(box), name_prefix_(std::move(name_prefix)), options_(options) {}
+  Compiler(Box* box, std::string name_prefix)
+      : box_(box), name_prefix_(std::move(name_prefix)) {}
+
+  /// Post-order node index of every operator made so far, in ops() order.
+  std::vector<size_t> TakeOpNodes() { return std::move(op_nodes_); }
 
   Operator* Compile(const LogicalNode& node) {
-    if (options_.fuse_stateless && IsFusible(node)) {
-      // Walk down the maximal stateless chain rooted here. The chain is
-      // collected top-down; stages execute bottom-up (child first).
-      std::vector<const LogicalNode*> chain;
-      const LogicalNode* cur = &node;
-      while (IsFusible(*cur)) {
-        chain.push_back(cur);
-        cur = cur->children[0].get();
-      }
-      if (chain.size() >= 2) {
-        Operator* child = Compile(*cur);
-        std::vector<FusedStateless::Stage> stages;
-        stages.reserve(chain.size());
-        for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-          stages.push_back(StageFor(**it));
-        }
-        FusedStateless* f =
-            box_->Make<FusedStateless>(Name("fused"), std::move(stages));
-        child->ConnectTo(0, f, 0);
-        return f;
-      }
-    }
+    if (IsStatelessStage(node)) return CompileChain(node);
     switch (node.kind) {
       case LogicalNode::Kind::kSource: {
-        Relay* relay = box_->Make<Relay>(Name("in_" + node.source_name));
+        Relay* relay = Make<Relay>("in_" + node.source_name);
         box_->AddInput(relay, node.source_name);
         return relay;
       }
-      case LogicalNode::Kind::kWindow: {
+      case LogicalNode::Kind::kWindow: {  // Count-based; time is a stage.
         Operator* child = Compile(*node.children[0]);
-        Operator* w = nullptr;
-        if (node.window_kind == LogicalNode::WindowKind::kTime) {
-          w = box_->Make<TimeWindow>(Name("window"), node.window);
-        } else {
-          w = box_->Make<CountWindow>(Name("count_window"),
-                                      node.window_rows);
-        }
+        CountWindow* w = Make<CountWindow>("count_window", node.window_rows);
         child->ConnectTo(0, w, 0);
         return w;
-      }
-      case LogicalNode::Kind::kSelect: {
-        Operator* child = Compile(*node.children[0]);
-        Filter* f =
-            box_->Make<Filter>(Name("select"), PredicateFor(node.predicate),
-                               BatchPredicateFor(node.predicate));
-        child->ConnectTo(0, f, 0);
-        return f;
-      }
-      case LogicalNode::Kind::kProject: {
-        Operator* child = Compile(*node.children[0]);
-        Map* m = box_->Make<Map>(Name("project"),
-                                 Map::Projection(node.project_fields),
-                                 Map::BatchProjection(node.project_fields));
-        child->ConnectTo(0, m, 0);
-        return m;
       }
       case LogicalNode::Kind::kJoin: {
         Operator* left = Compile(*node.children[0]);
         Operator* right = Compile(*node.children[1]);
         JoinBase* join = nullptr;
         if (node.equi_keys.has_value() && node.predicate == nullptr) {
-          join = box_->Make<SymmetricHashJoin>(
-              Name("hashjoin"), node.equi_keys->first,
-              node.equi_keys->second);
+          join = Make<SymmetricHashJoin>("hashjoin", node.equi_keys->first,
+                                         node.equi_keys->second);
         } else {
           ExprPtr pred = node.predicate;
           std::optional<std::pair<size_t, size_t>> keys = node.equi_keys;
-          join = box_->Make<NestedLoopsJoin>(
-              Name("nljoin"), [pred, keys](const Tuple& l, const Tuple& r) {
+          join = Make<NestedLoopsJoin>(
+              "nljoin", [pred, keys](const Tuple& l, const Tuple& r) {
                 if (keys.has_value() &&
                     !(l.field(keys->first) ==
                       r.field(keys->second))) {
@@ -123,22 +72,21 @@ class Compiler {
       }
       case LogicalNode::Kind::kDedup: {
         Operator* child = Compile(*node.children[0]);
-        DuplicateElimination* d =
-            box_->Make<DuplicateElimination>(Name("dedup"));
+        DuplicateElimination* d = Make<DuplicateElimination>("dedup");
         child->ConnectTo(0, d, 0);
         return d;
       }
       case LogicalNode::Kind::kAggregate: {
         Operator* child = Compile(*node.children[0]);
-        AggregateOp* a = box_->Make<AggregateOp>(Name("aggregate"),
-                                             node.group_fields, node.aggs);
+        AggregateOp* a =
+            Make<AggregateOp>("aggregate", node.group_fields, node.aggs);
         child->ConnectTo(0, a, 0);
         return a;
       }
       case LogicalNode::Kind::kUnion: {
         Operator* left = Compile(*node.children[0]);
         Operator* right = Compile(*node.children[1]);
-        UnionOp* u = box_->Make<UnionOp>(Name("union"), 2);
+        UnionOp* u = Make<UnionOp>("union", 2);
         left->ConnectTo(0, u, 0);
         right->ConnectTo(0, u, 1);
         return u;
@@ -146,56 +94,93 @@ class Compiler {
       case LogicalNode::Kind::kDifference: {
         Operator* left = Compile(*node.children[0]);
         Operator* right = Compile(*node.children[1]);
-        DifferenceOp* d = box_->Make<DifferenceOp>(Name("difference"));
+        DifferenceOp* d = Make<DifferenceOp>("difference");
         left->ConnectTo(0, d, 0);
         right->ConnectTo(0, d, 1);
         return d;
       }
+      case LogicalNode::Kind::kSelect:
+      case LogicalNode::Kind::kProject:
+        break;  // Stateless stages: compiled by CompileChain.
     }
     GENMIG_CHECK(false);
   }
 
  private:
-  /// Translates one fusible logical node into a fused-chain stage.
-  FusedStateless::Stage StageFor(const LogicalNode& node) {
-    switch (node.kind) {
-      case LogicalNode::Kind::kSelect:
-        return FusedStateless::FilterStage(PredicateFor(node.predicate),
-                                           BatchPredicateFor(node.predicate));
-      case LogicalNode::Kind::kProject:
-        return FusedStateless::MapStage(
-            Map::Projection(node.project_fields),
-            Map::BatchProjection(node.project_fields));
-      case LogicalNode::Kind::kWindow:
-        return FusedStateless::WindowStage(node.window);
-      default:
-        GENMIG_CHECK(false);
+  /// Compiles the maximal stateless chain topped by `top` into one
+  /// StatelessChain. The chain is collected top-down; its stages execute
+  /// bottom-up (child first).
+  Operator* CompileChain(const LogicalNode& top) {
+    std::vector<const LogicalNode*> chain;
+    const LogicalNode* cur = &top;
+    while (IsStatelessStage(*cur)) {
+      chain.push_back(cur);
+      cur = cur->children[0].get();
     }
+    Operator* child = Compile(*cur);
+    std::vector<StatelessChain::Stage> stages;
+    std::string name;
+    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+      const LogicalNode& node = **it;
+      if (!name.empty()) name += "+";
+      switch (node.kind) {
+        case LogicalNode::Kind::kSelect: {
+          const ExprPtr pred = node.predicate;
+          stages.push_back(StatelessChain::Select(
+              [pred](const Tuple& t) { return pred->EvalBool(t); },
+              [pred](const TupleBatch& batch, std::vector<uint8_t>* keep) {
+                pred->EvalBoolBatch(batch, keep);
+              }));
+          name += "select";
+          break;
+        }
+        case LogicalNode::Kind::kProject:
+          stages.push_back(StatelessChain::Project(node.project_fields));
+          name += "project";
+          break;
+        default:
+          stages.push_back(StatelessChain::Window(node.window));
+          name += "window";
+          break;
+      }
+    }
+    // The stages below the top node complete before it in post-order; the
+    // operator is recorded under the top node.
+    next_node_ += chain.size() - 1;
+    StatelessChain* op = Make<StatelessChain>(name, std::move(stages));
+    child->ConnectTo(0, op, 0);
+    return op;
   }
 
-  std::string Name(const std::string& base) {
-    return name_prefix_ + base + "#" + std::to_string(counter_++);
+  /// Makes the operator implementing the logical node that completes next
+  /// in post-order (its children are compiled already).
+  template <typename Op, typename... Args>
+  Op* Make(const std::string& base, Args&&... args) {
+    op_nodes_.push_back(next_node_++);
+    std::string name = name_prefix_ + base + "#" + std::to_string(counter_++);
+    return box_->Make<Op>(std::move(name), std::forward<Args>(args)...);
   }
 
   Box* box_;
   std::string name_prefix_;
-  CompileOptions options_;
   int counter_ = 0;
+  size_t next_node_ = 0;
+  std::vector<size_t> op_nodes_;
 };
 
 }  // namespace
 
-Box CompilePlan(const LogicalNode& root, const std::string& name_prefix,
-                const CompileOptions& options) {
+Box CompilePlan(const LogicalNode& root, const std::string& name_prefix) {
   Box box;
-  Compiler compiler(&box, name_prefix, options);
+  Compiler compiler(&box, name_prefix);
   Operator* out = compiler.Compile(root);
   box.SetOutput(out);
+  box.SetOpNodes(compiler.TakeOpNodes());
   return box;
 }
 
-BoxFactory MakeBoxFactory(LogicalPtr plan, CompileOptions options) {
-  return [plan, options]() { return CompilePlan(*plan, "", options); };
+BoxFactory MakeBoxFactory(LogicalPtr plan) {
+  return [plan]() { return CompilePlan(*plan); };
 }
 
 }  // namespace genmig

@@ -1,7 +1,7 @@
 // Scalar expressions over tuples: column references, constants, arithmetic,
 // comparisons and boolean connectives. Used by the CQL front end, the
 // optimizer (predicate analysis for pushdown) and compiled into the
-// std::function hooks of Filter / NestedLoopsJoin.
+// std::function hooks of StatelessChain selections / NestedLoopsJoin.
 
 #ifndef GENMIG_PLAN_EXPR_H_
 #define GENMIG_PLAN_EXPR_H_

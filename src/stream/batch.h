@@ -93,8 +93,8 @@ class TupleBatch {
 
   const std::vector<Value>& column(size_t i) const { return columns_[i]; }
 
-  /// Mutable interval access (TimeWindow's batch path extends ends in
-  /// place on its private copy).
+  /// Mutable interval access (a StatelessChain's window stage extends ends
+  /// in place on its private copy).
   void set_end(size_t row, Timestamp end) { t_end_[row] = end; }
   void set_ingress_ns(size_t row, uint64_t ns) { ingress_ns_[row] = ns; }
   /// Stamps every row with lineage epoch `epoch` (the migration controller's

@@ -110,11 +110,12 @@ TEST_P(ChaosSweep, RepeatedRandomMigrationsStayCorrect) {
   exec_opts.policy = p.policy;
   exec_opts.seed = p.seed;
   Executor exec(exec_opts);
-  std::vector<std::unique_ptr<TimeWindow>> windows;
+  std::vector<std::unique_ptr<StatelessChain>> windows;
   for (int i = 0; i < 3; ++i) {
     const std::string name = "S" + std::to_string(i);
     const int feed = exec.AddFeed(name, inputs.at(name));
-    windows.push_back(std::make_unique<TimeWindow>("w" + name, kW));
+    windows.push_back(std::make_unique<StatelessChain>(
+        "w" + name, StatelessChain::Window(kW)));
     exec.ConnectFeed(feed, windows.back().get(), 0);
     windows.back()->ConnectTo(0, &controller, i);
   }

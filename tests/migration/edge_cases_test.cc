@@ -159,8 +159,8 @@ TEST(MigrationEdgeCases, HeartbeatsCompleteAMigrationOnAStalledStream) {
 
   Source s0("s0");
   Source s1("s1");
-  TimeWindow w0("w0", kWindow);
-  TimeWindow w1("w1", kWindow);
+  StatelessChain w0("w0", StatelessChain::Window(kWindow));
+  StatelessChain w1("w1", StatelessChain::Window(kWindow));
   s0.ConnectTo(0, &w0, 0);
   s1.ConnectTo(0, &w1, 0);
   w0.ConnectTo(0, &controller, 0);
@@ -204,11 +204,12 @@ TEST(MigrationEdgeCases, ChainedStrategiesOnOnePlan) {
   sink.SetRelaxedInputOrdering(0);  // PT leg.
   controller.ConnectTo(0, &sink, 0);
   Executor exec;
-  std::vector<std::unique_ptr<TimeWindow>> windows;
+  std::vector<std::unique_ptr<StatelessChain>> windows;
   for (int i = 0; i < 3; ++i) {
     const std::string name = "S" + std::to_string(i);
     const int feed = exec.AddFeed(name, inputs.at(name));
-    windows.push_back(std::make_unique<TimeWindow>("w" + name, kWindow));
+    windows.push_back(std::make_unique<StatelessChain>(
+        "w" + name, StatelessChain::Window(kWindow)));
     exec.ConnectFeed(feed, windows.back().get(), 0);
     windows.back()->ConnectTo(0, &controller, i);
   }

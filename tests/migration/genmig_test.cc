@@ -193,10 +193,11 @@ TEST(GenMigTest, BackToBackMigrations) {
   controller.ConnectTo(0, &sink, 0);
   Executor exec;
   const std::vector<std::string> names = {"S0", "S1", "S2"};
-  std::vector<std::unique_ptr<TimeWindow>> windows;
+  std::vector<std::unique_ptr<StatelessChain>> windows;
   for (size_t i = 0; i < names.size(); ++i) {
     const int feed = exec.AddFeed(names[i], inputs.at(names[i]));
-    windows.push_back(std::make_unique<TimeWindow>("w" + names[i], kWindow));
+    windows.push_back(std::make_unique<StatelessChain>(
+        "w" + names[i], StatelessChain::Window(kWindow)));
     exec.ConnectFeed(feed, windows.back().get(), 0);
     windows.back()->ConnectTo(0, &controller, static_cast<int>(i));
   }
@@ -264,8 +265,8 @@ TEST(GenMigTest, TSplitSeesThePostBatchWatermark) {
   controller.ConnectTo(0, &sink, 0);
   Source src0("s0");
   Source src1("s1");
-  TimeWindow w0("w0", kWindow);
-  TimeWindow w1("w1", kWindow);
+  StatelessChain w0("w0", StatelessChain::Window(kWindow));
+  StatelessChain w1("w1", StatelessChain::Window(kWindow));
   src0.ConnectTo(0, &w0, 0);
   src1.ConnectTo(0, &w1, 0);
   w0.ConnectTo(0, &controller, 0);
@@ -339,10 +340,11 @@ TEST(GenMigTest, BatchesStillLeaveTheControllerAfterAMigration) {
   opts.batch_size = 32;
   Executor exec(opts);
   const std::vector<std::string> names = {"S0", "S1", "S2"};
-  std::vector<std::unique_ptr<TimeWindow>> windows;
+  std::vector<std::unique_ptr<StatelessChain>> windows;
   for (size_t i = 0; i < names.size(); ++i) {
     const int feed = exec.AddFeed(names[i], inputs.at(names[i]));
-    windows.push_back(std::make_unique<TimeWindow>("w" + names[i], kWindow));
+    windows.push_back(std::make_unique<StatelessChain>(
+        "w" + names[i], StatelessChain::Window(kWindow)));
     exec.ConnectFeed(feed, windows.back().get(), 0);
     windows.back()->ConnectTo(0, &controller, static_cast<int>(i));
   }

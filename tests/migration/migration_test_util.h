@@ -70,7 +70,7 @@ inline MigrationRunResult RunMigrationScenario(
   controller.ConnectTo(0, &sink, 0);
 
   Executor exec(exec_options);
-  std::vector<std::unique_ptr<TimeWindow>> windows;
+  std::vector<std::unique_ptr<StatelessChain>> windows;
   for (size_t i = 0; i < source_names.size(); ++i) {
     const auto dit = disorder.find(source_names[i]);
     const int feed =
@@ -78,8 +78,8 @@ inline MigrationRunResult RunMigrationScenario(
             ? exec.AddFeed(source_names[i], inputs.at(source_names[i]))
             : exec.AddDisorderedFeed(source_names[i],
                                      inputs.at(source_names[i]), dit->second);
-    windows.push_back(std::make_unique<TimeWindow>(
-        "w_" + source_names[i], leaf_windows[i]));
+    windows.push_back(std::make_unique<StatelessChain>(
+        "w_" + source_names[i], StatelessChain::Window(leaf_windows[i])));
     exec.ConnectFeed(feed, windows.back().get(), 0);
     windows.back()->ConnectTo(0, &controller, static_cast<int>(i));
   }
@@ -110,26 +110,21 @@ inline MigrationRunResult RunMigrationScenario(
 /// Convenience wrapper for windowed logical plans: hosts the window-stripped
 /// compilation of `old_plan` and migrates to the window-stripped compilation
 /// of `new_plan` via `trigger`. The oracle plans (with windows) stay as-is.
-/// `old_copts`/`new_copts` pick the physical compilation per box (e.g.
-/// fusion on one side only — a migration between physically different boxes
-/// of one logical plan).
 inline MigrationRunResult RunLogicalMigration(
     const LogicalPtr& old_plan, const LogicalPtr& new_plan,
     const ref::InputMap& inputs, Timestamp trigger_time,
     const std::function<void(MigrationController&, Box)>& trigger,
     Executor::Options exec_options = Executor::Options(),
     bool relax_sink = false,
-    const CompileOptions& old_copts = CompileOptions(),
-    const CompileOptions& new_copts = CompileOptions(),
     const std::map<std::string, DisorderBuffer::Options>& disorder = {}) {
   const LogicalPtr old_box_plan = logical::StripWindows(old_plan);
   const LogicalPtr new_box_plan = logical::StripWindows(new_plan);
   return RunMigrationScenario(
-      CompilePlan(*old_box_plan, "", old_copts),
+      CompilePlan(*old_box_plan),
       logical::CollectSourceNames(*old_plan),
       logical::CollectLeafWindows(*old_plan), inputs, trigger_time,
       [&](MigrationController& c) {
-        trigger(c, CompilePlan(*new_box_plan, "", new_copts));
+        trigger(c, CompilePlan(*new_box_plan));
       },
       exec_options, relax_sink, disorder);
 }

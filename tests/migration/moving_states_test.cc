@@ -63,11 +63,12 @@ TEST(BuildJoinTreeTest, ProducesSameResultsAsLogicalPlan) {
   CollectorSink sink("sink");
   plan.box.output()->ConnectTo(0, &sink, 0);
   Executor exec;
-  std::vector<std::unique_ptr<TimeWindow>> windows;
+  std::vector<std::unique_ptr<StatelessChain>> windows;
   for (int i = 0; i < 3; ++i) {
     const std::string name = "S" + std::to_string(i);
     const int feed = exec.AddFeed(name, inputs.at(name));
-    windows.push_back(std::make_unique<TimeWindow>("w" + name, kWindow));
+    windows.push_back(std::make_unique<StatelessChain>(
+        "w" + name, StatelessChain::Window(kWindow)));
     exec.ConnectFeed(feed, windows.back().get(), 0);
     windows.back()->ConnectTo(0, plan.box.input(i), 0);
   }
@@ -88,11 +89,12 @@ TEST(MovingStatesTest, JoinReorderingIsSnapshotEquivalent) {
   CollectorSink sink("sink");
   controller.ConnectTo(0, &sink, 0);
   Executor exec;
-  std::vector<std::unique_ptr<TimeWindow>> windows;
+  std::vector<std::unique_ptr<StatelessChain>> windows;
   for (int i = 0; i < 3; ++i) {
     const std::string name = "S" + std::to_string(i);
     const int feed = exec.AddFeed(name, inputs.at(name));
-    windows.push_back(std::make_unique<TimeWindow>("w" + name, kWindow));
+    windows.push_back(std::make_unique<StatelessChain>(
+        "w" + name, StatelessChain::Window(kWindow)));
     exec.ConnectFeed(feed, windows.back().get(), 0);
     windows.back()->ConnectTo(0, &controller, i);
   }
@@ -119,11 +121,12 @@ TEST(MovingStatesTest, FourWayReorderWithSeededIntermediates) {
   CollectorSink sink("sink");
   controller.ConnectTo(0, &sink, 0);
   Executor exec;
-  std::vector<std::unique_ptr<TimeWindow>> windows;
+  std::vector<std::unique_ptr<StatelessChain>> windows;
   for (int i = 0; i < 4; ++i) {
     const std::string name = "S" + std::to_string(i);
     const int feed = exec.AddFeed(name, inputs.at(name));
-    windows.push_back(std::make_unique<TimeWindow>("w" + name, kWindow));
+    windows.push_back(std::make_unique<StatelessChain>(
+        "w" + name, StatelessChain::Window(kWindow)));
     exec.ConnectFeed(feed, windows.back().get(), 0);
     windows.back()->ConnectTo(0, &controller, i);
   }
@@ -154,11 +157,12 @@ TEST(MovingStatesTest, CorrectUnderGlobalOrderAcrossSeeds) {
     CollectorSink sink("sink");
     controller.ConnectTo(0, &sink, 0);
     Executor exec;  // Global temporal order.
-    std::vector<std::unique_ptr<TimeWindow>> windows;
+    std::vector<std::unique_ptr<StatelessChain>> windows;
     for (int i = 0; i < 3; ++i) {
       const std::string name = "S" + std::to_string(i);
       const int feed = exec.AddFeed(name, inputs.at(name));
-      windows.push_back(std::make_unique<TimeWindow>("w" + name, kWindow));
+      windows.push_back(std::make_unique<StatelessChain>(
+          "w" + name, StatelessChain::Window(kWindow)));
       exec.ConnectFeed(feed, windows.back().get(), 0);
       windows.back()->ConnectTo(0, &controller, i);
     }

@@ -71,8 +71,8 @@ TEST(ParallelTrackTest, NewBoxOutputIsBufferedUntilMigrationEnd) {
   sink.SetRelaxedInputOrdering(0);
   controller.ConnectTo(0, &sink, 0);
   Executor exec;
-  TimeWindow w0("w0", kWindow);
-  TimeWindow w1("w1", kWindow);
+  StatelessChain w0("w0", StatelessChain::Window(kWindow));
+  StatelessChain w1("w1", StatelessChain::Window(kWindow));
   exec.ConnectFeed(exec.AddFeed("S0", inputs.at("S0")), &w0, 0);
   exec.ConnectFeed(exec.AddFeed("S1", inputs.at("S1")), &w1, 0);
   w0.ConnectTo(0, &controller, 0);
@@ -101,8 +101,8 @@ TEST(ParallelTrackTest, DropsOldBoxResultsFlaggedNew) {
   sink.SetRelaxedInputOrdering(0);
   controller.ConnectTo(0, &sink, 0);
   Executor exec;
-  TimeWindow w0("w0", kWindow);
-  TimeWindow w1("w1", kWindow);
+  StatelessChain w0("w0", StatelessChain::Window(kWindow));
+  StatelessChain w1("w1", StatelessChain::Window(kWindow));
   exec.ConnectFeed(exec.AddFeed("S0", inputs.at("S0")), &w0, 0);
   exec.ConnectFeed(exec.AddFeed("S1", inputs.at("S1")), &w1, 0);
   w0.ConnectTo(0, &controller, 0);

@@ -222,8 +222,8 @@ TEST(TimelineAcceptanceTest, MigrationWindowP99ExceedsPreMigrationBaseline) {
   sink.AttachMetrics(&registry);
 
   Executor exec;
-  TimeWindow w0("w0", kWindow);
-  TimeWindow w1("w1", kWindow);
+  StatelessChain w0("w0", StatelessChain::Window(kWindow));
+  StatelessChain w1("w1", StatelessChain::Window(kWindow));
   const int f0 = exec.AddRawFeed("S0", GenerateKeyedStream(3000, 2, 16, 11));
   const int f1 = exec.AddRawFeed("S1", GenerateKeyedStream(3000, 2, 16, 12));
   exec.ConnectFeed(f0, &w0, 0);

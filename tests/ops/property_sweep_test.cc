@@ -151,7 +151,7 @@ TEST_P(OpSweep, CascadedOperatorsStayReducible) {
   Source sl("sl");
   Source sr("sr");
   SymmetricHashJoin join("j", 0, 0);
-  Map proj("p", Map::Projection({0}));
+  StatelessChain proj("p", StatelessChain::Project({0}));
   DuplicateElimination dedup("d");
   CollectorSink sink("k");
   sl.ConnectTo(0, &join, 0);
