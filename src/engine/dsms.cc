@@ -231,7 +231,6 @@ Result<Dsms::QueryId> Dsms::Install(LogicalPtr plan) {
     par::Coordinator::Options copt;
     copt.shards = options_.shards;
     copt.queue_capacity = options_.shard_queue_capacity;
-    copt.batch_size = options_.executor.batch_size;
     if (options_.enable_metrics) {
       copt.registry = &registry_;
       copt.tracer = &tracer_;
@@ -324,14 +323,16 @@ void Dsms::RunToCompletion() {
   // its after_step hooks) runs.
   for (auto& query : queries_) {
     if (!query->parallel || query->coordinator == nullptr) continue;
-    par::InputMap inputs;
+    // The router reads the feeds in place: nothing touches them until the
+    // coordinator's threads are joined.
+    par::InputRefs inputs;
     for (const std::string& name : query->source_names) {
-      inputs[name] = exec_.feed_elements(feeds_.at(name));
+      inputs[name] = &exec_.feed_elements(feeds_.at(name));
     }
-    Result<MaterializedStream> result = query->coordinator->Run(inputs);
-    GENMIG_CHECK(result.ok());
+    const Status started = query->coordinator->Start(inputs);
+    GENMIG_CHECK(started.ok());
+    query->parallel_results = query->coordinator->TakeOutput();
     query->coordinator->WaitMigrationsComplete();
-    query->parallel_results = std::move(result).ValueOrDie();
   }
   exec_.RunToCompletion();
   if (timeline_spill_ != nullptr) timeline_spill_->Flush();

@@ -111,14 +111,20 @@ class Dsms {
     /// plan replicas on their own threads, recombined by a deterministic
     /// temporal merge; other queries fall back to the single-threaded
     /// engine. Parallel queries produce their results in RunToCompletion().
+    /// Their router always ships rows to the shards in batches of up to
+    /// par::Coordinator::Options::batch_size (256) rows, whatever
+    /// executor.batch_size says.
     int shards = 1;
-    /// Router->shard / shard->merge queue capacity of parallel queries.
-    size_t shard_queue_capacity = 1024;
+    /// Router->shard / shard->merge queue capacity of parallel queries, in
+    /// messages. A message holds up to 256 rows, so each router->shard
+    /// queue holds at most 64 * 256 = 16384 rows at the default.
+    size_t shard_queue_capacity = 64;
     /// Ignored; every stateless chain is fused (plan/compile.h). Kept
     /// because perfbench/ sets it.
     bool fuse_stateless = false;
-    /// Executor knobs; executor.batch_size > 1 turns on vectorized
-    /// (TupleBatch) injection for the single-threaded engine.
+    /// Knobs of the single-threaded executor; executor.batch_size > 1 turns
+    /// on vectorized (TupleBatch) injection there. Sharded queries ignore
+    /// them.
     Executor::Options executor;
     /// Durable-state directory (src/ckpt). Non-empty: Checkpoint()/Restore()
     /// become available and, with checkpoint_period > 0, the engine commits

@@ -166,6 +166,10 @@ void TelemetryServer::ServeLoop() {
       }
     }
 
+    // Counted before the first byte goes out: a client that has read the
+    // whole response must already see its own request in the total.
+    requests_.fetch_add(1, std::memory_order_relaxed);
+
     // HEAD advertises the entity length it would have sent but omits the
     // body itself (RFC 9110 §9.3.2).
     char header[256];
@@ -180,7 +184,6 @@ void TelemetryServer::ServeLoop() {
     }
     ::shutdown(fd, SHUT_RDWR);
     ::close(fd);
-    requests_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

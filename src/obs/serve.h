@@ -75,6 +75,8 @@ class TelemetryServer {
   bool running() const { return running_.load(std::memory_order_acquire); }
   /// The actually bound port (resolves port 0) — valid after Start().
   int port() const { return port_; }
+  /// Requests answered so far. A request is counted before its response is
+  /// sent, so a client that has read its response sees it included.
   uint64_t requests_served() const {
     return requests_.load(std::memory_order_relaxed);
   }

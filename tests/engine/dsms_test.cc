@@ -291,6 +291,43 @@ TEST(DsmsParallelTest, ShardedQueryMatchesSingleThreadedResults) {
             ref::SnapshotNormalForm(single.Results(sid.value())));
 }
 
+TEST(DsmsParallelTest, ShardedQueryBatchesWhateverTheExecutorBatchSize) {
+#ifdef GENMIG_NO_METRICS
+  GTEST_SKIP() << "instrumentation compiled out (GENMIG_NO_METRICS)";
+#endif
+  // executor.batch_size governs only the single-threaded executor: at 0 the
+  // shard router still ships its rows in batches.
+  Dsms::Options opt;
+  opt.shards = 2;
+  opt.executor.batch_size = 0;
+  Dsms dsms(opt);
+  dsms.RegisterRawStream("A", Schema::OfInts({"k"}),
+                         GenerateKeyedStream(4000, 1, 50, 8));
+  dsms.RegisterRawStream("B", Schema::OfInts({"k"}),
+                         GenerateKeyedStream(4000, 1, 50, 9));
+  auto id = dsms.InstallQuery(
+      "SELECT A.k FROM A [RANGE 100], B [RANGE 100] WHERE A.k = B.k");
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ASSERT_TRUE(dsms.Info(id.value()).parallel);
+  dsms.RunToCompletion();
+  EXPECT_GT(dsms.Results(id.value()).size(), 0u);
+
+  int windows = 0;
+  for (const obs::OperatorMetrics& m : dsms.metrics().operators()) {
+    // The shard replicas' window chains: "s<k>/w<port>_<stream>".
+    if (m.name.size() < 4 || m.name[0] != 's' ||
+        m.name.find("/w") == std::string::npos) {
+      continue;
+    }
+    ++windows;
+    ASSERT_GT(m.batches_in, 0u) << m.name;
+    EXPECT_GE(m.elements_in / m.batches_in, 64u)
+        << m.name << ": " << m.elements_in << " rows in " << m.batches_in
+        << " batches";
+  }
+  EXPECT_EQ(windows, 4);
+}
+
 TEST(DsmsParallelTest, NonPartitionableQueryFallsBackToSingleThread) {
   Dsms::Options opt;
   opt.shards = 4;

@@ -253,7 +253,7 @@ int RunOneSeed(uint64_t seed, size_t batch_size = 0, bool chain_tail = false) {
 /// count must produce a stream that is snapshot-equivalent to the oracle
 /// AND canonically byte-identical across shard counts, with one coordinated
 /// mid-run GenMig; a repeat run must be byte-identical raw (determinism).
-void RunOneParallelSeed(uint64_t seed, size_t batch_size = 0) {
+void RunOneParallelSeed(uint64_t seed, size_t batch_size) {
   std::mt19937_64 rng(seed ^ 0xc2b2ae3d27d4eb4full);
   const FuzzCase c = MakeCase(seed);
   const bool dedup = c.old_plan->kind == LogicalNode::Kind::kDedup;
@@ -411,7 +411,7 @@ int RunOneDisorderSeed(uint64_t seed, size_t batch_size = 0,
   return result.migrations_completed;
 }
 
-void RunOneDisorderParallelSeed(uint64_t seed, size_t batch_size = 0) {
+void RunOneDisorderParallelSeed(uint64_t seed, size_t batch_size) {
   std::mt19937_64 rng(seed ^ 0xc2b2ae3d27d4eb4full);
   const FuzzCase c = MakeCase(seed, /*zipf_keys=*/true);
   const DisorderSpec d = MakeDisorder(c, seed);
@@ -507,7 +507,7 @@ TEST(EquivalenceFuzzTest, DisorderedShardedRunsMatchOracleAcrossShardCounts) {
   for (size_t i = 0; i < iters; ++i) {
     const uint64_t seed = 3000 + i;
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    RunOneDisorderParallelSeed(seed);
+    RunOneDisorderParallelSeed(seed, /*batch_size=*/1);
     if (::testing::Test::HasFailure()) {
       ADD_FAILURE() << "first failing seed: " << seed;
       break;
@@ -536,7 +536,7 @@ TEST(EquivalenceFuzzTest, ShardedRunsAreByteIdenticalAcrossShardCounts) {
   for (size_t i = 0; i < iters; ++i) {
     const uint64_t seed = 7000 + i;
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    RunOneParallelSeed(seed);
+    RunOneParallelSeed(seed, /*batch_size=*/1);
     if (::testing::Test::HasFailure()) {
       ADD_FAILURE() << "first failing seed: " << seed;
       break;
