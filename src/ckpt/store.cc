@@ -207,14 +207,19 @@ Status Store::CommitLocked(std::vector<Blob>& blobs) {
     Status s = WriteFileSync(dir_ + "/" + ChunkFileName(seq, group), image);
     if (!s.ok()) return abort(std::move(s));
   }
-  // 2. Manifest.
+  // 2. Manifest, written under a temp name that Load() never considers and
+  // renamed into place whole, so a kill mid-write leaves no torn MANIFEST-*.
   const std::string manifest_name = ManifestFileName(seq);
-  Status s = WriteFileSync(dir_ + "/" + manifest_name, EncodeManifest(next));
+  Status s = WriteFileSync(dir_ + "/MANIFEST.tmp", EncodeManifest(next));
+  if (!s.ok()) return abort(std::move(s));
+  std::error_code ec;
+  fs::rename(dir_ + "/MANIFEST.tmp", dir_ + "/" + manifest_name, ec);
+  if (ec) return abort(Status::Internal("rename manifest: " + ec.message()));
+  s = SyncDir(dir_);
   if (!s.ok()) return abort(std::move(s));
   // 3. Commit point: swap CURRENT.
   s = WriteFileSync(dir_ + "/CURRENT.tmp", manifest_name + "\n");
   if (!s.ok()) return abort(std::move(s));
-  std::error_code ec;
   fs::rename(dir_ + "/CURRENT.tmp", dir_ + "/CURRENT", ec);
   if (ec) return abort(Status::Internal("rename CURRENT: " + ec.message()));
   s = SyncDir(dir_);

@@ -115,20 +115,16 @@ void Dsms::RegisterStream(const std::string& name, Schema schema,
   GENMIG_CHECK(feeds_.count(name) == 0);
   catalog_.Register(name, std::move(schema));
   feeds_[name] = exec_.AddFeed(name, std::move(data));
-  if (options_.enable_metrics) {
-    // Attached sources stamp a sampled ingress wall-clock onto elements —
-    // the input of the sinks' end-to-end latency attribution.
-    exec_.source(feeds_[name])->AttachMetrics(&registry_);
-  }
+  // Attached sources stamp a sampled ingress wall-clock onto elements — the
+  // input of the sinks' end-to-end latency attribution.
+  exec_.source(feeds_[name])->AttachMetrics(&registry_);
 }
 
 void Dsms::RegisterDisorderedStream(const std::string& name, Schema schema,
                                     MaterializedStream arrivals,
                                     DisorderBuffer::Options disorder) {
   GENMIG_CHECK(feeds_.count(name) == 0);
-  // Every delta retarget — on this feed's buffer or on the coordinator-side
-  // router buffers that inherit these Options — lands in the journal. The
-  // callback may run on the router thread; Append is thread-safe.
+  // Every delta retarget of this feed's buffer lands in the journal.
   disorder.on_adapt = [this, name](int64_t old_delta, int64_t new_delta,
                                    double quantile, uint64_t arrivals_seen) {
     obs::JournalEvent ev;
@@ -142,10 +138,7 @@ void Dsms::RegisterDisorderedStream(const std::string& name, Schema schema,
   };
   catalog_.Register(name, std::move(schema));
   feeds_[name] = exec_.AddDisorderedFeed(name, std::move(arrivals), disorder);
-  disordered_[name] = disorder;
-  if (options_.enable_metrics) {
-    exec_.source(feeds_[name])->AttachMetrics(&registry_);
-  }
+  exec_.source(feeds_[name])->AttachMetrics(&registry_);
 }
 
 Dsms::DisorderInfo Dsms::DisorderStats(const std::string& name) const {
@@ -157,20 +150,6 @@ Dsms::DisorderInfo Dsms::DisorderStats(const std::string& name) const {
   info.stats = buffer->stats();
   info.watermark = buffer->watermark();
   info.delta = buffer->delta();
-  // Parallel queries route through coordinator-side buffers; fold their
-  // drops in so callers see the engine-wide totals for this stream.
-  for (const auto& query : queries_) {
-    if (!query->parallel) continue;
-    const DisorderBuffer* router = query->coordinator->disorder_buffer(name);
-    if (router == nullptr) continue;
-    info.stats.arrived += router->stats().arrived;
-    info.stats.admitted += router->stats().admitted;
-    info.stats.dropped_late += router->stats().dropped_late;
-    info.stats.released += router->stats().released;
-    info.stats.adaptations += router->stats().adaptations;
-    info.stats.max_lateness =
-        std::max(info.stats.max_lateness, router->stats().max_lateness);
-  }
   return info;
 }
 
@@ -203,10 +182,8 @@ StatsTap* Dsms::SharedTap(const std::string& stream,
       std::make_unique<StatsTap>("tap_" + tag, options_.stats_horizon);
   exec_.ConnectFeed(feeds_.at(stream), subplan.window.get(), 0);
   subplan.window->ConnectTo(0, subplan.tap.get(), 0);
-  if (options_.enable_metrics) {
-    subplan.window->AttachMetrics(&registry_);
-    subplan.tap->AttachMetrics(&registry_);
-  }
+  subplan.window->AttachMetrics(&registry_);
+  subplan.tap->AttachMetrics(&registry_);
   StatsTap* tap = subplan.tap.get();
   shared_.emplace(std::move(key), std::move(subplan));
   return tap;
@@ -230,14 +207,8 @@ Result<Dsms::QueryId> Dsms::Install(LogicalPtr plan) {
   if (options_.shards > 1) {
     par::Coordinator::Options copt;
     copt.shards = options_.shards;
-    copt.queue_capacity = options_.shard_queue_capacity;
-    if (options_.enable_metrics) {
-      copt.registry = &registry_;
-      copt.tracer = &tracer_;
-    }
-    // Disordered streams reach the coordinator as raw arrival sequences
-    // (Executor::feed_elements); the router reorders them itself.
-    copt.disordered_inputs = disordered_;
+    copt.registry = &registry_;
+    copt.tracer = &tracer_;
     // Parallel queries checkpoint through their own store (their state lives
     // on the coordinator's threads): one subdirectory per query, per-shard
     // chunk files under one router-global cut.
@@ -295,11 +266,9 @@ Result<Dsms::QueryId> Dsms::Install(LogicalPtr plan) {
           journal_.Append(std::move(ev));
         });
   }
-  if (options_.enable_metrics) {
-    query->controller->AttachMetricsRecursive(&registry_);
-    query->controller->SetTracer(&tracer_);
-    query->sink.AttachMetrics(&registry_);
-  }
+  query->controller->AttachMetricsRecursive(&registry_);
+  query->controller->SetTracer(&tracer_);
+  query->sink.AttachMetrics(&registry_);
 
   // Per input port: (shared) feed -> window -> StatsTap, fanned out into
   // this query's controller.
@@ -323,11 +292,24 @@ void Dsms::RunToCompletion() {
   // its after_step hooks) runs.
   for (auto& query : queries_) {
     if (!query->parallel || query->coordinator == nullptr) continue;
-    // The router reads the feeds in place: nothing touches them until the
-    // coordinator's threads are joined.
+    // The router reads ordered feeds in place: nothing touches them until
+    // the coordinator's threads are joined. A disordered feed is reordered
+    // once here, by a buffer with the feed's options; the executor's own
+    // buffer counts and journals the same arrivals, so this pass reports
+    // nothing.
     par::InputRefs inputs;
+    std::map<std::string, MaterializedStream> reordered;
     for (const std::string& name : query->source_names) {
-      inputs[name] = &exec_.feed_elements(feeds_.at(name));
+      const int feed = feeds_.at(name);
+      if (const DisorderBuffer* buffer = exec_.feed_buffer(feed)) {
+        DisorderBuffer::Options opt = buffer->options();
+        opt.on_adapt = nullptr;
+        auto [it, inserted] = reordered.try_emplace(name);
+        if (inserted) it->second = Reorder(exec_.feed_elements(feed), opt);
+        inputs[name] = &it->second;
+      } else {
+        inputs[name] = &exec_.feed_elements(feed);
+      }
     }
     const Status started = query->coordinator->Start(inputs);
     GENMIG_CHECK(started.ok());
@@ -724,6 +706,10 @@ MigrationController::GenMigOptions Dsms::GenMigOptionsFor(
 
 namespace {
 
+/// Minimum relative cost improvement that justifies a ReoptimizeNow()
+/// migration.
+constexpr double kMigrateThreshold = 0.2;
+
 /// Cheapest rewrite of `plan` other than `plan` itself, costed with the
 /// query's observed-rate overlay. Returns null when no rewrite exists.
 LogicalPtr BestCandidate(const LogicalPtr& plan, const StatsCatalog& stats,
@@ -761,7 +747,7 @@ int Dsms::ReoptimizeNow() {
     const LogicalPtr best =
         BestCandidate(query->plan, stats, &query->calibrator, &best_cost);
     if (best == nullptr ||
-        best_cost >= running * (1.0 - options_.migrate_threshold)) {
+        best_cost >= running * (1.0 - kMigrateThreshold)) {
       continue;
     }
     StartGenMigTo(query.get(), best);
@@ -1051,11 +1037,10 @@ void Dsms::RefreshStatusCache() {
       std::snprintf(buf, sizeof(buf),
                     ", \"parallel\": true, \"shards\": %d"
                     ", \"migrations_completed\": %d, \"results\": %zu"
-                    ", \"source_front\": %" PRId64 ", \"t_split\": %" PRId64
-                    ", \"disorder_horizon\": %" PRId64,
+                    ", \"source_front\": %" PRId64 ", \"t_split\": %" PRId64,
                     c.shards(), c.migrations_completed(),
                     q.parallel_results.size(), c.source_front().t,
-                    c.t_split().t, c.disorder_horizon().t);
+                    c.t_split().t);
       out += buf;
       out += ", \"shard_watermarks\": [";
       for (int k = 0; k < c.shards(); ++k) {
@@ -1087,12 +1072,13 @@ void Dsms::RefreshStatusCache() {
   }
   out += "], \"streams\": [";
   bool first = true;
-  for (const auto& entry : disordered_) {
+  for (const auto& [name, feed] : feeds_) {
+    if (!exec_.feed_disordered(feed)) continue;
     if (!first) out += ", ";
     first = false;
-    const DisorderInfo info = DisorderStats(entry.first);
+    const DisorderInfo info = DisorderStats(name);
     out += "{\"name\": ";
-    AppendJsonString(&out, entry.first);
+    AppendJsonString(&out, name);
     std::snprintf(buf, sizeof(buf),
                   ", \"watermark\": %" PRId64 ", \"delta\": %" PRId64
                   ", \"arrived\": %" PRIu64 ", \"dropped_late\": %" PRIu64

@@ -47,8 +47,6 @@ class Dsms {
     /// Application-time period of the automatic re-optimization check
     /// (0 disables it; ReoptimizeNow() stays available).
     Duration reoptimize_period = 0;
-    /// Minimum relative cost improvement to justify a migration.
-    double migrate_threshold = 0.2;
     /// Application-time period of the cost-feedback auto-migration loop
     /// (DESIGN.md "calibrate -> cost -> trigger"): every period the engine
     /// folds observed per-operator metrics into each query's CostCalibrator,
@@ -70,15 +68,13 @@ class Dsms {
     /// GenMig variant used for migrations.
     MigrationController::GenMigOptions::Variant variant =
         MigrationController::GenMigOptions::Variant::kCoalesce;
-    /// Attach every installed query (controller, boxes, migration machinery,
-    /// shared windows/taps, sinks) to the engine-owned metrics registry and
-    /// migration tracer. Cheap (sampled hot-path instrumentation); under
-    /// GENMIG_NO_METRICS the hooks compile out and the registry stays empty.
-    bool enable_metrics = true;
     /// Application-time period of the metric time-series sampler: every
     /// period the engine snapshots the registry (rates, queue depths, state
     /// bytes, interval end-to-end latency quantiles) into timeline().
-    /// 0 disables sampling; requires enable_metrics to yield data.
+    /// 0 disables sampling. Every installed query (controller, boxes,
+    /// migration machinery, shared windows/taps, sinks) reports to the
+    /// engine-owned registry; under GENMIG_NO_METRICS the hooks compile out
+    /// and the registry stays empty.
     Duration timeline_period = 0;
     /// Ring capacity of timeline() — oldest samples are dropped beyond it.
     size_t timeline_capacity = 1024;
@@ -113,12 +109,10 @@ class Dsms {
     /// engine. Parallel queries produce their results in RunToCompletion().
     /// Their router always ships rows to the shards in batches of up to
     /// par::Coordinator::Options::batch_size (256) rows, whatever
-    /// executor.batch_size says.
+    /// executor.batch_size says, over queues of the coordinator's default
+    /// capacity. A disordered stream reaches their router reordered
+    /// (RegisterDisorderedStream).
     int shards = 1;
-    /// Router->shard / shard->merge queue capacity of parallel queries, in
-    /// messages. A message holds up to 256 rows, so each router->shard
-    /// queue holds at most 64 * 256 = 16384 rows at the default.
-    size_t shard_queue_capacity = 64;
     /// Ignored; every stateless chain is fused (plan/compile.h). Kept
     /// because perfbench/ sets it.
     bool fuse_stateless = false;
@@ -158,8 +152,9 @@ class Dsms {
   /// out-of-order, e.g. a recorded trace): a DisorderBuffer reorders it
   /// under the given lateness allowance, its monotone low-watermark flows
   /// downstream as heartbeats, and too-late elements are dropped
-  /// (DisorderStats). Parallel (sharded) queries replay the arrivals
-  /// through the coordinator's own per-stream buffers.
+  /// (DisorderStats). Parallel (sharded) queries read the same stream
+  /// reordered: RunToCompletion() runs one DisorderBuffer pass with these
+  /// options over the arrivals and hands the released rows to the router.
   void RegisterDisorderedStream(const std::string& name, Schema schema,
                                 MaterializedStream arrivals,
                                 DisorderBuffer::Options disorder);
@@ -171,8 +166,9 @@ class Dsms {
   }
 
   /// Disorder counters of a registered stream (all-default for ordered or
-  /// unknown streams). Single-threaded feeds report live; coordinator-side
-  /// buffers of parallel queries are folded in after RunToCompletion().
+  /// unknown streams), read live from the executor's reordering stage. The
+  /// reorder pass that feeds parallel queries is not counted: it sees the
+  /// same arrivals and makes the same decisions.
   struct DisorderInfo {
     bool disordered = false;
     DisorderBuffer::Stats stats;
@@ -269,8 +265,8 @@ class Dsms {
 
   // --- Observability ------------------------------------------------------------
 
-  /// Per-operator runtime metrics of every installed query (empty when
-  /// Options::enable_metrics is false or under GENMIG_NO_METRICS).
+  /// Per-operator runtime metrics of every installed query (empty under
+  /// GENMIG_NO_METRICS).
   const obs::MetricsRegistry& metrics() const { return registry_; }
   obs::MetricsRegistry& metrics() { return registry_; }
   /// Phase-transition trace of every migration performed by this engine.
@@ -410,9 +406,6 @@ class Dsms {
   Executor exec_;
   cql::Catalog catalog_;
   std::map<std::string, int> feeds_;  // Stream name -> executor feed.
-  /// Disorder options of streams registered via RegisterDisorderedStream
-  /// (forwarded to parallel coordinators).
-  std::map<std::string, DisorderBuffer::Options> disordered_;
   std::map<std::pair<std::string, logical::LeafWindowSpec>, SharedSubplan>
       shared_;
   std::vector<std::unique_ptr<Query>> queries_;

@@ -76,16 +76,6 @@ Status Coordinator::BuildRuntime() {
                                       spec_.reason);
   }
 
-  // Router-side reordering stages for disordered inputs the plan uses.
-  for (const auto& [name, opts] : options_.disordered_inputs) {
-    for (const PortKey& port : spec_.ports) {
-      if (port.source == name) {
-        disorder_.emplace(name, std::make_unique<DisorderBuffer>(opts));
-        break;
-      }
-    }
-  }
-
   out_queue_ = std::make_unique<BoundedQueue<ShardOutMsg>>(
       options_.queue_capacity);
   merge_ = std::make_unique<MergeSink>(options_.shards, out_queue_.get(),
@@ -183,20 +173,14 @@ Status Coordinator::Restore() {
     RouterRestore::CursorState state;
     state.pos = dec.U64();
     state.injected = dec.U64();
-    const bool has_buffer = dec.Bool();
-    if (has_buffer) {
-      auto dis = disorder_.find(name);
-      if (dis == disorder_.end()) {
-        return Status::DataLoss("checkpoint has disorder state for '" + name +
-                                "' but the stream is not disordered now");
-      }
-      if (!dis->second->CkptImport(&dec)) {
-        return Status::DataLoss("disorder state of '" + name +
-                                "' is corrupt");
-      }
+    // A router that reordered this stream itself wrote its buffer here and
+    // counted `pos` in arrivals, not in the reordered rows it reads now.
+    if (dec.Bool()) {
+      return Status::DataLoss("checkpoint has disorder state for '" + name +
+                              "' but the stream is not disordered now");
     }
-    state.flushed = dec.Bool();
-    state.released = dec.Stream();
+    dec.Bool();  // Unused fields, kept for the blob layout (initiate_cut).
+    dec.Stream();
     restore->cursors.emplace(std::move(name), std::move(state));
   }
   restore->max_routed = dec.Ts();
@@ -218,8 +202,8 @@ Status Coordinator::Restore() {
   restore->last_ckpt_t = dec.I64();
   const bool split_set = dec.Bool();
   const Timestamp split = dec.Ts();
-  const uint8_t horizon_state = dec.U8();
-  const Timestamp horizon = dec.Ts();
+  dec.U8();  // Unused fields, kept for the blob layout (initiate_cut).
+  dec.Ts();
   if (!dec.AtEnd()) {
     return Status::DataLoss("the 'router' blob is corrupt");
   }
@@ -255,32 +239,20 @@ Status Coordinator::Restore() {
     t_split_eps_.store(split.eps, std::memory_order_relaxed);
     t_split_set_.store(true, std::memory_order_release);
   }
-  if (horizon_state != 0) {
-    horizon_t_.store(horizon.t, std::memory_order_relaxed);
-    horizon_eps_.store(horizon.eps, std::memory_order_relaxed);
-    horizon_state_.store(static_cast<int>(horizon_state),
-                         std::memory_order_release);
-  }
   active_plan_idx_ = static_cast<int>(active_idx);
   router_restore_ = std::move(restore);
   return Status::OK();
 }
 
-void Coordinator::Broadcast(Scheduled* scheduled, Timestamp max_routed,
-                            const std::vector<Timestamp>& port_hb,
-                            Timestamp horizon) {
+void Coordinator::Broadcast(Scheduled* scheduled, Timestamp max_routed) {
   scheduled->fired = true;
   active_plan_idx_ = static_cast<int>(scheduled - scheduled_.data());
 
   // One T_split valid on every shard: greater than every start instant any
-  // replica has seen (<= max_routed) AND every per-port watermark promise
-  // made below (under disorder a stream's watermark can run ahead of its
-  // last routed element), plus the window slack w and the +1 chronon of
-  // Section 4. eps = 1 keeps the split strictly between the chronon grid
-  // points, exactly like the local computation.
-  int64_t base = max_routed.t;
-  for (const Timestamp& hb : port_hb) base = std::max(base, hb.t);
-  const Timestamp forced(base + spec_.max_window + 1, 1);
+  // replica has seen (<= max_routed), plus the window slack w and the +1
+  // chronon of Section 4. eps = 1 keeps the split strictly between the
+  // chronon grid points, exactly like the local computation.
+  const Timestamp forced(max_routed.t + spec_.max_window + 1, 1);
 
   auto order = std::make_shared<MigrationOrder>();
   order->new_plan = scheduled->new_stripped;
@@ -299,13 +271,13 @@ void Coordinator::Broadcast(Scheduled* scheduled, Timestamp max_routed,
       // Unthinned per-port heartbeat: every controller port reaches t_Si >=
       // its true local max, so TryEnterParallel fires synchronously inside
       // StartGenMig and max(local, forced) == forced on every shard. The
-      // heartbeat time is the port's own stream promise (port_hb), never
-      // the global max: under disorder another stream's buffer may still
-      // release an element below the global max_routed.
+      // promise is sound for every port: the router always routes the
+      // smallest pending front, and every input is ordered by start, so no
+      // stream can still deliver below max_routed.
       ShardInMsg hb;
       hb.kind = ShardInMsg::Kind::kHeartbeat;
       hb.port = static_cast<int>(port);
-      hb.time = port_hb[port];
+      hb.time = max_routed;
       shard->input().Push(std::move(hb));
     }
     ShardInMsg mig;
@@ -314,9 +286,6 @@ void Coordinator::Broadcast(Scheduled* scheduled, Timestamp max_routed,
     shard->input().Push(std::move(mig));
   }
 
-  horizon_t_.store(horizon.t, std::memory_order_relaxed);
-  horizon_eps_.store(horizon.eps, std::memory_order_relaxed);
-  horizon_state_.store(disorder_.empty() ? 1 : 2, std::memory_order_release);
   t_split_t_.store(forced.t, std::memory_order_relaxed);
   t_split_eps_.store(forced.eps, std::memory_order_relaxed);
   t_split_set_.store(true, std::memory_order_release);
@@ -325,17 +294,11 @@ void Coordinator::Broadcast(Scheduled* scheduled, Timestamp max_routed,
 
 void Coordinator::RouterMain(const InputRefs& inputs) {
   // Distinct streams in deterministic (map) order, with a read cursor each.
-  // A disordered stream's cursor reads the *arrival* sequence through its
-  // DisorderBuffer; `released` holds reordered elements pending routing.
   struct Cursor {
     const std::string* name = nullptr;
     const MaterializedStream* stream = nullptr;
     size_t pos = 0;
     uint64_t injected = 0;  // For ingress sampling.
-    DisorderBuffer* buffer = nullptr;  // Null for ordered streams.
-    MaterializedStream released;
-    size_t rpos = 0;
-    bool flushed = false;
   };
   std::vector<Cursor> cursors;
   for (const auto& [name, stream] : inputs) {
@@ -346,31 +309,8 @@ void Coordinator::RouterMain(const InputRefs& inputs) {
     Cursor c;
     c.name = &name;
     c.stream = stream;
-    auto dis = disorder_.find(name);
-    if (dis != disorder_.end()) c.buffer = dis->second.get();
-    cursors.push_back(std::move(c));
+    cursors.push_back(c);
   }
-
-  // Admit arrivals until a release is pending or the stream runs out (then
-  // flush). No-op for ordered streams.
-  auto refill = [](Cursor& c) {
-    if (c.buffer == nullptr) return;
-    while (c.rpos >= c.released.size() && c.pos < c.stream->size()) {
-      c.buffer->Admit((*c.stream)[c.pos++], &c.released);
-    }
-    if (c.pos >= c.stream->size() && !c.flushed) {
-      c.buffer->FlushAll(&c.released);
-      c.flushed = true;
-    }
-  };
-  auto pending = [](const Cursor& c) {
-    return c.buffer == nullptr ? c.pos < c.stream->size()
-                               : c.rpos < c.released.size();
-  };
-  auto front_start = [](const Cursor& c) {
-    return c.buffer == nullptr ? (*c.stream)[c.pos].interval.start
-                               : c.released[c.rpos].interval.start;
-  };
 
   // Ports fed by each stream, precomputed (stream index -> port list).
   std::vector<std::vector<size_t>> ports_of(cursors.size());
@@ -427,9 +367,9 @@ void Coordinator::RouterMain(const InputRefs& inputs) {
   int64_t last_ckpt_t = 0;
 
   // Resume from a restored cut (ISSUE 10): every cursor picks up at its
-  // captured position, with the reordered-but-unrouted suffix re-seeded in
-  // front of it. Suppressed-heartbeat counters restart at zero — heartbeat
-  // thinning only affects watermark timing (buffering), never content.
+  // captured position. Suppressed-heartbeat counters restart at zero —
+  // heartbeat thinning only affects watermark timing (buffering), never
+  // content.
   if (router_restore_ != nullptr) {
     for (Cursor& c : cursors) {
       auto rit = router_restore_->cursors.find(*c.name);
@@ -438,9 +378,6 @@ void Coordinator::RouterMain(const InputRefs& inputs) {
       GENMIG_CHECK(st.pos <= c.stream->size());
       c.pos = static_cast<size_t>(st.pos);
       c.injected = st.injected;
-      c.flushed = st.flushed;
-      c.released = std::move(st.released);
-      c.rpos = 0;
     }
     max_routed = router_restore_->max_routed;
     any_routed = router_restore_->any_routed;
@@ -449,47 +386,8 @@ void Coordinator::RouterMain(const InputRefs& inputs) {
     router_restore_.reset();
   }
 
-  // Per-port watermark promises for a migration broadcast. Fully ordered
-  // inputs keep the legacy promise (the global max_routed — valid under
-  // global temporal order). With disordered inputs each port gets its own
-  // stream's strongest valid promise: the pending front if one exists (the
-  // very next element of that stream), else the stream's buffer watermark
-  // (every future release lies at or above it); exhausted ordered streams
-  // can promise anything, so max_routed stands in.
-  auto compute_port_hb = [&](Timestamp routed_max) {
-    std::vector<Timestamp> hb(spec_.ports.size(), routed_max);
-    if (disorder_.empty()) return hb;
-    for (size_t ci = 0; ci < cursors.size(); ++ci) {
-      const Cursor& c = cursors[ci];
-      Timestamp promise = routed_max;
-      if (pending(c)) {
-        promise = front_start(c);
-      } else if (c.buffer != nullptr) {
-        promise = c.buffer->watermark();
-      }
-      for (size_t p : ports_of[ci]) hb[p] = promise;
-    }
-    return hb;
-  };
-  auto compute_horizon = [&] {
-    // Smallest start a disordered stream could still deliver at broadcast
-    // time: the pending released front if one exists, else the buffer
-    // watermark (the floor of every future release). The raw watermark
-    // alone would be wrong in the other direction — a lossless buffer that
-    // consumed its whole arrival sequence has flushed and its watermark
-    // sits at the stream end, far ahead of the still-unrouted releases.
-    Timestamp h = Timestamp::MaxInstant();
-    for (const Cursor& c : cursors) {
-      if (c.buffer == nullptr) continue;
-      const Timestamp promise =
-          pending(c) ? front_start(c) : c.buffer->watermark();
-      if (promise < h) h = promise;
-    }
-    return h;
-  };
-
   // Periodic marker-based cut (ISSUE 10): the router captures its own
-  // cursor/disorder state HERE — the exact position in the global routed
+  // cursor state HERE — the exact position in the global routed
   // order — then pushes a kCheckpoint marker into every shard queue. The
   // marker travels in-band (FIFO), so each shard captures after exactly the
   // messages routed before the cut, and the merge aligns its own capture on
@@ -505,13 +403,14 @@ void Coordinator::RouterMain(const InputRefs& inputs) {
       enc.Str(*c.name);
       enc.U64(c.pos);
       enc.U64(c.injected);
-      enc.Bool(c.buffer != nullptr);
-      if (c.buffer != nullptr) c.buffer->CkptExport(&enc);
-      enc.Bool(c.flushed);
-      const MaterializedStream suffix(
-          c.released.begin() + static_cast<std::ptrdiff_t>(c.rpos),
-          c.released.end());
-      enc.Stream(suffix);
+      // Blobs keep the layout of routers that reordered disordered streams
+      // themselves, so checkpoints of ordered runs restore across versions.
+      // Their disorder fields are written as such a router wrote them for an
+      // ordered stream: no buffer, not flushed, no pending rows, and a
+      // horizon unset before the broadcast and vacuous after it.
+      enc.Bool(false);
+      enc.Bool(false);
+      enc.Stream(MaterializedStream());
     }
     enc.Ts(max_routed);
     enc.Bool(any_routed);
@@ -521,13 +420,12 @@ void Coordinator::RouterMain(const InputRefs& inputs) {
     enc.I64(active_plan_idx_);
     enc.Bool(have_last_ckpt);
     enc.I64(last_ckpt_t);
-    enc.Bool(t_split_set_.load(std::memory_order_relaxed));
+    const bool split_set = t_split_set_.load(std::memory_order_relaxed);
+    enc.Bool(split_set);
     enc.Ts(Timestamp(t_split_t_.load(std::memory_order_relaxed),
                      t_split_eps_.load(std::memory_order_relaxed)));
-    enc.U8(static_cast<uint8_t>(
-        horizon_state_.load(std::memory_order_relaxed)));
-    enc.Ts(Timestamp(horizon_t_.load(std::memory_order_relaxed),
-                     horizon_eps_.load(std::memory_order_relaxed)));
+    enc.U8(split_set ? 1 : 0);
+    enc.Ts(split_set ? Timestamp::MaxInstant() : Timestamp(0, 0));
     ckpt::Blob blob;
     blob.key = "router";
     blob.group = "main";
@@ -543,25 +441,23 @@ void Coordinator::RouterMain(const InputRefs& inputs) {
   };
 
   while (true) {
-    // Global temporal order over the *released* fronts: the stream with the
+    // Global temporal order over the stream fronts: the stream with the
     // smallest next start (ties: lowest stream index). Deterministic
     // because the input is data, not thread timing.
     size_t best = cursors.size();
     for (size_t ci = 0; ci < cursors.size(); ++ci) {
-      Cursor& c = cursors[ci];
-      refill(c);
-      if (!pending(c)) continue;
+      const Cursor& c = cursors[ci];
+      if (c.pos >= c.stream->size()) continue;
       if (best == cursors.size() ||
-          front_start(c) < front_start(cursors[best])) {
+          (*c.stream)[c.pos].interval.start <
+              (*cursors[best].stream)[cursors[best].pos].interval.start) {
         best = ci;
       }
     }
     if (best == cursors.size()) break;  // All streams exhausted.
 
     Cursor& cur = cursors[best];
-    const StreamElement& element = cur.buffer == nullptr
-                                       ? (*cur.stream)[cur.pos++]
-                                       : cur.released[cur.rpos++];
+    const StreamElement& element = (*cur.stream)[cur.pos++];
     uint64_t ingress_ns = element.ingress_ns;
 #ifndef GENMIG_NO_METRICS
     if (options_.registry != nullptr && ingress_ns == 0 &&
@@ -615,8 +511,7 @@ void Coordinator::RouterMain(const InputRefs& inputs) {
         // The broadcast's unthinned heartbeats must not overtake
         // accumulated rows (which all start <= their port's promise).
         flush_all();
-        Broadcast(&s, max_routed, compute_port_hb(max_routed),
-                  compute_horizon());
+        Broadcast(&s, max_routed);
       }
     }
 
@@ -641,10 +536,7 @@ void Coordinator::RouterMain(const InputRefs& inputs) {
   // engine, where a drain-time migration runs against final state.
   flush_all();
   for (Scheduled& s : scheduled_) {
-    if (!s.fired && any_routed) {
-      Broadcast(&s, max_routed, compute_port_hb(max_routed),
-                compute_horizon());
-    }
+    if (!s.fired && any_routed) Broadcast(&s, max_routed);
   }
 
   for (auto& shard : shards_) {
@@ -702,14 +594,6 @@ int Coordinator::migrations_completed() const {
     if (s == 0 || done < min) min = done;
   }
   return min;
-}
-
-Timestamp Coordinator::disorder_horizon() const {
-  const int state = horizon_state_.load(std::memory_order_acquire);
-  if (state == 0) return Timestamp::MinInstant();   // No broadcast yet.
-  if (state == 1) return Timestamp::MaxInstant();   // No disordered inputs.
-  return Timestamp(horizon_t_.load(std::memory_order_relaxed),
-                   horizon_eps_.load(std::memory_order_relaxed));
 }
 
 Timestamp Coordinator::t_split() const {

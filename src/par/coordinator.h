@@ -9,29 +9,35 @@
 //          +-> kMigrate broadcast       ---------> replica --+   (k-way merge)
 //
 // The router reads its input streams in place and walks them in global
-// temporal order. Per input port (plan leaf) it hashes the element's
-// partition column to pick the owner shard and appends the row to that
-// (port, shard)'s TupleBatch; a full batch ships as one kBatch message, so
-// the queues carry a message per Options::batch_size rows, not per row. A
-// batch also ships once batch_size * ports * shards rows were routed since
-// its first row, so a port that carries few rows does not hold its shards'
-// watermarks, output and state expiry back until its batch fills. The
-// other shards receive a heartbeat instead (thinned to every
-// max(heartbeat_every, batch_size)-th row), so their windows and controllers
-// keep making progress. Shards hand their output to the merge as batches
-// too. Every queue is a mutex + condvar BoundedQueue: it blocks the router
-// when a shard falls behind (backpressure) and blocks shards when the merge
-// falls behind. At a few messages per batch a lock-free ring would have no
-// traffic to serve (DESIGN.md Sec. 9).
+// temporal order. Every input stream must be ordered by start timestamp:
+// arrival-ordered streams are reordered once before they reach the router
+// (Dsms runs one DisorderBuffer pass per disordered stream), so the router
+// itself has no disorder mode (DESIGN.md Sec. 12). Per input port (plan
+// leaf) it hashes the element's partition column to pick the owner shard
+// and appends the row to that (port, shard)'s TupleBatch; a full batch
+// ships as one kBatch message, so the queues carry a message per
+// Options::batch_size rows, not per row. A batch also ships once
+// batch_size * ports * shards rows were routed since its first row, so a
+// port that carries few rows does not hold its shards' watermarks, output
+// and state expiry back until its batch fills. The other shards receive a
+// heartbeat instead (thinned to every max(heartbeat_every, batch_size)-th
+// row), so their windows and controllers keep making progress. Shards hand
+// their output to the merge as batches too. Every queue is a mutex +
+// condvar BoundedQueue: it blocks the router when a shard falls behind
+// (backpressure) and blocks shards when the merge falls behind. At a few
+// messages per batch a lock-free ring would have no traffic to serve
+// (DESIGN.md Sec. 9).
 //
 // Migration (Section 4, shard-coordinated): at the scheduled instant the
 // router computes ONE global T_split = max routed start + w + 1 (chronon 1)
 // — greater than every instant any shard replica can still reference — then
-// broadcasts a fresh heartbeat (so every controller can fix its t_Si
-// immediately) followed by an in-band kMigrate carrying the shared split as
-// GenMigOptions::min_split. Every shard runs its own split/coalesce GenMig
-// against the same T_split; WaitMigrationsComplete() is the barrier that
-// keeps status/metrics coherent.
+// broadcasts a heartbeat at the max routed start to every port, so every
+// controller can fix its t_Si immediately. That promise is sound because
+// the router always routes the smallest pending front: no stream can still
+// deliver below it. An in-band kMigrate carrying the shared split as
+// GenMigOptions::min_split follows. Every shard runs its own split/coalesce
+// GenMig against the same T_split; WaitMigrationsComplete() is the barrier
+// that keeps status/metrics coherent.
 
 #ifndef GENMIG_PAR_COORDINATOR_H_
 #define GENMIG_PAR_COORDINATOR_H_
@@ -49,7 +55,6 @@
 #include "par/merge_sink.h"
 #include "par/partition.h"
 #include "par/shard_runtime.h"
-#include "stream/disorder.h"
 
 namespace genmig {
 namespace par {
@@ -84,17 +89,6 @@ class Coordinator {
     size_t batch_size = 256;
     obs::MetricsRegistry* registry = nullptr;  // Nullable.
     obs::MigrationTracer* tracer = nullptr;    // Nullable.
-    /// Streams listed here are in *arrival* order (bounded out-of-order);
-    /// the router reorders each through its own DisorderBuffer before
-    /// routing. In this mode the router stops assuming global temporal
-    /// order across streams: per-element heartbeats already go only to the
-    /// element's own ports (per-stream promise), and the migration
-    /// broadcast announces each port's own stream watermark instead of the
-    /// global max — a heartbeat at the global max could be overtaken by a
-    /// late element still sitting in another stream's buffer. T_split is
-    /// forced above every per-stream watermark plus w, so it always waits
-    /// for the disorder horizon (DESIGN.md Sec. 12).
-    std::map<std::string, DisorderBuffer::Options> disordered_inputs;
     /// Durable state (ISSUE 10). Non-empty: the coordinator owns a
     /// ckpt::Store on this directory and the router initiates a marker-based
     /// global cut every `checkpoint_period` application-time units (deferred
@@ -162,20 +156,6 @@ class Coordinator {
   uint64_t elements_routed() const {
     return elements_routed_.load(std::memory_order_relaxed);
   }
-  /// Min over the disordered streams' delivery promises (pending released
-  /// front if one exists, else the buffer watermark) at the moment the
-  /// migration broadcast fired — the smallest start any disordered stream
-  /// could still deliver then. The forced T_split clears it by at least
-  /// w + 1. MinInstant until a broadcast fired; MaxInstant when no input
-  /// stream is disordered (the horizon constraint is vacuous).
-  Timestamp disorder_horizon() const;
-  /// The router-side reordering stage of a disordered input (drop counts,
-  /// lateness histogram); nullptr for ordered streams. Stable after Start();
-  /// read stats after Wait().
-  const DisorderBuffer* disorder_buffer(const std::string& stream) const {
-    auto it = disorder_.find(stream);
-    return it == disorder_.end() ? nullptr : it->second.get();
-  }
 
   // --- Lag attribution (ISSUE 9) -----------------------------------------
 
@@ -210,8 +190,6 @@ class Coordinator {
     struct CursorState {
       uint64_t pos = 0;
       uint64_t injected = 0;
-      bool flushed = false;
-      MaterializedStream released;  // Reordered-but-unrouted suffix.
     };
     std::map<std::string, CursorState> cursors;
     Timestamp max_routed = Timestamp::MinInstant();
@@ -225,11 +203,7 @@ class Coordinator {
   Status BuildRuntime();
 
   void RouterMain(const InputRefs& inputs);
-  /// `port_hb[p]` is the strongest per-port watermark promise at broadcast
-  /// time (the global max_routed in the fully-ordered case); `horizon` is
-  /// the disorder horizon recorded for introspection.
-  void Broadcast(Scheduled* scheduled, Timestamp max_routed,
-                 const std::vector<Timestamp>& port_hb, Timestamp horizon);
+  void Broadcast(Scheduled* scheduled, Timestamp max_routed);
 
   LogicalPtr windowed_plan_;
   LogicalPtr stripped_plan_;
@@ -245,9 +219,6 @@ class Coordinator {
   bool joined_ = false;
 
   std::vector<Scheduled> scheduled_;
-  /// Router-side reordering stages, one per disordered input stream
-  /// (created in BuildRuntime(), used only by the router thread).
-  std::map<std::string, std::unique_ptr<DisorderBuffer>> disorder_;
 
   // Durable state (ISSUE 10).
   std::unique_ptr<ckpt::Store> store_;
@@ -268,9 +239,6 @@ class Coordinator {
   std::atomic<int64_t> t_split_t_{0};
   std::atomic<uint32_t> t_split_eps_{0};
   std::atomic<bool> t_split_set_{false};
-  std::atomic<int64_t> horizon_t_{0};
-  std::atomic<uint32_t> horizon_eps_{0};
-  std::atomic<int> horizon_state_{0};  // 0 unset, 1 vacuous, 2 recorded.
 
   mutable std::mutex progress_mu_;
   std::condition_variable progress_cv_;

@@ -83,10 +83,10 @@ class Executor {
 
   Source* source(int feed) { return feeds_[static_cast<size_t>(feed)].source.get(); }
 
-  /// The raw elements registered for feed `feed` — the parallel coordinator
-  /// (src/par) re-routes installed feeds across shards from here. For a
-  /// disordered feed this is the arrival sequence (the coordinator replays
-  /// it through its own per-stream DisorderBuffer).
+  /// The raw elements registered for feed `feed` — Dsms hands them to the
+  /// parallel coordinator (src/par), which re-routes them across shards. For
+  /// a disordered feed this is the arrival sequence, which Dsms reorders
+  /// once (Reorder, stream/disorder.h) before the coordinator reads it.
   const MaterializedStream& feed_elements(int feed) const {
     const Feed& f = feeds_[static_cast<size_t>(feed)];
     return f.disordered ? f.arrivals : f.elements;

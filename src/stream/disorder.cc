@@ -1,6 +1,7 @@
 #include "stream/disorder.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 
@@ -121,6 +122,16 @@ bool DisorderBuffer::CkptImport(StateDec* dec) {
   if (!dec->ok()) return false;
   lateness_.ImportSnapshot(counts, count, sum_ns, max_ns);
   return true;
+}
+
+MaterializedStream Reorder(const MaterializedStream& arrivals,
+                           DisorderBuffer::Options options) {
+  DisorderBuffer buffer(std::move(options));
+  MaterializedStream out;
+  out.reserve(arrivals.size());
+  for (const StreamElement& element : arrivals) buffer.Admit(element, &out);
+  buffer.FlushAll(&out);
+  return out;
 }
 
 }  // namespace genmig

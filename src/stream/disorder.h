@@ -61,8 +61,7 @@ class DisorderBuffer {
     /// Invoked after every completed delta retarget (on the admitting
     /// thread) with (old_delta, new_delta, tracked lateness quantile value,
     /// arrivals so far). The engine wires this into the decision journal
-    /// (obs/journal.h kDisorderAdapt). Copied with the Options, so buffers
-    /// the coordinator constructs from a registered Options inherit it.
+    /// (obs/journal.h kDisorderAdapt).
     std::function<void(int64_t old_delta, int64_t new_delta, double quantile,
                        uint64_t arrivals)>
         on_adapt;
@@ -122,6 +121,12 @@ class DisorderBuffer {
   obs::LatencyHistogram lateness_;
   Stats stats_;
 };
+
+/// One pass of a fresh DisorderBuffer built from `options` over `arrivals`:
+/// the released rows, ordered by start, without the arrivals it dropped as
+/// too late. Feeds ordered-only consumers such as par::Coordinator.
+MaterializedStream Reorder(const MaterializedStream& arrivals,
+                           DisorderBuffer::Options options);
 
 }  // namespace genmig
 

@@ -6,15 +6,19 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <map>
 #include <random>
 #include <string>
 
 #include "../test_util.h"
+#include "ckpt/store.h"
 #include "engine/dsms.h"
 #include "par/coordinator.h"
 #include "ref/checker.h"
 #include "ref/eval.h"
+#include "stream/disorder.h"
 #include "stream/generator.h"
+#include "stream/state_codec.h"
 
 namespace genmig {
 namespace {
@@ -392,6 +396,115 @@ TEST(RestoreTest, DsmsShardedQueryRestoresThroughItsCoordinator) {
   restored.RunToCompletion();
   EXPECT_EQ(ref::SnapshotNormalForm(restored.Results(id)),
             ref::SnapshotNormalForm(oracle));
+}
+
+TEST(RestoreTest, DsmsShardedDisorderedQueryRestores) {
+  // The coordinator's cursors count rows of the reordered stream Dsms hands
+  // it, so a restored run resumes at the same reordered position.
+  const par::InputMap feeds = RandomFeeds(35, 80, 4, {"A", "B"});
+  const DisorderedArrivals shuffled =
+      ApplyBoundedShuffle(feeds.at("A"), 12, 36);
+  DisorderBuffer::Options disorder;
+  disorder.delta = 2;  // Adapts from a tight start: some arrivals drop.
+  disorder.adaptive = true;
+  disorder.adapt_every = 16;
+  const char* kCql =
+      "SELECT A.x, B.x FROM A [RANGE 20], B [RANGE 20] WHERE A.x = B.x";
+
+  Dsms::Options options;
+  options.shards = 2;
+  auto setup = [&](Dsms* dsms, Dsms::QueryId* id) {
+    dsms->RegisterDisorderedStream("A", OneCol(), shuffled.arrivals, disorder);
+    dsms->RegisterStream("B", OneCol(), feeds.at("B"));
+    auto installed = dsms->InstallQuery(kCql);
+    ASSERT_TRUE(installed.ok()) << installed.status().ToString();
+    *id = installed.value();
+  };
+
+  MaterializedStream oracle;
+  {
+    Dsms dsms(options);
+    Dsms::QueryId id = 0;
+    ASSERT_NO_FATAL_FAILURE(setup(&dsms, &id));
+    ASSERT_TRUE(dsms.Info(id).parallel);
+    dsms.RunToCompletion();
+    ASSERT_GT(dsms.DisorderStats("A").stats.dropped_late, 0u);
+    oracle = dsms.Results(id);
+  }
+  ASSERT_GT(oracle.size(), 0u);
+
+  options.checkpoint_dir = TempDir();
+  options.checkpoint_period = 30;
+  {
+    Dsms dsms(options);
+    Dsms::QueryId id = 0;
+    ASSERT_NO_FATAL_FAILURE(setup(&dsms, &id));
+    ASSERT_TRUE(dsms.Checkpoint().ok());
+    dsms.RunToCompletion();
+  }
+  Dsms restored(options);
+  Dsms::QueryId id = 0;
+  ASSERT_NO_FATAL_FAILURE(setup(&restored, &id));
+  const Status s = restored.Restore();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  restored.RunToCompletion();
+  EXPECT_EQ(ref::SnapshotNormalForm(restored.Results(id)),
+            ref::SnapshotNormalForm(oracle));
+}
+
+TEST(RestoreTest, ShardedRouterBlobWithDisorderStateIsDataLoss) {
+  // A router that reordered a stream itself wrote its buffer into the
+  // cursor and counted the cursor's position in arrivals. The router reads
+  // reordered rows now, so such a blob is refused.
+  auto plan = EquiJoin(Window(SourceNode("A", OneCol()), 20),
+                       Window(SourceNode("B", OneCol()), 20), 0, 0);
+  const par::InputMap inputs = RandomFeeds(37, 60, 4, {"A", "B"});
+  par::Coordinator::Options options;
+  options.shards = 2;
+  options.checkpoint_dir = TempDir();
+  options.checkpoint_period = 30;
+  {
+    par::Coordinator coordinator(plan, options);
+    ASSERT_TRUE(coordinator.Run(inputs).ok());
+    ASSERT_GE(coordinator.store()->stats().commits, 1u);
+  }
+  {
+    par::Coordinator restored(plan, options);
+    ASSERT_TRUE(restored.Restore().ok());
+  }
+
+  // Rewrite the first cursor ("A") as the router-side reordering wrote it:
+  // its has-buffer flag set, followed by the buffer's state.
+  ckpt::Store store(options.checkpoint_dir);
+  std::map<std::string, std::string> blobs;
+  ASSERT_TRUE(store.Load(&blobs).ok());
+  std::string& router = blobs.at("router");
+  // Layout: U32 cursor count, then per cursor Str name, U64 pos,
+  // U64 injected, Bool has-buffer, ...
+  StateEnc name;
+  name.Str("A");
+  const size_t flag = 4 + name.bytes().size() + 16;
+  ASSERT_LT(flag, router.size());
+  ASSERT_EQ(router[flag], 0);
+  StateEnc buffer;
+  buffer.Bool(true);
+  DisorderBuffer().CkptExport(&buffer);
+  router.replace(flag, 1, buffer.bytes());
+  std::vector<ckpt::Blob> tampered;
+  for (auto& [key, bytes] : blobs) {
+    ckpt::Blob blob;
+    blob.key = key;
+    blob.group = "main";
+    blob.bytes = std::move(bytes);
+    tampered.push_back(std::move(blob));
+  }
+  ASSERT_TRUE(store.Commit(std::move(tampered)).ok());
+
+  par::Coordinator restored(plan, options);
+  const Status s = restored.Restore();
+  EXPECT_EQ(s.code(), Status::Code::kDataLoss) << s.ToString();
+  EXPECT_NE(s.ToString().find("not disordered now"), std::string::npos)
+      << s.ToString();
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -140,6 +141,35 @@ TEST(StoreTest, OldCheckpointsAreGarbageCollected) {
   std::map<std::string, std::string> blobs;
   ASSERT_TRUE(store.Load(&blobs).ok());
   EXPECT_EQ(blobs.at("k"), "v4");
+}
+
+TEST(StoreTest, LeftoverTempManifestWithoutCurrentIsNotFound) {
+  // A commit killed while writing its manifest leaves only the temp file:
+  // the manifest is written as MANIFEST.tmp and renamed into place whole.
+  const std::string committed = TempDir();
+  Store writer(committed);
+  ASSERT_TRUE(writer.Commit({Make("k", "value")}).ok());
+  std::ifstream in(committed + "/" + ManifestFileName(1), std::ios::binary);
+  const std::string manifest((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  ASSERT_GT(manifest.size(), 8u);
+  const std::string torn = manifest.substr(0, manifest.size() / 2);
+
+  const std::string dir = TempDir();
+  std::ofstream(dir + "/MANIFEST.tmp", std::ios::binary) << torn;
+  Store store(dir);
+  std::map<std::string, std::string> blobs;
+  const Status s = store.Load(&blobs);
+  EXPECT_EQ(s.code(), Status::Code::kNotFound) << s.ToString();
+
+  // The same bytes under a final manifest name are a torn checkpoint.
+  std::ofstream(dir + "/" + ManifestFileName(1), std::ios::binary) << torn;
+  EXPECT_EQ(Store(dir).Load(&blobs).code(), Status::Code::kDataLoss);
+
+  // The next commit overwrites the leftover and loads.
+  ASSERT_TRUE(store.Commit({Make("k", "again")}).ok());
+  ASSERT_TRUE(Store(dir).Load(&blobs).ok());
+  EXPECT_EQ(blobs.at("k"), "again");
 }
 
 }  // namespace

