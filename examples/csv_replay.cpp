@@ -87,7 +87,7 @@ int Main(int argc, const char** argv) {
   if (argc < 3) return RunDemo();
 
   Dsms::Options options;
-  options.reoptimize_period = 500;  // Re-optimize twice a second.
+  options.calibration_period = 500;  // Re-cost twice a second.
   Dsms dsms(options);
 
   for (int i = 2; i < argc; ++i) {

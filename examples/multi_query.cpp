@@ -46,7 +46,7 @@ int main() {
 
   Dsms::Options options;
   options.stats_horizon = 2000;
-  options.reoptimize_period = 2500;  // Check every 2.5 s of application time.
+  options.calibration_period = 2500;  // Re-cost every 2.5 s of app time.
   Dsms dsms(options);
 
   const int64_t kDrift = 12000;

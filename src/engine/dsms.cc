@@ -68,11 +68,10 @@ Dsms::Dsms(Options options)
   if (options_.telemetry_port >= 0) SetupTelemetry();
   const bool periodic_ckpt =
       ckpt_store_ != nullptr && options_.checkpoint_period > 0;
-  if (options_.reoptimize_period > 0 || options_.calibration_period > 0 ||
-      options_.timeline_period > 0 || periodic_ckpt || telemetry_ != nullptr) {
+  if (options_.calibration_period > 0 || options_.timeline_period > 0 ||
+      periodic_ckpt || telemetry_ != nullptr) {
     exec_.after_step = [this, periodic_ckpt]() {
       app_time_t_.store(exec_.current_time().t, std::memory_order_relaxed);
-      if (options_.reoptimize_period > 0) MaybeAutoReoptimize();
       if (options_.calibration_period > 0) MaybeCalibrate();
       if (options_.timeline_period > 0) MaybeSampleTimeline();
       if (periodic_ckpt) MaybeCheckpoint();
@@ -241,30 +240,7 @@ Result<Dsms::QueryId> Dsms::Install(LogicalPtr plan) {
     popt.margin = options_.cost_margin;
     popt.hysteresis = options_.cost_hysteresis;
     popt.cooldown = options_.migration_cooldown;
-    query->cost_policy = std::make_shared<CostRatioPolicy>(popt);
-    Query* raw = query.get();
-    query->controller->SetTriggerPolicy(
-        query->cost_policy, [this, raw, qname](MigrationController&) {
-          if (raw->pending_candidate == nullptr) return;
-          const LogicalPtr candidate = raw->pending_candidate;
-          raw->pending_candidate = nullptr;
-          StartGenMigTo(raw, candidate);
-          raw->auto_status.last_armed = exec_.current_time();
-          ++raw->auto_status.fires;
-          // The firing evaluation itself: pairs with the armed-but-unfired
-          // kTriggerEval records CalibrateAndArm appends every period.
-          obs::JournalEvent ev;
-          ev.kind = obs::JournalEvent::Kind::kTriggerEval;
-          ev.app_time = exec_.current_time();
-          ev.subject = qname;
-          ev.strs.emplace_back("policy", "cost_ratio");
-          ev.nums.emplace_back("ratio", raw->auto_status.last_ratio);
-          ev.nums.emplace_back("armed", 1.0);
-          ev.nums.emplace_back("fired", 1.0);
-          ev.nums.emplace_back(
-              "t_split", static_cast<double>(raw->controller->t_split().t));
-          journal_.Append(std::move(ev));
-        });
+    query->cost_policy = CostRatioPolicy(popt);
   }
   query->controller->AttachMetricsRecursive(&registry_);
   query->controller->SetTracer(&tracer_);
@@ -392,7 +368,9 @@ Status Dsms::CollectBlobs(std::vector<ckpt::Blob>* blobs) {
   {
     StateEnc enc;
     exec_.CkptExportCursor(&enc);
-    enc.Ts(last_reopt_check_);
+    // Slot of a removed periodic re-optimization throttle, kept so old and
+    // new checkpoints share one layout; runs without it always wrote this.
+    enc.Ts(Timestamp::MinInstant());
     enc.Ts(last_calibration_);
     enc.Ts(last_timeline_sample_);
     add("engine/cursor", enc.Take());
@@ -520,7 +498,7 @@ Status Dsms::Restore() {
     if (!exec_.CkptImportCursor(&dec)) {
       return Status::DataLoss("engine/cursor is corrupt");
     }
-    last_reopt_check_ = dec.Ts();
+    dec.Ts();  // The removed throttle's slot (see CollectBlobs).
     last_calibration_ = dec.Ts();
     last_timeline_sample_ = dec.Ts();
     if (!dec.ok()) return Status::DataLoss("engine/cursor is corrupt");
@@ -706,10 +684,6 @@ MigrationController::GenMigOptions Dsms::GenMigOptionsFor(
 
 namespace {
 
-/// Minimum relative cost improvement that justifies a ReoptimizeNow()
-/// migration.
-constexpr double kMigrateThreshold = 0.2;
-
 /// Cheapest rewrite of `plan` other than `plan` itself, costed with the
 /// query's observed-rate overlay. Returns null when no rewrite exists.
 LogicalPtr BestCandidate(const LogicalPtr& plan, const StatsCatalog& stats,
@@ -731,40 +705,36 @@ LogicalPtr BestCandidate(const LogicalPtr& plan, const StatsCatalog& stats,
 
 }  // namespace
 
+Dsms::CostCheck Dsms::CostAgainstBest(const Query& query,
+                                      const StatsCatalog& base) const {
+  // Calibrated catalog + observed-rate overlay: with no observations yet
+  // (calibration loop off, or nothing folded) this degrades to the plain
+  // estimate-driven comparison.
+  const StatsCatalog stats = query.calibrator.Calibrated(base);
+  CostCheck check;
+  check.running = EstimatePlan(*query.plan, stats, &query.calibrator).cost;
+  check.best =
+      BestCandidate(query.plan, stats, &query.calibrator, &check.best_cost);
+  if (check.best != nullptr) {
+    check.ratio = check.running / std::max(check.best_cost, 1e-12);
+  }
+  return check;
+}
+
 int Dsms::ReoptimizeNow() {
   const StatsCatalog base = CurrentStats();
   int started = 0;
   for (auto& query : queries_) {
     if (query->parallel) continue;  // Migrates via ScheduleMigration().
     if (query->controller->migration_in_progress()) continue;
-    // Calibrated catalog + observed-rate overlay: with no observations yet
-    // (calibration loop off, or nothing folded) this degrades to the plain
-    // estimate-driven decision the static heuristic used to make.
-    const StatsCatalog stats = query->calibrator.Calibrated(base);
-    const double running =
-        EstimatePlan(*query->plan, stats, &query->calibrator).cost;
-    double best_cost = 0.0;
-    const LogicalPtr best =
-        BestCandidate(query->plan, stats, &query->calibrator, &best_cost);
-    if (best == nullptr ||
-        best_cost >= running * (1.0 - kMigrateThreshold)) {
+    const CostCheck check = CostAgainstBest(*query, base);
+    if (check.best == nullptr || check.ratio < 1.0 + options_.cost_margin) {
       continue;
     }
-    StartGenMigTo(query.get(), best);
+    StartGenMigTo(query.get(), check.best);
     ++started;
   }
   return started;
-}
-
-void Dsms::MaybeAutoReoptimize() {
-  const Timestamp now = exec_.current_time();
-  if (last_reopt_check_ == Timestamp::MinInstant()) {
-    last_reopt_check_ = now;
-    return;
-  }
-  if (now.t - last_reopt_check_.t < options_.reoptimize_period) return;
-  last_reopt_check_ = now;
-  ReoptimizeNow();
 }
 
 void Dsms::MaybeCalibrate() {
@@ -820,55 +790,67 @@ Dsms::RuntimeStats Dsms::Stats() const {
 void Dsms::CalibrateAndArm(Timestamp now) {
   const StatsCatalog base = CurrentStats();
   for (size_t qi = 0; qi < queries_.size(); ++qi) {
-    auto& query = queries_[qi];
-    if (query->cost_policy == nullptr) continue;
-    Query* q = query.get();
-    if (q->controller->migration_in_progress()) {
+    Query* q = queries_[qi].get();
+    if (q->parallel) continue;
+    MigrationController& controller = *q->controller;
+    if (controller.migration_in_progress()) {
       // Two boxes are live and their counters overlap; skip the observation
       // pass and let the staleness window age the previous one out.
       q->calibrator.AdvanceTime(now);
     } else {
-      q->calibrator.ObservePlanBox(*q->stripped, q->controller->active_box(),
-                                   now);
+      q->calibrator.ObservePlanBox(*q->stripped, controller.active_box(), now);
     }
     ++q->auto_status.calibrations;
     q->auto_status.last_calibration = now;
 
-    const StatsCatalog stats = q->calibrator.Calibrated(base);
-    const double running =
-        EstimatePlan(*q->plan, stats, &q->calibrator).cost;
-    double best_cost = 0.0;
-    const LogicalPtr best =
-        BestCandidate(q->plan, stats, &q->calibrator, &best_cost);
-    double ratio = 0.0;
-    if (best != nullptr) {
-      ratio = running / std::max(best_cost, 1e-12);
-    }
+    const CostCheck check = CostAgainstBest(*q, base);
     const double previous = q->auto_status.last_ratio;
-    q->auto_status.last_ratio = ratio;
-    if (ratio > 1.0 && previous <= 1.0) q->auto_status.last_crossover = now;
-    // Arm the candidate; the trigger policy decides (margin, hysteresis,
-    // cool-down) whether the controller actually fires on it.
-    q->pending_candidate = ratio > 1.0 ? best : nullptr;
-    q->cost_policy->UpdateSignal(ratio, now);
-    // Journal the evaluation. The actual firing happens later, on the
-    // controller's element path (ShouldFire) — it appends its own record
-    // with fired=1 — so this one captures the decision inputs.
+    q->auto_status.last_ratio = check.ratio;
+    if (check.ratio > 1.0 && previous <= 1.0) {
+      q->auto_status.last_crossover = now;
+    }
+    q->cost_policy.UpdateSignal(check.ratio);
+    const std::string subject = "q" + std::to_string(qi);
+    // Journal the evaluation's inputs; a firing appends its own record.
     obs::JournalEvent ev;
     ev.kind = obs::JournalEvent::Kind::kTriggerEval;
     ev.app_time = now;
-    ev.subject = "q" + std::to_string(qi);
+    ev.subject = subject;
     ev.strs.emplace_back("policy", "cost_ratio");
-    ev.nums.emplace_back("running_cost", running);
-    ev.nums.emplace_back("candidate_cost", best_cost);
-    ev.nums.emplace_back("ratio", ratio);
+    ev.nums.emplace_back("running_cost", check.running);
+    ev.nums.emplace_back("candidate_cost", check.best_cost);
+    ev.nums.emplace_back("ratio", check.ratio);
     ev.nums.emplace_back("margin", options_.cost_margin);
     ev.nums.emplace_back("hysteresis", options_.cost_hysteresis);
-    ev.nums.emplace_back("armed", q->cost_policy->armed() ? 1.0 : 0.0);
-    ev.nums.emplace_back("candidate_pending",
-                         q->pending_candidate != nullptr ? 1.0 : 0.0);
+    ev.nums.emplace_back("armed", q->cost_policy.armed() ? 1.0 : 0.0);
     ev.nums.emplace_back("fired", 0.0);
     journal_.Append(std::move(ev));
+
+    // The decision: one plan hosted, a live stream left to migrate for, and
+    // the policy's margin, latch and cool-down all agree.
+    if (check.best == nullptr || controller.migration_in_progress() ||
+        controller.all_inputs_eos() ||
+        !q->cost_policy.ShouldFire(now, controller.last_completion())) {
+      continue;
+    }
+    StartGenMigTo(q, check.best);
+    q->auto_status.last_armed = now;
+    ++q->auto_status.fires;
+    obs::JournalEvent fired;
+    fired.kind = obs::JournalEvent::Kind::kTriggerEval;
+    fired.app_time = now;
+    fired.subject = subject;
+    fired.strs.emplace_back("policy", "cost_ratio");
+    fired.nums.emplace_back("ratio", check.ratio);
+    fired.nums.emplace_back("armed", 1.0);
+    fired.nums.emplace_back("fired", 1.0);
+    // T_split is fixed once every input showed a start timestamp, which is
+    // usually at once; otherwise the migration trace records it later.
+    if (controller.phase() == MigrationController::Phase::kParallel) {
+      fired.nums.emplace_back("t_split",
+                              static_cast<double>(controller.t_split().t));
+    }
+    journal_.Append(std::move(fired));
   }
 }
 

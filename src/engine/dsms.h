@@ -44,17 +44,17 @@ class Dsms {
   struct Options {
     /// Horizon of the per-query statistics taps (application time).
     Duration stats_horizon = 5000;
-    /// Application-time period of the automatic re-optimization check
-    /// (0 disables it; ReoptimizeNow() stays available).
-    Duration reoptimize_period = 0;
     /// Application-time period of the cost-feedback auto-migration loop
-    /// (DESIGN.md "calibrate -> cost -> trigger"): every period the engine
-    /// folds observed per-operator metrics into each query's CostCalibrator,
-    /// re-costs the running plan (observed rates) against rule-enumerated
-    /// candidates (calibrated estimates) and feeds the cost ratio into the
-    /// query's CostRatioPolicy trigger. 0 disables the loop.
+    /// (DESIGN.md "calibrate -> cost -> trigger"), the engine's only
+    /// automatic migration trigger: every period the engine folds observed
+    /// per-operator metrics into each query's CostCalibrator, re-costs the
+    /// running plan (observed rates) against rule-enumerated candidates
+    /// (calibrated estimates), feeds the cost ratio into the query's
+    /// CostRatioPolicy and, when the policy fires, starts the migration in
+    /// the same pass. 0 disables the loop (ReoptimizeNow() stays available).
     Duration calibration_period = 0;
-    /// Cost-ratio trigger fires when running/candidate >= 1 + cost_margin.
+    /// Both ReoptimizeNow() and the calibration loop migrate only when the
+    /// running plan costs at least 1 + cost_margin times the best candidate.
     double cost_margin = 0.25;
     /// The trigger re-arms only after the ratio drops back to
     /// 1 + cost_margin - cost_hysteresis (oscillation guard).
@@ -194,7 +194,8 @@ class Dsms {
   /// Schedules a GenMig of a *parallel* query to `new_plan` when routing
   /// reaches application time `at` (one T_split broadcast to every shard;
   /// the new plan must partition identically). Call before RunToCompletion.
-  /// Single-threaded queries migrate via ReoptimizeNow()/auto-triggers.
+  /// Single-threaded queries migrate via ReoptimizeNow() or the calibration
+  /// loop.
   Status ScheduleMigration(QueryId id, LogicalPtr new_plan, Timestamp at);
 
   // --- Durable state (ISSUE 10) ----------------------------------------------
@@ -326,9 +327,11 @@ class Dsms {
 
   // --- Dynamic query optimization ---------------------------------------------
 
-  /// Re-costs every idle query under the current statistics and starts a
-  /// GenMig migration where a rewrite beats the running plan by the
-  /// configured threshold. Returns the number of migrations started.
+  /// Re-costs every idle single-threaded query under the current (calibrated)
+  /// statistics and starts a GenMig migration where the running plan costs
+  /// at least 1 + Options::cost_margin times the best rewrite — the same
+  /// comparison the calibration loop makes, without its hysteresis latch and
+  /// cool-down. Returns the number of migrations started.
   int ReoptimizeNow();
 
  private:
@@ -347,8 +350,7 @@ class Dsms {
     CollectorSink sink{"sink"};
     // Cost-feedback auto-migration loop (calibration_period > 0 only).
     CostCalibrator calibrator;
-    std::shared_ptr<CostRatioPolicy> cost_policy;  // Null when loop is off.
-    LogicalPtr pending_candidate;  // Migration target armed by the loop.
+    CostRatioPolicy cost_policy;
     AutoReoptStatus auto_status;
     // Sharded execution (Options::shards > 1 and a partitionable plan):
     // the coordinator replaces the controller/tap wiring above, and results
@@ -369,14 +371,25 @@ class Dsms {
   Result<QueryId> Install(LogicalPtr plan);
   StatsTap* SharedTap(const std::string& stream,
                       const logical::LeafWindowSpec& spec);
-  void MaybeAutoReoptimize();
   /// Throttled entry of the calibrate -> cost -> trigger loop (after_step).
   void MaybeCalibrate();
   /// Throttled timeline sampling (after_step; timeline_period > 0 only).
   void MaybeSampleTimeline();
-  /// One calibration pass over every auto-managed query: observe the hosted
-  /// box, re-cost running vs. candidates, update the trigger signal.
+  /// One calibration pass over every single-threaded query: observe the
+  /// hosted box, re-cost running vs. candidates, update the policy signal
+  /// and, when the policy fires, start the migration.
   void CalibrateAndArm(Timestamp now);
+  /// The one migrate-or-not comparison: the running plan's cost against the
+  /// cheapest rule-enumerated rewrite, both under the query's calibrated
+  /// statistics (`base` overlaid with its observations).
+  struct CostCheck {
+    double running = 0.0;
+    LogicalPtr best;  // Null when no rewrite exists.
+    double best_cost = 0.0;
+    double ratio = 0.0;  // running / best_cost; 0 without a rewrite.
+  };
+  CostCheck CostAgainstBest(const Query& query,
+                            const StatsCatalog& base) const;
   /// Compiles `candidate` and starts a GenMig migration of `query` to it.
   void StartGenMigTo(Query* query, const LogicalPtr& candidate);
   /// GenMig options derived from the query's leaf windows.
@@ -409,7 +422,6 @@ class Dsms {
   std::map<std::pair<std::string, logical::LeafWindowSpec>, SharedSubplan>
       shared_;
   std::vector<std::unique_ptr<Query>> queries_;
-  Timestamp last_reopt_check_ = Timestamp::MinInstant();
   Timestamp last_calibration_ = Timestamp::MinInstant();
   Timestamp last_timeline_sample_ = Timestamp::MinInstant();
   obs::MetricsRegistry registry_;

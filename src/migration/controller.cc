@@ -54,42 +54,6 @@ Timestamp MigrationController::TraceTime() const {
   return t;
 }
 
-void MigrationController::SetTriggerPolicy(
-    std::shared_ptr<TriggerPolicy> policy,
-    std::function<void(MigrationController&)> on_fire) {
-  trigger_policy_ = std::move(policy);
-  trigger_fire_ = std::move(on_fire);
-}
-
-void MigrationController::SetCostTrigger(
-    size_t state_bytes_threshold,
-    std::function<void(MigrationController&)> on_exceeded) {
-  SetTriggerPolicy(std::make_shared<StateBytesPolicy>(state_bytes_threshold),
-                   std::move(on_exceeded));
-}
-
-void MigrationController::CheckTriggerPolicy() {
-  if (trigger_policy_ == nullptr || !trigger_fire_) return;
-  if (phase_ != Phase::kDirect || in_trigger_fire_) return;
-  // Once every input ended there is no live stream left to migrate for.
-  if (all_inputs_eos()) return;
-  if (!trigger_policy_->ShouldFire(*this, TraceTime())) return;
-  // Policies latch their disarm state before returning true, but guard the
-  // callback anyway: it may start a migration, which re-enters Maintain().
-  // Invoke through a copy — the callback is allowed to re-arm (replace
-  // trigger_fire_) while it is executing.
-  const std::function<void(MigrationController&)> fire = trigger_fire_;
-  in_trigger_fire_ = true;
-  fire(*this);
-  in_trigger_fire_ = false;
-}
-
-void MigrationController::NotifyMigrationCompleted() {
-  if (trigger_policy_ != nullptr) {
-    trigger_policy_->OnMigrationCompleted(TraceTime());
-  }
-}
-
 void MigrationController::InstallDirect(Box* box) {
   CallbackOp* terminal = MakeCallback("terminal");
   MakeTerminal(terminal);
@@ -178,11 +142,6 @@ void MigrationController::Maintain() {
       if (phase_ == Phase::kParallel) MaintainParallelTrack();
       break;
   }
-  // Evaluated after the phase machinery so that a trigger armed during a
-  // migration is seen in the very Maintain() that completes it — previously
-  // a re-armed trigger was silently inert when the migration finished on the
-  // stream's final progress update.
-  CheckTriggerPolicy();
 }
 
 // --- GenMig --------------------------------------------------------------------
@@ -386,7 +345,7 @@ void MigrationController::FinishGenMig() {
   ++migrations_completed_;
   Trace(obs::MigrationEvent::kCompleted);
   trace_id_ = -1;
-  NotifyMigrationCompleted();
+  last_completion_ = TraceTime();
 }
 
 // --- Checkpointing (ISSUE 10) --------------------------------------------------
@@ -582,7 +541,7 @@ void MigrationController::FinishParallelTrack() {
   ++migrations_completed_;
   Trace(obs::MigrationEvent::kCompleted);
   trace_id_ = -1;
-  NotifyMigrationCompleted();
+  last_completion_ = TraceTime();
 }
 
 // --- Moving States ----------------------------------------------------------------
@@ -637,7 +596,7 @@ void MigrationController::StartMovingStates(Box new_box,
   ++migrations_completed_;
   Trace(obs::MigrationEvent::kCompleted);
   trace_id_ = -1;
-  NotifyMigrationCompleted();
+  last_completion_ = TraceTime();
 }
 
 // --- Introspection -------------------------------------------------------------------

@@ -39,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "migration/trigger_policy.h"
 #include "obs/trace.h"
 #include "ops/coalesce.h"
 #include "ops/refpoint_merge.h"
@@ -105,6 +104,9 @@ class MigrationController : public Operator {
   Timestamp t_split() const { return t_split_; }
   /// Number of completed migrations.
   int migrations_completed() const { return migrations_completed_; }
+  /// Application time at which the last migration (any strategy) completed;
+  /// MinInstant before the first. The engine's cool-down counts from it.
+  Timestamp last_completion() const { return last_completion_; }
   /// PT: number of old-box results dropped because they were all-new.
   size_t pt_dropped() const { return pt_dropped_; }
   /// PT: current size of the new-box output buffer.
@@ -124,8 +126,9 @@ class MigrationController : public Operator {
 
   /// Attaches the controller, the hosted box(es) and all migration machinery
   /// (splits, merges, callbacks — including those created by future
-  /// migrations) to `registry`. This is the read path a cost-based migration
-  /// policy consumes; see SetCostTrigger for the write path.
+  /// migrations) to `registry`. The engine's calibration pass
+  /// (Dsms::CalibrateAndArm) reads these counters to decide a migration and
+  /// starts it through StartGenMig; the controller itself never decides.
   void AttachMetricsRecursive(obs::MetricsRegistry* registry);
 
   /// Records every migration phase transition into `tracer` (null disables).
@@ -133,30 +136,6 @@ class MigrationController : public Operator {
   /// Chrome-trace display lane for this controller's migrations (0 = engine;
   /// the parallel shard runtimes pass 1 + shard id).
   void SetTraceLane(int lane) { trace_lane_ = lane; }
-
-  /// Installs a pluggable migration trigger. The policy is evaluated at the
-  /// end of every Maintain() while no migration is in progress and at least
-  /// one input is still live; when it fires, `on_fire` runs and may start a
-  /// migration directly. Completed migrations are reported to the policy
-  /// (cool-down bookkeeping) — and because the evaluation happens *after*
-  /// the phase machinery, a policy re-armed during a migration fires in the
-  /// very Maintain() that completes it, even when that is the stream's last.
-  /// Replaces any previously installed policy; a null policy clears the
-  /// trigger.
-  void SetTriggerPolicy(std::shared_ptr<TriggerPolicy> policy,
-                        std::function<void(MigrationController&)> on_fire);
-
-  /// The installed trigger policy (nullptr when none).
-  TriggerPolicy* trigger_policy() const { return trigger_policy_.get(); }
-
-  /// Threshold-based migration trigger hook: once the hosted plan's state
-  /// exceeds `state_bytes_threshold` while no migration is in progress,
-  /// `on_exceeded` fires (exactly once per arming; re-arm by calling again —
-  /// also valid from inside the callback or mid-migration, in which case the
-  /// new arming fires after the migration completes). Implemented as
-  /// SetTriggerPolicy with a StateBytesPolicy.
-  void SetCostTrigger(size_t state_bytes_threshold,
-                      std::function<void(MigrationController&)> on_exceeded);
 
   // --- Checkpointing (ISSUE 10) --------------------------------------------
 
@@ -252,9 +231,6 @@ class MigrationController : public Operator {
   /// Application time stamped onto trace records: the minimum live input
   /// watermark, falling back to the output bound once every input ended.
   Timestamp TraceTime() const;
-  void CheckTriggerPolicy();
-  /// Reports a completed migration to the installed trigger policy.
-  void NotifyMigrationCompleted();
   /// Moves every machinery operator and the given box to the retired list
   /// (kept alive until destruction; cheap, states already empty or moot).
   void RetireMachinery();
@@ -280,6 +256,7 @@ class MigrationController : public Operator {
   Phase phase_ = Phase::kDirect;
   StrategyKind strategy_ = StrategyKind::kNone;
   int migrations_completed_ = 0;
+  Timestamp last_completion_ = Timestamp::MinInstant();
 
   // GenMig.
   GenMigOptions genmig_options_;
@@ -311,10 +288,6 @@ class MigrationController : public Operator {
   int trace_lane_ = 0;
   /// Tracer id of the in-flight migration, -1 outside one.
   int trace_id_ = -1;
-  std::shared_ptr<TriggerPolicy> trigger_policy_;
-  std::function<void(MigrationController&)> trigger_fire_;
-  /// Guards against the fire callback re-entering the trigger evaluation.
-  bool in_trigger_fire_ = false;
 
   // Operator plumbing created per phase; retired pieces are kept alive.
   std::vector<std::unique_ptr<Operator>> machinery_;

@@ -1,72 +1,24 @@
 #include "migration/trigger_policy.h"
 
-#include "migration/controller.h"
-
 namespace genmig {
 
-bool StateBytesPolicy::ShouldFire(const MigrationController& controller,
-                                  Timestamp now) {
-  (void)now;
-  if (!armed_) return false;
-  if ((checks_++ & 15) != 0) return false;
-  if (controller.StateBytes() < threshold_) return false;
-  armed_ = false;  // One-shot per arming.
-  ++fires_;
-  return true;
-}
-
-void CostRatioPolicy::UpdateSignal(double ratio, Timestamp now) {
-  (void)now;
+void CostRatioPolicy::UpdateSignal(double ratio) {
   ratio_ = ratio;
-  have_signal_ = true;
   if (!armed_ && ratio <= rearm_threshold()) armed_ = true;
 }
 
-bool CostRatioPolicy::InCooldown(Timestamp now) const {
-  if (options_.cooldown <= 0) return false;
-  if (last_completed_ == Timestamp::MinInstant()) return false;
-  return now.t - last_completed_.t < options_.cooldown;
-}
-
-bool CostRatioPolicy::ShouldFire(const MigrationController& controller,
-                                 Timestamp now) {
-  (void)controller;
-  if (!armed_ || !have_signal_) return false;
-  if (ratio_ < fire_threshold()) return false;
+bool CostRatioPolicy::ShouldFire(Timestamp now, Timestamp last_completed) {
+  if (!armed_ || ratio_ < fire_threshold()) return false;
   // The cool-down does not consume the arming: a *sustained* improvement
   // still migrates once the window elapses, while a transient spike has
   // been re-costed (and typically retracted) by then.
-  if (InCooldown(now)) return false;
-  armed_ = false;        // Hysteresis latch: re-armed by UpdateSignal only.
-  have_signal_ = false;  // Each signal fires at most once.
-  ++fires_;
-  return true;
-}
-
-void CostRatioPolicy::OnMigrationCompleted(Timestamp now) {
-  last_completed_ = now;
-  // The pending ratio was computed for the plan that just got replaced; it
-  // says nothing about the new plan.
-  have_signal_ = false;
-}
-
-bool PeriodicPolicy::ShouldFire(const MigrationController& controller,
-                                Timestamp now) {
-  (void)controller;
-  if (!anchored_) {
-    anchor_ = now;
-    anchored_ = true;
+  if (options_.cooldown > 0 && last_completed != Timestamp::MinInstant() &&
+      now.t - last_completed.t < options_.cooldown) {
     return false;
   }
-  if (now.t - anchor_.t < period_) return false;
-  anchor_ = now;
+  armed_ = false;  // Hysteresis latch: re-armed by UpdateSignal only.
   ++fires_;
   return true;
-}
-
-void PeriodicPolicy::OnMigrationCompleted(Timestamp now) {
-  anchor_ = now;
-  anchored_ = true;
 }
 
 }  // namespace genmig

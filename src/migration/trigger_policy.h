@@ -1,21 +1,15 @@
-// TriggerPolicy: pluggable migration triggers for the MigrationController.
+// CostRatioPolicy: the migrate-or-not rule of the engine's cost-feedback
+// loop (DESIGN.md Sec. 8).
 //
-// PR 1's SetCostTrigger hard-wired one trigger shape (a one-shot state-bytes
-// threshold). This generalizes it: a policy object is installed via
-// MigrationController::SetTriggerPolicy and evaluated at the end of every
-// Maintain() while the controller hosts a single plan; when it fires, the
-// caller-supplied callback runs (typically starting a migration). Three
-// policies cover the re-optimization literature's trigger families:
+// Dsms::CalibrateAndArm costs the running plan against the best candidate
+// once per calibration period, feeds the ratio running / candidate into
+// UpdateSignal, and — while the query hosts a single plan — starts a GenMig
+// migration in the same pass when ShouldFire says so. The policy knows
+// neither the engine nor the controller: it is a latch over the ratio series
+// plus a cool-down clock.
 //
-//  * StateBytesPolicy   — resource pressure (the legacy SetCostTrigger).
-//  * CostRatioPolicy    — cost-feedback: fires when the calibrated cost of
-//                         the running plan exceeds the best candidate's by a
-//                         margin. Hysteresis + a post-migration cool-down
-//                         make A->B->A oscillation impossible (see below).
-//  * PeriodicPolicy     — unconditional periodic re-optimization.
-//
-// Oscillation argument for CostRatioPolicy. Let m = margin, h = hysteresis
-// (0 < h <= m), c = cooldown.
+// Oscillation argument. Let m = margin, h = hysteresis (0 < h <= m), c =
+// cooldown.
 //  1. Cool-down bound: ShouldFire returns false within c application-time
 //     units of the last completed migration, so completions are at least c
 //     apart — at most one migration per cool-down window, mechanically.
@@ -24,79 +18,19 @@
 //     fire threshold 1 + m (measurement noise smaller than h) can therefore
 //     never fire twice: the second firing requires a genuine dip through the
 //     full hysteresis band followed by a genuine climb back over the margin.
-//  3. Signal invalidation: completing a migration clears the pending signal,
-//     so a ratio computed for the *old* plan can never trigger a migration
-//     of the new plan — the trigger waits for the next calibration pass.
+//  3. Fresh signal: every decision uses the ratio computed in the same
+//     calibration pass, and the first pass after a completed migration
+//     already costs the new plan — a ratio computed for the *old* plan can
+//     never trigger a migration of the new plan.
 
 #ifndef GENMIG_MIGRATION_TRIGGER_POLICY_H_
 #define GENMIG_MIGRATION_TRIGGER_POLICY_H_
-
-#include <cstddef>
-#include <cstdint>
 
 #include "time/timestamp.h"
 
 namespace genmig {
 
-class MigrationController;
-
-class TriggerPolicy {
- public:
-  virtual ~TriggerPolicy() = default;
-
-  /// True => the controller invokes the on-fire callback. Called only while
-  /// no migration is in progress and inputs are still live; `now` is the
-  /// controller's application-time watermark. Implementations latch their
-  /// own disarm state before returning true, so one decision fires at most
-  /// once.
-  virtual bool ShouldFire(const MigrationController& controller,
-                          Timestamp now) = 0;
-
-  /// Invoked by the controller when a migration completes (any strategy),
-  /// including migrations this policy did not start. Cool-down bookkeeping
-  /// lives here.
-  virtual void OnMigrationCompleted(Timestamp now) { (void)now; }
-
-  virtual const char* name() const = 0;
-};
-
-/// One-shot state-bytes threshold — the generalized form of the original
-/// SetCostTrigger hook. Fires once per arming when the controller's hosted
-/// state exceeds the threshold; re-arm with Arm() (or by installing again).
-class StateBytesPolicy : public TriggerPolicy {
- public:
-  explicit StateBytesPolicy(size_t state_bytes_threshold)
-      : threshold_(state_bytes_threshold) {}
-
-  /// Re-arms (also replaces the threshold). Safe to call from the fire
-  /// callback or while a migration is in progress: the policy then fires
-  /// again after the migration completes — re-arming is never silently lost.
-  void Arm(size_t state_bytes_threshold) {
-    threshold_ = state_bytes_threshold;
-    armed_ = true;
-  }
-
-  bool armed() const { return armed_; }
-  size_t threshold() const { return threshold_; }
-  int fires() const { return fires_; }
-
-  bool ShouldFire(const MigrationController& controller,
-                  Timestamp now) override;
-  const char* name() const override { return "state-bytes"; }
-
- private:
-  size_t threshold_;
-  bool armed_ = true;
-  int fires_ = 0;
-  /// StateBytes() is linear in state size; probe it on every 16th call only.
-  uint64_t checks_ = 0;
-};
-
-/// Cost-feedback trigger. The engine's calibration loop feeds the latest
-/// calibrated cost ratio (running plan cost / best candidate cost) via
-/// UpdateSignal; the policy fires when the ratio clears 1 + margin, then
-/// stays disarmed until the ratio falls back to 1 + margin - hysteresis.
-class CostRatioPolicy : public TriggerPolicy {
+class CostRatioPolicy {
  public:
   struct Options {
     /// Fire when running/candidate >= 1 + margin.
@@ -108,55 +42,29 @@ class CostRatioPolicy : public TriggerPolicy {
     Duration cooldown = 0;
   };
 
+  CostRatioPolicy() : CostRatioPolicy(Options{}) {}
   explicit CostRatioPolicy(Options options) : options_(options) {}
 
-  /// Feeds the newest calibrated cost ratio. Each update is consumed by at
-  /// most one firing.
-  void UpdateSignal(double ratio, Timestamp now);
+  /// Feeds the newest calibrated cost ratio; re-arms the latch once the
+  /// ratio dips to rearm_threshold().
+  void UpdateSignal(double ratio);
 
-  double ratio() const { return ratio_; }
+  /// True => migrate now. `now` is the deciding pass's application time,
+  /// `last_completed` that of the last completed migration (MinInstant when
+  /// none). Firing latches the policy disarmed; a cool-down block does not.
+  bool ShouldFire(Timestamp now, Timestamp last_completed);
+
   bool armed() const { return armed_; }
   int fires() const { return fires_; }
   double fire_threshold() const { return 1.0 + options_.margin; }
   double rearm_threshold() const {
     return 1.0 + options_.margin - options_.hysteresis;
   }
-  const Options& options() const { return options_; }
-
-  bool ShouldFire(const MigrationController& controller,
-                  Timestamp now) override;
-  void OnMigrationCompleted(Timestamp now) override;
-  const char* name() const override { return "cost-ratio"; }
 
  private:
-  bool InCooldown(Timestamp now) const;
-
   Options options_;
   double ratio_ = 0.0;
-  bool have_signal_ = false;
   bool armed_ = true;
-  int fires_ = 0;
-  Timestamp last_completed_ = Timestamp::MinInstant();
-};
-
-/// Unconditional periodic re-optimization: fires every `period` of
-/// application time (measured from the first evaluation, re-anchored on
-/// every firing and on migration completion).
-class PeriodicPolicy : public TriggerPolicy {
- public:
-  explicit PeriodicPolicy(Duration period) : period_(period) {}
-
-  int fires() const { return fires_; }
-
-  bool ShouldFire(const MigrationController& controller,
-                  Timestamp now) override;
-  void OnMigrationCompleted(Timestamp now) override;
-  const char* name() const override { return "periodic"; }
-
- private:
-  Duration period_;
-  Timestamp anchor_ = Timestamp::MinInstant();
-  bool anchored_ = false;
   int fires_ = 0;
 };
 

@@ -107,6 +107,77 @@ TEST(AutoReoptTest, ArmsWithinOneCalibrationPeriodOfCrossover) {
   EXPECT_GT(dsms.Results(id.value()).size(), 0u);
 }
 
+TEST(AutoReoptTest, EveryFireIsACalibrationPassDecision) {
+  // bench/auto_trigger's 4-way skewed chain with a hair-trigger margin: one
+  // migration early on, a second due right after the flip at 20000. The
+  // cool-down ends between two passes that both see the ratio over the
+  // margin, so the second fire is held back by one pass.
+  constexpr int64_t kFlip = 20000;
+  constexpr int64_t kEnd = 40000;
+  constexpr Duration kCooldown = 18500;
+  Dsms::Options options;
+  options.stats_horizon = 2000;
+  options.calibration_period = 1000;
+  options.cost_margin = 0.05;
+  options.cost_hysteresis = 0.025;
+  options.migration_cooldown = kCooldown;
+  Dsms dsms(options);
+  dsms.RegisterStream("A", Schema::OfInts({"x"}),
+                      PiecewiseRate(kEnd, 40, 4, kFlip, 200, 71));
+  dsms.RegisterStream("B", Schema::OfInts({"x"}),
+                      PiecewiseRate(kEnd, 40, 4, kFlip, 200, 72));
+  dsms.RegisterStream("C", Schema::OfInts({"x"}),
+                      PiecewiseRate(kEnd, 4, 40, kFlip, 200, 73));
+  dsms.RegisterStream("D", Schema::OfInts({"x"}),
+                      PiecewiseRate(kEnd, 4, 40, kFlip, 200, 74));
+  auto id = dsms.InstallQuery(
+      "SELECT A.x, B.x, C.x, D.x FROM A [RANGE 2000], B [RANGE 2000], "
+      "C [RANGE 2000], D [RANGE 2000] "
+      "WHERE A.x = B.x AND B.x = C.x AND C.x = D.x");
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  dsms.RunToCompletion();
+
+  std::vector<int64_t> passes;
+  std::vector<int64_t> fires;
+  std::vector<std::pair<int64_t, double>> armed_ratios;
+  for (const obs::JournalEvent& ev :
+       dsms.journal().SnapshotKind(obs::JournalEvent::Kind::kTriggerEval)) {
+    if (ev.Num("fired") == 1.0) {
+      fires.push_back(ev.app_time.t);
+    } else {
+      passes.push_back(ev.app_time.t);
+      if (ev.Num("armed") == 1.0) {
+        armed_ratios.emplace_back(ev.app_time.t, ev.Num("ratio"));
+      }
+    }
+  }
+  // One count three ways: journal, status, and the migrations the tracer
+  // saw (the loop started every migration of this run).
+  const Dsms::AutoReoptStatus& status = dsms.AutoStatus(id.value());
+  ASSERT_EQ(fires.size(), 2u);
+  EXPECT_EQ(static_cast<int>(fires.size()), status.fires);
+  EXPECT_EQ(static_cast<int>(fires.size()), dsms.tracer().migration_count());
+  EXPECT_EQ(status.last_armed.t, fires.back());
+  // Each fire carries the app time of the pass that decided it.
+  for (const int64_t fire : fires) {
+    EXPECT_NE(std::find(passes.begin(), passes.end(), fire), passes.end())
+        << "fire at " << fire << " is not a calibration pass";
+  }
+  // The second fire was due inside the cool-down (an armed pass over the
+  // margin) and lands at the first pass after the cool-down ends.
+  const std::vector<int64_t> completions = CompletionTimes(dsms.tracer());
+  ASSERT_GE(completions.size(), 1u);
+  const int64_t cooldown_end = completions[0] + kCooldown;
+  bool held_back = false;
+  for (const auto& [t, ratio] : armed_ratios) {
+    held_back |= t > completions[0] && t < cooldown_end &&
+                 ratio >= 1.0 + options.cost_margin;
+  }
+  EXPECT_TRUE(held_back);
+  EXPECT_GE(fires[1], cooldown_end);
+  EXPECT_LE(fires[1], cooldown_end + options.calibration_period);
+}
+
 TEST(AutoReoptTest, AutoMigratedOutputIsSnapshotEquivalent) {
   // Small variant of the skewed-rate workload so the O(n^2) snapshot
   // checker stays cheap: the auto-migrated run must produce output

@@ -120,10 +120,34 @@ TEST(DsmsTest, ReoptimizeNowMigratesAfterDrift) {
   EXPECT_GT(dsms.Results(id.value()).size(), 0u);
 }
 
+TEST(DsmsTest, ReoptimizeNowHonoursCostMargin) {
+  // ReoptimizeNowMigratesAfterDrift's workload: after the drift the best
+  // rewrite is cheaper, but not 11x cheaper, so a margin of 10 keeps the
+  // running plan.
+  Dsms::Options options;
+  options.stats_horizon = 2000;
+  options.cost_margin = 10;
+  Dsms dsms(options);
+  const int64_t kDrift = 10000;
+  dsms.RegisterStream("A", Schema::OfInts({"x"}),
+                      Drifting(4000, 10, 500, 20, kDrift, 11));
+  dsms.RegisterStream("B", Schema::OfInts({"x"}),
+                      Drifting(4000, 10, 500, 20, kDrift, 12));
+  dsms.RegisterStream("C", Schema::OfInts({"x"}),
+                      Drifting(4000, 10, 500, 500, kDrift, 13));
+  auto id = dsms.InstallQuery(
+      "SELECT A.x, B.x, C.x FROM A [RANGE 2000], B [RANGE 2000], "
+      "C [RANGE 2000] WHERE A.x = B.x AND B.x = C.x");
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  dsms.RunUntil(Timestamp(kDrift + 4000));
+  EXPECT_EQ(dsms.ReoptimizeNow(), 0);
+  EXPECT_FALSE(dsms.Info(id.value()).migration_in_progress);
+}
+
 TEST(DsmsTest, AutoReoptimizationTriggersByItself) {
   Dsms::Options options;
   options.stats_horizon = 2000;
-  options.reoptimize_period = 1000;
+  options.calibration_period = 1000;
   Dsms dsms(options);
   const int64_t kDrift = 10000;
   dsms.RegisterStream("A", Schema::OfInts({"x"}),

@@ -1,7 +1,8 @@
 // Randomized snapshot-equivalence harness: seeded random join/dedup/window
-// plans, random migration points (state-bytes and periodic auto-triggers),
-// random executor scheduling — every run's output must be snapshot-
-// equivalent to the src/ref no-migration oracle (Definition 2).
+// plans, random migration points (state-bytes and periodic auto-triggers
+// polled after every executor step), random executor scheduling — every
+// run's output must be snapshot-equivalent to the src/ref no-migration
+// oracle (Definition 2).
 //
 // The default seed set is fixed (CI-deterministic); set GENMIG_FUZZ_ITERS to
 // run more iterations locally, e.g. GENMIG_FUZZ_ITERS=500. Failures print
@@ -26,7 +27,6 @@
 
 #include "../migration/migration_test_util.h"
 #include "migration/controller.h"
-#include "migration/trigger_policy.h"
 #include "par/coordinator.h"
 #include "plan/compile.h"
 #include "plan/executor.h"
@@ -175,6 +175,37 @@ bool HasFusedOperator(const Box& box) {
   return false;
 }
 
+/// The automatic migration trigger of the single-threaded modes. Armed at
+/// the random trigger time with the new box, it is polled then and after
+/// every executor step; while the controller hosts one plan and a stream is
+/// still live, it starts the migration once the hosted state reaches
+/// `state_threshold` bytes (state-bytes mode) or `period` units of the
+/// executor's application time passed since arming (periodic mode). It
+/// fires once.
+struct AutoTrigger {
+  bool use_state_bytes = false;
+  size_t state_threshold = 0;
+  Duration period = 0;
+  MigrationController::GenMigOptions options;
+  std::unique_ptr<Box> box;  // Null until armed and after firing.
+  Timestamp anchor = Timestamp::MinInstant();
+
+  void Poll(MigrationController& controller, Timestamp now) {
+    if (anchor == Timestamp::MinInstant()) anchor = now;
+    if (box == nullptr || controller.migration_in_progress() ||
+        controller.all_inputs_eos()) {
+      return;
+    }
+    if (use_state_bytes) {
+      if (controller.StateBytes() < state_threshold) return;
+    } else if (now.t - anchor.t < period) {
+      return;
+    }
+    controller.StartGenMig(std::move(*box), options);
+    box.reset();
+  }
+};
+
 /// Runs one seeded case end to end and checks the output against the
 /// no-migration oracle. Returns the number of completed migrations.
 /// `batch_size` > 1 drives the identical case through the vectorized
@@ -188,12 +219,13 @@ int RunOneSeed(uint64_t seed, size_t batch_size = 0, bool chain_tail = false) {
   // Random migration point and auto-trigger flavor.
   const int64_t trigger_time =
       static_cast<int64_t>(rng() % static_cast<uint64_t>(c.span / 2 + 1));
-  const bool use_state_bytes = rng() % 2 == 0;
-  const size_t state_threshold = 1 + rng() % 4096;
-  const Duration period =
+  AutoTrigger auto_trigger;
+  auto_trigger.use_state_bytes = rng() % 2 == 0;
+  auto_trigger.state_threshold = 1 + rng() % 4096;
+  auto_trigger.period =
       c.span / 4 + static_cast<Duration>(rng() % (c.span / 4 + 1));
   const bool dedup = c.old_plan->kind == LogicalNode::Kind::kDedup;
-  MigrationController::GenMigOptions options;
+  MigrationController::GenMigOptions& options = auto_trigger.options;
   options.variant =
       !dedup && rng() % 3 == 0
           ? MigrationController::GenMigOptions::Variant::kRefPoint
@@ -219,28 +251,21 @@ int RunOneSeed(uint64_t seed, size_t batch_size = 0, bool chain_tail = false) {
   LogicalPtr new_plan = c.new_plan;
   if (chain_tail) AddChainTail(rng, &old_plan, &new_plan);
 
-  int fired = 0;
   auto result = testutil::RunLogicalMigration(
       old_plan, new_plan, c.inputs, Timestamp(trigger_time),
-      [&](MigrationController& controller, Box new_box) {
+      [&](MigrationController&, Box new_box) {
         EXPECT_EQ(HasFusedOperator(new_box), chain_tail) << "seed=" << seed;
-        auto box = std::make_shared<Box>(std::move(new_box));
+        auto_trigger.box = std::make_unique<Box>(std::move(new_box));
         // The new box's ports follow the new plan's (shuffled) leaf order;
         // the controller's ports follow the old plan's. Map by name, as the
         // engine does.
-        box->ReorderInputs(logical::CollectSourceNames(*c.old_plan));
-        auto fire = [&fired, box, options](MigrationController& ctrl) {
-          if (fired++ > 0) return;  // PeriodicPolicy keeps firing; one move.
-          ctrl.StartGenMig(std::move(*box), options);
-        };
-        if (use_state_bytes) {
-          controller.SetCostTrigger(state_threshold, fire);
-        } else {
-          controller.SetTriggerPolicy(std::make_shared<PeriodicPolicy>(period),
-                                      fire);
-        }
+        auto_trigger.box->ReorderInputs(
+            logical::CollectSourceNames(*c.old_plan));
       },
-      exec_options, relax);
+      exec_options, relax, {},
+      [&](MigrationController& controller, Timestamp now) {
+        auto_trigger.Poll(controller, now);
+      });
 
   const Status eq = ref::CheckPlanOutput(*old_plan, c.inputs, result.output);
   EXPECT_TRUE(eq.ok()) << "seed=" << seed << ": " << eq.ToString();
@@ -355,12 +380,13 @@ int RunOneDisorderSeed(uint64_t seed, size_t batch_size = 0,
 
   const int64_t trigger_time =
       static_cast<int64_t>(rng() % static_cast<uint64_t>(c.span / 2 + 1));
-  const bool use_state_bytes = rng() % 2 == 0;
-  const size_t state_threshold = 1 + rng() % 4096;
-  const Duration period =
+  AutoTrigger auto_trigger;
+  auto_trigger.use_state_bytes = rng() % 2 == 0;
+  auto_trigger.state_threshold = 1 + rng() % 4096;
+  auto_trigger.period =
       c.span / 4 + static_cast<Duration>(rng() % (c.span / 4 + 1));
   const bool dedup = c.old_plan->kind == LogicalNode::Kind::kDedup;
-  MigrationController::GenMigOptions options;
+  MigrationController::GenMigOptions& options = auto_trigger.options;
   options.variant =
       !dedup && rng() % 3 == 0
           ? MigrationController::GenMigOptions::Variant::kRefPoint
@@ -382,25 +408,18 @@ int RunOneDisorderSeed(uint64_t seed, size_t batch_size = 0,
   LogicalPtr new_plan = c.new_plan;
   if (chain_tail) AddChainTail(rng, &old_plan, &new_plan);
 
-  int fired = 0;
   auto result = testutil::RunLogicalMigration(
       old_plan, new_plan, d.arrivals, Timestamp(trigger_time),
-      [&](MigrationController& controller, Box new_box) {
+      [&](MigrationController&, Box new_box) {
         EXPECT_EQ(HasFusedOperator(new_box), chain_tail) << "seed=" << seed;
-        auto box = std::make_shared<Box>(std::move(new_box));
-        box->ReorderInputs(logical::CollectSourceNames(*c.old_plan));
-        auto fire = [&fired, box, options](MigrationController& ctrl) {
-          if (fired++ > 0) return;
-          ctrl.StartGenMig(std::move(*box), options);
-        };
-        if (use_state_bytes) {
-          controller.SetCostTrigger(state_threshold, fire);
-        } else {
-          controller.SetTriggerPolicy(std::make_shared<PeriodicPolicy>(period),
-                                      fire);
-        }
+        auto_trigger.box = std::make_unique<Box>(std::move(new_box));
+        auto_trigger.box->ReorderInputs(
+            logical::CollectSourceNames(*c.old_plan));
       },
-      exec_options, relax, d.options);
+      exec_options, relax, d.options,
+      [&](MigrationController& controller, Timestamp now) {
+        auto_trigger.Poll(controller, now);
+      });
 
   // The oracle sees the ORDERED inputs: with a lossless delta, the engine's
   // view after reordering must be exactly the ordered stream.

@@ -244,12 +244,12 @@ TupleBatch Slice(const MaterializedStream& s, int64_t from, int64_t to) {
 }
 
 TEST(GenMigTest, TSplitSeesThePostBatchWatermark) {
-  // A batch spanning more than w time units reaches the box, and the
-  // trigger it trips starts a migration. T_split must lie above every
-  // instant the old box now references, i.e. above the batch's last start
-  // + w: the controller picks it from the watermark *after* the batch.
-  // Choosing it inside the controller's batch handler, from the pre-batch
-  // watermark, gives a T_split the old box has already passed.
+  // A batch spanning more than w time units reaches the box, and a
+  // migration starts right after it. T_split must lie above every instant
+  // the old box now references, i.e. above the batch's last start + w: the
+  // controller picks it from the watermark *after* the batch. Choosing it
+  // from the pre-batch watermark gives a T_split the old box has already
+  // passed.
   auto old_plan = EquiJoin(WindowedSource("S0"), WindowedSource("S1"), 0, 0);
   auto new_plan =
       Join(WindowedSource("S0"), WindowedSource("S1"),
@@ -276,16 +276,11 @@ TEST(GenMigTest, TSplitSeesThePostBatchWatermark) {
   src0.InjectBatch(b);
   b = Slice(s1, 0, 10);
   src1.InjectBatch(b);
-  // Armed now; the next batch grows the old box's state past the threshold.
-  controller.SetCostTrigger(controller.StateBytes() + 1,
-                            [&](MigrationController& c) {
-                              c.StartGenMig(
-                                  CompilePlan(*logical::StripWindows(new_plan)),
-                                  CoalesceOpts());
-                            });
   constexpr int64_t kLastStart = 159;
   b = Slice(s0, 10, kLastStart + 1);  // Spans 149 > w time units.
   src0.InjectBatch(b);
+  controller.StartGenMig(CompilePlan(*logical::StripWindows(new_plan)),
+                         CoalesceOpts());
   ASSERT_TRUE(controller.migration_in_progress());
   EXPECT_GT(controller.t_split().t, kLastStart + kWindow);
 

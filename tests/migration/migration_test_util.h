@@ -55,7 +55,10 @@ struct MigrationRunResult {
 /// application time `trigger_time`, `trigger` is invoked with the controller
 /// (start a migration there). Streams named in `disorder` are treated as
 /// *arrival*-ordered (their entry in `inputs` is the arrival sequence) and
-/// fed through a DisorderBuffer with the given options.
+/// fed through a DisorderBuffer with the given options. `poll`, when set,
+/// runs with the controller and the executor's application time right after
+/// `trigger` and after every later executor step (a test-side automatic
+/// migration trigger).
 inline MigrationRunResult RunMigrationScenario(
     Box old_box, const std::vector<std::string>& source_names,
     const std::vector<Duration>& leaf_windows, const ref::InputMap& inputs,
@@ -63,7 +66,9 @@ inline MigrationRunResult RunMigrationScenario(
     const std::function<void(MigrationController&)>& trigger,
     Executor::Options exec_options = Executor::Options(),
     bool relax_sink = false,
-    const std::map<std::string, DisorderBuffer::Options>& disorder = {}) {
+    const std::map<std::string, DisorderBuffer::Options>& disorder = {},
+    const std::function<void(MigrationController&, Timestamp)>& poll =
+        nullptr) {
   MigrationController controller("ctrl", std::move(old_box));
   CollectorSink sink("sink");
   if (relax_sink) sink.SetRelaxedInputOrdering(0);
@@ -86,7 +91,9 @@ inline MigrationRunResult RunMigrationScenario(
 
   MigrationRunResult result;
   bool was_migrating = false;
+  bool triggered = false;
   exec.after_step = [&]() {
+    if (triggered && poll) poll(controller, exec.current_time());
     const bool migrating = controller.migration_in_progress();
     if (was_migrating && !migrating &&
         result.finish_time == Timestamp::MaxInstant()) {
@@ -97,6 +104,8 @@ inline MigrationRunResult RunMigrationScenario(
 
   exec.RunUntil(trigger_time);
   trigger(controller);
+  triggered = true;
+  if (poll) poll(controller, exec.current_time());
   was_migrating = controller.migration_in_progress();
   if (!was_migrating) result.finish_time = exec.current_time();
   exec.RunToCompletion();
@@ -116,7 +125,9 @@ inline MigrationRunResult RunLogicalMigration(
     const std::function<void(MigrationController&, Box)>& trigger,
     Executor::Options exec_options = Executor::Options(),
     bool relax_sink = false,
-    const std::map<std::string, DisorderBuffer::Options>& disorder = {}) {
+    const std::map<std::string, DisorderBuffer::Options>& disorder = {},
+    const std::function<void(MigrationController&, Timestamp)>& poll =
+        nullptr) {
   const LogicalPtr old_box_plan = logical::StripWindows(old_plan);
   const LogicalPtr new_box_plan = logical::StripWindows(new_plan);
   return RunMigrationScenario(
@@ -126,7 +137,7 @@ inline MigrationRunResult RunLogicalMigration(
       [&](MigrationController& c) {
         trigger(c, CompilePlan(*new_box_plan));
       },
-      exec_options, relax_sink, disorder);
+      exec_options, relax_sink, disorder, poll);
 }
 
 }  // namespace testutil

@@ -1,204 +1,107 @@
-// Unit tests for the pluggable migration trigger policies, plus controller
-// regressions for the policy hook: a re-armed trigger must never be silently
-// inert, and arming twice replaces (not stacks) the previous trigger.
+// Unit tests for CostRatioPolicy, the engine's migrate-or-not rule: the
+// margin/hysteresis latch, the cool-down, and the oscillation bounds the
+// header comment argues, against a naive threshold rule that thrashes.
 
 #include "migration/trigger_policy.h"
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <cstdint>
 #include <vector>
-
-#include "migration/controller.h"
-#include "migration_test_util.h"
-#include "plan/compile.h"
-#include "plan/logical.h"
-#include "ref/checker.h"
-#include "ref/eval.h"
 
 namespace genmig {
 namespace {
 
-using testutil::MakeKeyedInputs;
-using testutil::RunLogicalMigration;
-
-constexpr Duration kWindow = 100;
-
-LogicalPtr JoinPlan() {
-  return logical::EquiJoin(
-      logical::Window(logical::SourceNode("S0", Schema::OfInts({"x"})),
-                      kWindow),
-      logical::Window(logical::SourceNode("S1", Schema::OfInts({"x"})),
-                      kWindow),
-      0, 0);
-}
-
-/// A box for a controller that merely idles; the policies under test only
-/// consult StateBytes() (zero for a single relay) and the passed timestamps.
-Box IdleBox() {
-  return CompilePlan(*logical::SourceNode("S0", Schema::OfInts({"x"})));
-}
-
-int CountFires(TriggerPolicy& policy, MigrationController& controller, int n,
-               int64_t t0 = 0) {
-  int fires = 0;
-  for (int i = 0; i < n; ++i) {
-    if (policy.ShouldFire(controller, Timestamp(t0 + i))) ++fires;
-  }
-  return fires;
-}
-
-// --- StateBytesPolicy --------------------------------------------------------
-
-TEST(StateBytesPolicyTest, OneShotPerArming) {
-  MigrationController controller("ctrl", IdleBox());
-  StateBytesPolicy policy(0);  // 0 >= 0: every probe is over threshold.
-  EXPECT_EQ(CountFires(policy, controller, 64), 1);
-  EXPECT_FALSE(policy.armed());
-  policy.Arm(0);
-  EXPECT_EQ(CountFires(policy, controller, 64), 1);
-  EXPECT_EQ(policy.fires(), 2);
-}
-
-TEST(StateBytesPolicyTest, StaysArmedBelowThreshold) {
-  MigrationController controller("ctrl", IdleBox());
-  StateBytesPolicy policy(1u << 30);
-  EXPECT_EQ(CountFires(policy, controller, 64), 0);
-  EXPECT_TRUE(policy.armed());
-}
-
-// --- PeriodicPolicy ----------------------------------------------------------
-
-TEST(PeriodicPolicyTest, FiresEveryPeriodFromFirstEvaluation) {
-  MigrationController controller("ctrl", IdleBox());
-  PeriodicPolicy policy(100);
-  EXPECT_FALSE(policy.ShouldFire(controller, Timestamp(0)));  // Anchors.
-  EXPECT_FALSE(policy.ShouldFire(controller, Timestamp(50)));
-  EXPECT_TRUE(policy.ShouldFire(controller, Timestamp(100)));
-  EXPECT_FALSE(policy.ShouldFire(controller, Timestamp(150)));
-  EXPECT_TRUE(policy.ShouldFire(controller, Timestamp(200)));
-  // A completed migration re-anchors the period.
-  policy.OnMigrationCompleted(Timestamp(250));
-  EXPECT_FALSE(policy.ShouldFire(controller, Timestamp(300)));
-  EXPECT_TRUE(policy.ShouldFire(controller, Timestamp(350)));
-}
+constexpr Timestamp kNever = Timestamp::MinInstant();
 
 // --- CostRatioPolicy ---------------------------------------------------------
 
 TEST(CostRatioPolicyTest, FiresOnMarginAndLatchesUntilHysteresisDip) {
-  MigrationController controller("ctrl", IdleBox());
   CostRatioPolicy::Options opt;
   opt.margin = 0.25;      // Fire at ratio >= 1.25.
   opt.hysteresis = 0.1;   // Re-arm at ratio <= 1.15.
   opt.cooldown = 0;
   CostRatioPolicy policy(opt);
 
-  EXPECT_FALSE(policy.ShouldFire(controller, Timestamp(0)));  // No signal.
-  policy.UpdateSignal(1.2, Timestamp(10));
-  EXPECT_FALSE(policy.ShouldFire(controller, Timestamp(10)));  // Below margin.
-  policy.UpdateSignal(1.3, Timestamp(20));
-  EXPECT_TRUE(policy.ShouldFire(controller, Timestamp(20)));
+  EXPECT_FALSE(policy.ShouldFire(Timestamp(0), kNever));  // No signal.
+  policy.UpdateSignal(1.2);
+  EXPECT_FALSE(policy.ShouldFire(Timestamp(10), kNever));  // Below margin.
+  policy.UpdateSignal(1.3);
+  EXPECT_TRUE(policy.ShouldFire(Timestamp(20), kNever));
   EXPECT_FALSE(policy.armed());
   // Hovering above the re-arm threshold can never fire again.
-  policy.UpdateSignal(1.4, Timestamp(30));
-  EXPECT_FALSE(policy.ShouldFire(controller, Timestamp(30)));
-  policy.UpdateSignal(1.2, Timestamp(40));  // 1.2 > 1.15: still latched.
-  EXPECT_FALSE(policy.ShouldFire(controller, Timestamp(40)));
+  policy.UpdateSignal(1.4);
+  EXPECT_FALSE(policy.ShouldFire(Timestamp(30), kNever));
+  policy.UpdateSignal(1.2);  // 1.2 > 1.15: still latched.
+  EXPECT_FALSE(policy.ShouldFire(Timestamp(40), kNever));
   // A genuine dip through the hysteresis band re-arms...
-  policy.UpdateSignal(1.1, Timestamp(50));
+  policy.UpdateSignal(1.1);
   EXPECT_TRUE(policy.armed());
-  EXPECT_FALSE(policy.ShouldFire(controller, Timestamp(50)));  // 1.1 < 1.25.
+  EXPECT_FALSE(policy.ShouldFire(Timestamp(50), kNever));  // 1.1 < 1.25.
   // ...and a genuine climb back over the margin fires again.
-  policy.UpdateSignal(1.5, Timestamp(60));
-  EXPECT_TRUE(policy.ShouldFire(controller, Timestamp(60)));
+  policy.UpdateSignal(1.5);
+  EXPECT_TRUE(policy.ShouldFire(Timestamp(60), kNever));
   EXPECT_EQ(policy.fires(), 2);
 }
 
 TEST(CostRatioPolicyTest, CooldownBlocksWithoutConsumingTheArming) {
-  MigrationController controller("ctrl", IdleBox());
   CostRatioPolicy::Options opt;
   opt.margin = 0.25;
   opt.hysteresis = 0.1;
   opt.cooldown = 100;
   CostRatioPolicy policy(opt);
 
-  policy.UpdateSignal(1.5, Timestamp(10));
-  EXPECT_TRUE(policy.ShouldFire(controller, Timestamp(10)));
-  policy.OnMigrationCompleted(Timestamp(20));
+  policy.UpdateSignal(1.5);
+  EXPECT_TRUE(policy.ShouldFire(Timestamp(10), kNever));
+  const Timestamp completed(20);
   // Dip (re-arm), then a new over-margin signal inside the cool-down.
-  policy.UpdateSignal(1.0, Timestamp(30));
-  policy.UpdateSignal(1.6, Timestamp(40));
-  EXPECT_FALSE(policy.ShouldFire(controller, Timestamp(40)));
+  policy.UpdateSignal(1.0);
+  policy.UpdateSignal(1.6);
+  EXPECT_FALSE(policy.ShouldFire(Timestamp(40), completed));
   EXPECT_TRUE(policy.armed());  // Not consumed by the blocked attempt.
   // A sustained improvement still migrates once the window elapses.
-  EXPECT_TRUE(policy.ShouldFire(controller, Timestamp(120)));
+  EXPECT_TRUE(policy.ShouldFire(Timestamp(120), completed));
 }
 
-TEST(CostRatioPolicyTest, CompletionInvalidatesThePendingSignal) {
-  MigrationController controller("ctrl", IdleBox());
-  CostRatioPolicy::Options opt;
-  opt.margin = 0.25;
-  opt.hysteresis = 0.25;  // Re-arms as soon as the ratio leaves the margin.
-  opt.cooldown = 0;
-  CostRatioPolicy policy(opt);
+// --- Oscillation (regression for A->B->A thrash) -----------------------------
 
-  policy.UpdateSignal(1.5, Timestamp(10));
-  EXPECT_TRUE(policy.ShouldFire(controller, Timestamp(10)));  // Migrating.
-  policy.UpdateSignal(1.0, Timestamp(12));  // Dip re-arms mid-migration.
-  policy.UpdateSignal(1.5, Timestamp(14));  // Computed for the OLD plan.
-  policy.OnMigrationCompleted(Timestamp(15));
-  // Armed — but the pending ratio described the plan that just got
-  // replaced; completion invalidated it, so nothing fires until the next
-  // calibration pass supplies a signal for the new plan.
-  EXPECT_TRUE(policy.armed());
-  EXPECT_FALSE(policy.ShouldFire(controller, Timestamp(20)));
-  policy.UpdateSignal(1.5, Timestamp(30));  // Fresh signal for the new plan.
-  EXPECT_TRUE(policy.ShouldFire(controller, Timestamp(30)));
-}
-
-// --- Oscillation (satellite: regression for A->B->A thrash) ------------------
-
-/// The naive trigger an engine without hysteresis would use: fire whenever
-/// the latest ratio clears the threshold. Test-only; exists to demonstrate
-/// the thrash the shipped CostRatioPolicy provably avoids.
-class NaiveRatioPolicy : public TriggerPolicy {
- public:
-  explicit NaiveRatioPolicy(double threshold) : threshold_(threshold) {}
-  void UpdateSignal(double ratio) { ratio_ = ratio; }
-  bool ShouldFire(const MigrationController&, Timestamp) override {
-    return ratio_ >= threshold_;
-  }
-  const char* name() const override { return "naive-ratio"; }
-
- private:
-  double threshold_;
-  double ratio_ = 0.0;
-};
-
-/// Drives `update`/`should_fire` with `ratio_at(t)` on a fixed tick grid,
-/// treating every firing as an instantly completed migration (the worst case
-/// for oscillation). Returns the fire times.
-template <typename Policy, typename RatioFn, typename UpdateFn>
-std::vector<int64_t> SimulateFires(Policy& policy, MigrationController& c,
-                                   const RatioFn& ratio_at,
-                                   const UpdateFn& update, int64_t horizon,
+/// Feeds `ratio_at(t)` to `decide(ratio, t, last_completed)` on a fixed tick
+/// grid, treating every firing as an instantly completed migration (the
+/// worst case for oscillation). Returns the fire times.
+template <typename RatioFn, typename DecideFn>
+std::vector<int64_t> SimulateFires(const RatioFn& ratio_at,
+                                   const DecideFn& decide, int64_t horizon,
                                    int64_t tick) {
   std::vector<int64_t> fires;
+  Timestamp last_completed = kNever;
   for (int64_t t = 0; t <= horizon; t += tick) {
-    update(policy, ratio_at(t), Timestamp(t));
-    if (policy.ShouldFire(c, Timestamp(t))) {
+    if (decide(ratio_at(t), Timestamp(t), last_completed)) {
       fires.push_back(t);
-      policy.OnMigrationCompleted(Timestamp(t));
+      last_completed = Timestamp(t);
     }
   }
   return fires;
 }
 
+/// The shipped rule as a SimulateFires decision.
+auto Guarded(CostRatioPolicy& policy) {
+  return [&policy](double ratio, Timestamp now, Timestamp last_completed) {
+    policy.UpdateSignal(ratio);
+    return policy.ShouldFire(now, last_completed);
+  };
+}
+
+/// The naive rule an engine without hysteresis or cool-down would use: fire
+/// whenever the latest ratio clears 1.25. Exists to demonstrate the thrash
+/// the shipped CostRatioPolicy provably avoids.
+const auto kNaive = [](double ratio, Timestamp, Timestamp) {
+  return ratio >= 1.25;
+};
+
 TEST(OscillationTest, CooldownBoundsFullRatioFlips) {
   // Adversarial signal: the plans genuinely trade places every tick, so the
   // ratio flips between 1.5 and 0.5 — hysteresis alone cannot help (each
   // flip is a genuine dip), the cool-down must bound the migration rate.
-  MigrationController controller("ctrl", IdleBox());
   const auto flip = [](int64_t t) { return (t / 10) % 2 == 1 ? 1.5 : 0.5; };
   constexpr int64_t kHorizon = 1000;
   constexpr Duration kCooldown = 200;
@@ -208,10 +111,8 @@ TEST(OscillationTest, CooldownBoundsFullRatioFlips) {
   opt.hysteresis = 0.1;
   opt.cooldown = kCooldown;
   CostRatioPolicy guarded(opt);
-  const std::vector<int64_t> fires = SimulateFires(
-      guarded, controller, flip,
-      [](CostRatioPolicy& p, double r, Timestamp t) { p.UpdateSignal(r, t); },
-      kHorizon, 10);
+  const std::vector<int64_t> fires =
+      SimulateFires(flip, Guarded(guarded), kHorizon, 10);
   // At most one migration per cool-down window.
   ASSERT_FALSE(fires.empty());
   EXPECT_LE(fires.size(), static_cast<size_t>(kHorizon / kCooldown) + 1);
@@ -219,12 +120,9 @@ TEST(OscillationTest, CooldownBoundsFullRatioFlips) {
     EXPECT_GE(fires[i] - fires[i - 1], kCooldown);
   }
 
-  NaiveRatioPolicy naive(1.25);
-  const std::vector<int64_t> naive_fires = SimulateFires(
-      naive, controller, flip,
-      [](NaiveRatioPolicy& p, double r, Timestamp) { p.UpdateSignal(r); },
-      kHorizon, 10);
-  // The naive policy migrates on every over-threshold tick: thrash.
+  const std::vector<int64_t> naive_fires =
+      SimulateFires(flip, kNaive, kHorizon, 10);
+  // The naive rule migrates on every over-threshold tick: thrash.
   EXPECT_GE(naive_fires.size(), 10 * fires.size());
   ASSERT_GE(naive_fires.size(), 2u);
   EXPECT_LT(naive_fires[1] - naive_fires[0], kCooldown);
@@ -234,89 +132,19 @@ TEST(OscillationTest, HysteresisKillsHoveringSignals) {
   // Measurement noise hovering around the fire threshold (amplitude smaller
   // than the hysteresis band): one migration, then silence — even with the
   // cool-down disabled.
-  MigrationController controller("ctrl", IdleBox());
   const auto hover = [](int64_t t) { return (t / 10) % 2 == 1 ? 1.31 : 1.21; };
   CostRatioPolicy::Options opt;
   opt.margin = 0.25;      // Fire at 1.25.
   opt.hysteresis = 0.1;   // Re-arm at 1.15 — the signal never gets there.
   opt.cooldown = 0;
   CostRatioPolicy guarded(opt);
-  const std::vector<int64_t> fires = SimulateFires(
-      guarded, controller, hover,
-      [](CostRatioPolicy& p, double r, Timestamp t) { p.UpdateSignal(r, t); },
-      1000, 10);
+  const std::vector<int64_t> fires =
+      SimulateFires(hover, Guarded(guarded), 1000, 10);
   EXPECT_EQ(fires.size(), 1u);
 
-  NaiveRatioPolicy naive(1.25);
-  const std::vector<int64_t> naive_fires = SimulateFires(
-      naive, controller, hover,
-      [](NaiveRatioPolicy& p, double r, Timestamp) { p.UpdateSignal(r); },
-      1000, 10);
+  const std::vector<int64_t> naive_fires =
+      SimulateFires(hover, kNaive, 1000, 10);
   EXPECT_GE(naive_fires.size(), 40u);  // Thrashes on every high tick.
-}
-
-// --- Controller-level trigger regressions ------------------------------------
-
-TEST(CostTriggerRegressionTest, DoubleArmReplacesThePreviousTrigger) {
-  const LogicalPtr plan = JoinPlan();
-  auto inputs = MakeKeyedInputs(2, 200, 5, 4, /*seed=*/99);
-  int fired_a = 0;
-  int fired_b = 0;
-  auto result = RunLogicalMigration(
-      plan, plan, inputs, Timestamp(100),
-      [&](MigrationController& c, Box b) {
-        auto box = std::make_shared<Box>(std::move(b));
-        c.SetCostTrigger(1, [&fired_a](MigrationController&) { ++fired_a; });
-        // Arming again replaces the first trigger; it must not stack.
-        c.SetCostTrigger(1, [&fired_b, box](MigrationController& ctrl) {
-          ++fired_b;
-          MigrationController::GenMigOptions o;
-          o.window = kWindow;
-          ctrl.StartGenMig(std::move(*box), o);
-        });
-      });
-  EXPECT_EQ(fired_a, 0);
-  EXPECT_EQ(fired_b, 1);
-  EXPECT_EQ(result.migrations_completed, 1);
-  const Status eq = ref::CheckPlanOutput(*plan, inputs, result.output);
-  EXPECT_TRUE(eq.ok()) << eq.ToString();
-}
-
-TEST(CostTriggerRegressionTest, RearmDuringMigrationFiresAfterCompletion) {
-  // PR 1's trigger was evaluated before the phase machinery ran, so an
-  // arming installed while a migration was in flight could be silently
-  // inert. Re-arming from inside the fire callback (the natural place) must
-  // reliably produce a second migration after the first one completes.
-  const LogicalPtr plan = JoinPlan();
-  auto inputs = MakeKeyedInputs(2, 200, 5, 4, /*seed=*/7);
-  int first = 0;
-  int second = 0;
-  auto result = RunLogicalMigration(
-      plan, plan, inputs, Timestamp(100),
-      [&](MigrationController& c, Box b) {
-        auto box1 = std::make_shared<Box>(std::move(b));
-        auto box2 = std::make_shared<Box>(
-            CompilePlan(*logical::StripWindows(plan)));
-        c.SetCostTrigger(1, [&, box1, box2](MigrationController& ctrl) {
-          ++first;
-          // Re-arm before starting the migration: the controller is about
-          // to spend a long stretch in a non-direct phase.
-          ctrl.SetCostTrigger(1, [&second, box2](MigrationController& c2) {
-            ++second;
-            MigrationController::GenMigOptions o;
-            o.window = kWindow;
-            c2.StartGenMig(std::move(*box2), o);
-          });
-          MigrationController::GenMigOptions o;
-          o.window = kWindow;
-          ctrl.StartGenMig(std::move(*box1), o);
-        });
-      });
-  EXPECT_EQ(first, 1);
-  EXPECT_EQ(second, 1);
-  EXPECT_EQ(result.migrations_completed, 2);
-  const Status eq = ref::CheckPlanOutput(*plan, inputs, result.output);
-  EXPECT_TRUE(eq.ok()) << eq.ToString();
 }
 
 }  // namespace

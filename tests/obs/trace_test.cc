@@ -1,6 +1,6 @@
 // MigrationTracer tests: direct unit coverage plus trace-event ordering
 // across a real GenMig migration (Figure 2-style plan change) and the
-// cost-threshold trigger hook. Tracing is NOT compiled out under
+// Parallel Track baseline. Tracing is NOT compiled out under
 // GENMIG_NO_METRICS — only the per-push counters are — so these tests run in
 // every configuration.
 
@@ -157,34 +157,6 @@ TEST(MigrationTraceIntegrationTest, ParallelTrackSubset) {
     EXPECT_EQ(trace[i].event, expected[i]) << "position " << i;
   }
   EXPECT_EQ(trace[0].detail, "parallel_track");
-}
-
-// --- Cost-threshold trigger hook ----------------------------------------------
-
-TEST(CostTriggerTest, FiresOnceAndCanStartMigration) {
-  auto inputs = MakeKeyedInputs(2, 200, 4, 5, /*seed=*/17);
-  MigrationTracer tracer;
-  int fired = 0;
-  auto result = RunLogicalMigration(
-      Fig2OldPlan(), Fig2NewPlan(), inputs, Timestamp(150),
-      [&](MigrationController& c, Box b) {
-        c.SetTracer(&tracer);
-        // Arm instead of migrating directly: any non-empty state exceeds a
-        // 1-byte threshold, so the trigger fires on an upcoming Maintain()
-        // and starts the migration itself.
-        auto shared_box = std::make_shared<Box>(std::move(b));
-        c.SetCostTrigger(1, [&fired, shared_box](MigrationController& ctrl) {
-          ++fired;
-          MigrationController::GenMigOptions o;
-          o.window = kWindow;
-          ctrl.StartGenMig(std::move(*shared_box), o);
-        });
-      });
-  EXPECT_EQ(fired, 1);  // Disarmed after the first firing.
-  EXPECT_EQ(result.migrations_completed, 1);
-  EXPECT_EQ(tracer.migration_count(), 1);
-  ASSERT_FALSE(tracer.RecordsFor(0).empty());
-  EXPECT_EQ(tracer.RecordsFor(0).back().event, MigrationEvent::kCompleted);
 }
 
 }  // namespace
