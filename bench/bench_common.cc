@@ -23,8 +23,15 @@ ExperimentResult RunJoinExperiment(const Figure45Config& cfg,
   }
   controller.ConnectTo(0, &sink, 0);
 
+  // One journal holds the migration phases and the timeline samples; it
+  // retains every sample of the run (one per bucket).
+  const int64_t horizon =
+      static_cast<int64_t>(cfg.elements_per_stream) * cfg.period +
+      2 * cfg.window + 2 * bucket;
+  const size_t buckets = static_cast<size_t>(horizon / bucket) + 2;
   obs::MetricsRegistry registry;
-  obs::MigrationTracer tracer;
+  obs::EventJournal journal(obs::EventJournal::Options{buckets + 64, ""});
+  obs::MigrationTracer tracer(&journal);
   controller.AttachMetricsRecursive(&registry);
   controller.SetTracer(&tracer);
   sink.AttachMetrics(&registry);
@@ -46,18 +53,13 @@ ExperimentResult RunJoinExperiment(const Figure45Config& cfg,
   }
 
   ExperimentResult result;
-  const int64_t horizon =
-      static_cast<int64_t>(cfg.elements_per_stream) * cfg.period +
-      2 * cfg.window + 2 * bucket;
-  result.rate_per_bucket.assign(
-      static_cast<size_t>(horizon / bucket) + 2, 0);
+  result.rate_per_bucket.assign(buckets, 0);
   result.bytes_per_bucket.assign(result.rate_per_bucket.size(), 0);
   result.e2e_p99_per_bucket.assign(result.rate_per_bucket.size(), 0.0);
 
   // One timeline sample per bucket: interval latency quantiles, queue
   // depths and rates over time, exported into trace_json below.
-  obs::TimeSeriesRing timeline(result.rate_per_bucket.size() + 2);
-  obs::TimelineSampler sampler(&registry, &timeline);
+  obs::TimelineSampler sampler(&registry, &journal);
   int64_t last_sampled_bucket = -1;
 
   sink.set_on_element([&](const StreamElement&) {
@@ -130,10 +132,9 @@ ExperimentResult RunJoinExperiment(const Figure45Config& cfg,
 
   result.output_count = sink.count();
   result.t_split = controller.t_split();
-  result.metrics_json = obs::ToJson(registry, &tracer);
-  result.trace_json = obs::ToChromeTrace(registry, &tracer, &timeline);
-  for (size_t i = 0; i < timeline.size(); ++i) {
-    const obs::MetricSample& s = timeline.at(i);
+  result.metrics_json = obs::ToJson(registry, &journal);
+  result.trace_json = obs::ToChromeTrace(registry, &journal);
+  for (const obs::MetricSample& s : obs::Samples(journal)) {
     if (s.sink_count == 0) continue;
     const size_t b =
         static_cast<size_t>(std::max<int64_t>(s.app_time.t, 0) / bucket);

@@ -87,7 +87,8 @@ RowResult RunOne(int64_t delay, bool adaptive, uint64_t seed) {
   controller.ConnectTo(0, &sink, 0);
 
   obs::MetricsRegistry registry;
-  obs::MigrationTracer tracer;
+  obs::EventJournal journal;  // Migration phases and timeline samples.
+  obs::MigrationTracer tracer(&journal);
   controller.AttachMetricsRecursive(&registry);
   controller.SetTracer(&tracer);
   sink.AttachMetrics(&registry);
@@ -123,8 +124,7 @@ RowResult RunOne(int64_t delay, bool adaptive, uint64_t seed) {
     windows.back()->AttachMetrics(&registry);
   }
 
-  obs::TimeSeriesRing timeline(128);
-  obs::TimelineSampler sampler(&registry, &timeline);
+  obs::TimelineSampler sampler(&registry, &journal);
   int64_t last_bucket = -1;
   int64_t migration_end = -1;
   bool was_migrating = false;
@@ -164,7 +164,7 @@ RowResult RunOne(int64_t delay, bool adaptive, uint64_t seed) {
     r.oracle_ok =
         ref::CheckPlanOutput(*old_plan, ordered, sink.collected()).ok();
   }
-  r.trace_json = obs::ToChromeTrace(registry, &tracer, &timeline);
+  r.trace_json = obs::ToChromeTrace(registry, &journal);
   return r;
 }
 

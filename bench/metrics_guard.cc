@@ -7,7 +7,7 @@
 // The attached run carries the full instrumentation path: counter updates,
 // push-latency sampling, sampled ingress stamping at the sources plus
 // sink-side end-to-end recording, and periodic TimelineSampler snapshots
-// into a TimeSeriesRing (one per ~1024 injected elements, far denser than
+// into an event journal (one per ~1024 injected elements, far denser than
 // any real deployment). Detached operators still pay the compiled-in
 // `metrics_ == nullptr` check, so this measures the full per-element
 // instrumentation cost on top of the dormant hook; the dormant hook itself
@@ -91,7 +91,7 @@ struct Workload {
 };
 
 /// One pass over the operator mix; `registry` null means detached. When
-/// attached, `sampler` snapshots the registry into a ring every 1024
+/// attached, `sampler` snapshots the registry into a journal every 1024
 /// injections so the guard also prices the timeline-sampling path.
 size_t RunOnce(const Workload& w, obs::MetricsRegistry* registry,
                obs::TimelineSampler* sampler) {
@@ -176,8 +176,8 @@ size_t RunOnce(const Workload& w, obs::MetricsRegistry* registry,
                                obs::MetricsRegistry* registry, int reps,
                                size_t* checksum) {
   int64_t best = std::numeric_limits<int64_t>::max();
-  obs::TimeSeriesRing ring(64);
-  obs::TimelineSampler sampler(registry, &ring);
+  obs::EventJournal samples(obs::EventJournal::Options{64, ""});
+  obs::TimelineSampler sampler(registry, &samples);
   for (int r = 0; r < reps; ++r) {
     if (registry != nullptr) registry->Reset();
     const auto start = std::chrono::steady_clock::now();

@@ -446,7 +446,8 @@ int main(int argc, char** argv) {
   // rewrite is broadcast to every shard at one coordinated T_split.
   if (shards > 1) {
     obs::MetricsRegistry registry;
-    obs::MigrationTracer tracer;
+    obs::EventJournal journal;
+    obs::MigrationTracer tracer(&journal);
     par::Coordinator::Options options;
     options.shards = shards;
     options.registry = &registry;
@@ -494,12 +495,12 @@ int main(int argc, char** argv) {
     std::fprintf(out, "\n");
 
     if (stats_json) {
-      std::printf("%s\n", obs::ToJson(registry, &tracer).c_str());
+      std::printf("%s\n", obs::ToJson(registry, &journal).c_str());
     } else if (stats) {
       PrintStats(registry, tracer);
     }
     if (trace_out != nullptr) {
-      const std::string trace = obs::ToChromeTrace(registry, &tracer);
+      const std::string trace = obs::ToChromeTrace(registry, &journal);
       if (!obs::WriteFile(trace_out, trace)) {
         std::fprintf(stderr, "failed to write %s\n", trace_out);
         return 1;
@@ -517,10 +518,12 @@ int main(int argc, char** argv) {
   CollectorSink sink("sink");
   controller.ConnectTo(0, &sink, 0);
 
-  // Observability: one registry + tracer for the whole pipeline. The
-  // controller re-attaches migration machinery and new boxes on its own.
+  // Observability: one registry + journal for the whole pipeline; the
+  // tracer writes migration phases into the journal. The controller
+  // re-attaches migration machinery and new boxes on its own.
   obs::MetricsRegistry registry;
-  obs::MigrationTracer tracer;
+  obs::EventJournal journal;
+  obs::MigrationTracer tracer(&journal);
   controller.AttachMetricsRecursive(&registry);
   controller.SetTracer(&tracer);
   sink.AttachMetrics(&registry);
@@ -545,8 +548,7 @@ int main(int argc, char** argv) {
 
   // Timeline: one metric sample per second of application time, feeding the
   // counter tracks of the --trace-out export.
-  obs::TimeSeriesRing timeline(256);
-  obs::TimelineSampler sampler(&registry, &timeline);
+  obs::TimelineSampler sampler(&registry, &journal);
   bool sampled_once = false;
   Timestamp last_sample = Timestamp::MinInstant();
   exec.after_step = [&]() {
@@ -594,13 +596,12 @@ int main(int argc, char** argv) {
   sampler.Sample(exec.current_time(), controller.migration_in_progress());
 
   if (stats_json) {
-    std::printf("%s\n", obs::ToJson(registry, &tracer).c_str());
+    std::printf("%s\n", obs::ToJson(registry, &journal).c_str());
   } else if (stats) {
     PrintStats(registry, tracer);
   }
   if (trace_out != nullptr) {
-    const std::string trace =
-        obs::ToChromeTrace(registry, &tracer, &timeline);
+    const std::string trace = obs::ToChromeTrace(registry, &journal);
     if (!obs::WriteFile(trace_out, trace)) {
       std::fprintf(stderr, "failed to write %s\n", trace_out);
       return 1;

@@ -27,18 +27,6 @@ Dsms::Dsms(Options options)
     options_.calibrator.stale_after = std::max(
         options_.calibrator.stale_after, 4 * options_.calibration_period);
   }
-  if (options_.timeline_period > 0) {
-    timeline_ = obs::TimeSeriesRing(options_.timeline_capacity);
-    if (!options_.timeline_spill_path.empty()) {
-      timeline_spill_ = std::make_unique<obs::TimelineSpillWriter>(
-          options_.timeline_spill_path, options_.timeline_spill_rotate_bytes);
-      timeline_sampler_.set_spill(timeline_spill_.get());
-    }
-  }
-  // The tracer mirrors every migration phase transition into the journal, so
-  // engine-level and shard-local migrations alike leave a complete decision
-  // trail without per-call-site wiring.
-  tracer_.SetJournal(&journal_);
   if (!options_.checkpoint_dir.empty()) {
     ckpt_store_ = std::make_unique<ckpt::Store>(options_.checkpoint_dir);
     // Every begin/commit/abort lands in the journal; the observer may fire
@@ -293,7 +281,6 @@ void Dsms::RunToCompletion() {
     query->coordinator->WaitMigrationsComplete();
   }
   exec_.RunToCompletion();
-  if (timeline_spill_ != nullptr) timeline_spill_->Flush();
   journal_.Flush();
   app_time_t_.store(exec_.current_time().t, std::memory_order_relaxed);
   if (telemetry_ != nullptr) RefreshStatusCache();
@@ -782,7 +769,7 @@ Dsms::RuntimeStats Dsms::Stats() const {
       e2e, stats.sink_latency_count, 0.5);
   stats.sink_p99_ns = obs::LatencyHistogram::QuantileFromCounts(
       e2e, stats.sink_latency_count, 0.99);
-  stats.timeline_samples = timeline_.size();
+  stats.timeline_samples = timeline().size();
   stats.migrations = tracer_.migration_count();
   return stats;
 }
@@ -953,40 +940,6 @@ void Dsms::MaybeRefreshStatus() {
   RefreshStatusCache();
 }
 
-namespace {
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char esc[8];
-          std::snprintf(esc, sizeof(esc), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += esc;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
-
 void Dsms::RefreshStatusCache() {
   std::string out;
   out.reserve(1024);
@@ -1060,7 +1013,7 @@ void Dsms::RefreshStatusCache() {
     first = false;
     const DisorderInfo info = DisorderStats(name);
     out += "{\"name\": ";
-    AppendJsonString(&out, name);
+    obs::AppendJsonString(&out, name);
     std::snprintf(buf, sizeof(buf),
                   ", \"watermark\": %" PRId64 ", \"delta\": %" PRId64
                   ", \"arrived\": %" PRIu64 ", \"dropped_late\": %" PRIu64

@@ -70,20 +70,12 @@ class Dsms {
         MigrationController::GenMigOptions::Variant::kCoalesce;
     /// Application-time period of the metric time-series sampler: every
     /// period the engine snapshots the registry (rates, queue depths, state
-    /// bytes, interval end-to-end latency quantiles) into timeline().
-    /// 0 disables sampling. Every installed query (controller, boxes,
-    /// migration machinery, shared windows/taps, sinks) reports to the
-    /// engine-owned registry; under GENMIG_NO_METRICS the hooks compile out
-    /// and the registry stays empty.
+    /// bytes, interval end-to-end latency quantiles) into one journal event,
+    /// read back by timeline(). 0 disables sampling. Every installed query
+    /// (controller, boxes, migration machinery, shared windows/taps, sinks)
+    /// reports to the engine-owned registry; under GENMIG_NO_METRICS the
+    /// hooks compile out and the registry stays empty.
     Duration timeline_period = 0;
-    /// Ring capacity of timeline() — oldest samples are dropped beyond it.
-    size_t timeline_capacity = 1024;
-    /// Non-empty: every timeline sample is also appended to this CSV file,
-    /// so histories longer than timeline_capacity survive (obs/timeline.h,
-    /// TimelineSpillWriter).
-    std::string timeline_spill_path;
-    /// Rotate the spill file once it exceeds this size (0 = never).
-    size_t timeline_spill_rotate_bytes = 0;
     /// TCP port of the embedded telemetry HTTP server (obs/serve.h), which
     /// exposes /metrics (Prometheus text exposition), /healthz and /status
     /// (JSON engine snapshot) while the engine runs. -1 (default) disables
@@ -93,14 +85,16 @@ class Dsms {
     /// Bind address of the telemetry server. Loopback by default: telemetry
     /// is an operator port, not a public service.
     std::string telemetry_host = "127.0.0.1";
-    /// In-memory ring capacity of the decision journal (obs/journal.h):
-    /// trigger evaluations, migration phase transitions and disorder-delta
-    /// adaptations. The journal always records; the ring
-    /// bounds what Snapshot() retains.
+    /// In-memory ring capacity of the event journal (obs/journal.h), the
+    /// engine's one store of control-rate events: trigger evaluations,
+    /// migration phase transitions, disorder-delta adaptations, checkpoints
+    /// and timeline samples. The journal always records; the ring bounds
+    /// what journal(), tracer() and timeline() retain. Migration counts stay
+    /// exact beyond it.
     size_t journal_capacity = 4096;
     /// Non-empty: every journal event is also appended to this JSONL file
     /// (one self-contained JSON object per line, line buffered), so the
-    /// full decision history outlives the ring.
+    /// full history outlives the ring.
     std::string journal_spill_path;
     /// Worker shards of the parallel executor (src/par). Queries whose plans
     /// are hash-partitionable (par::AnalyzePlan) run as `shards` independent
@@ -270,23 +264,28 @@ class Dsms {
   /// GENMIG_NO_METRICS).
   const obs::MetricsRegistry& metrics() const { return registry_; }
   obs::MetricsRegistry& metrics() { return registry_; }
-  /// Phase-transition trace of every migration performed by this engine.
+  /// Phase-transition trace of every migration performed by this engine: a
+  /// view over the journal's kMigrationPhase events.
   const obs::MigrationTracer& tracer() const { return tracer_; }
-  /// Metric time-series (empty unless Options::timeline_period > 0).
-  const obs::TimeSeriesRing& timeline() const { return timeline_; }
+  /// Metric time-series retained by the journal, oldest first (empty unless
+  /// Options::timeline_period > 0).
+  std::vector<obs::MetricSample> timeline() const {
+    return obs::Samples(journal_);
+  }
   /// Metrics + migration trace as a JSON document (obs/export.h layout).
   std::string ExportMetricsJson() const {
-    return obs::ToJson(registry_, &tracer_);
+    return obs::ToJson(registry_, &journal_);
   }
   /// Chrome-trace / Perfetto JSON: migration phase spans + timeline counter
   /// tracks; load the written file in chrome://tracing or ui.perfetto.dev.
   std::string ExportChromeTraceJson() const {
-    return obs::ToChromeTrace(registry_, &tracer_, &timeline_);
+    return obs::ToChromeTrace(registry_, &journal_);
   }
 
-  /// Decision journal: every trigger evaluation, migration phase transition
-  /// and disorder adaptation, as structured events
-  /// (obs/journal.h). Thread-safe; records regardless of telemetry_port.
+  /// Event journal: every trigger evaluation, migration phase transition,
+  /// disorder adaptation, checkpoint and timeline sample, as structured
+  /// events (obs/journal.h). Thread-safe; records regardless of
+  /// telemetry_port.
   const obs::EventJournal& journal() const { return journal_; }
   obs::EventJournal& journal() { return journal_; }
 
@@ -425,11 +424,9 @@ class Dsms {
   Timestamp last_calibration_ = Timestamp::MinInstant();
   Timestamp last_timeline_sample_ = Timestamp::MinInstant();
   obs::MetricsRegistry registry_;
-  obs::MigrationTracer tracer_;
-  obs::TimeSeriesRing timeline_;
-  obs::TimelineSampler timeline_sampler_{&registry_, &timeline_};
-  std::unique_ptr<obs::TimelineSpillWriter> timeline_spill_;
   obs::EventJournal journal_;
+  obs::MigrationTracer tracer_{&journal_};
+  obs::TimelineSampler timeline_sampler_{&registry_, &journal_};
   std::unique_ptr<ckpt::Store> ckpt_store_;  // Null when checkpointing is off.
   /// key -> (ckpt_version at serialization, serialized bytes): operators
   /// that saw no input since the last checkpoint skip re-serialization, so

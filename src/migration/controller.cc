@@ -45,7 +45,7 @@ void MigrationController::AttachMachineryOp(Operator* op) {
 void MigrationController::Trace(obs::MigrationEvent event,
                                 const std::string& detail) {
   if (tracer_ == nullptr || trace_id_ < 0) return;
-  tracer_->Record(trace_id_, event, TraceTime(), detail);
+  tracer_->Record(trace_id_, event, TraceTime(), detail, trace_lane_);
 }
 
 Timestamp MigrationController::TraceTime() const {

@@ -11,35 +11,6 @@ namespace genmig {
 namespace obs {
 namespace {
 
-void AppendEscaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 /// RFC 4180: quote fields containing separators/quotes/newlines, double
 /// embedded quotes. Everything else passes through verbatim.
 void AppendCsvField(std::string* out, const std::string& s) {
@@ -85,7 +56,7 @@ void AppendHistogram(std::string* out, const LatencyHistogram& h) {
 
 void AppendOperator(std::string* out, const OperatorMetrics& m) {
   *out += "{\"name\": ";
-  AppendEscaped(out, m.name);
+  AppendJsonString(out, m.name);
   *out += ", ";
   AppendKeyU64(out, "elements_in", m.elements_in);
   AppendKeyU64(out, "elements_out", m.elements_out);
@@ -115,9 +86,8 @@ std::string PhaseKey(MigrationEvent from, MigrationEvent to) {
          MigrationEventName(to);
 }
 
-void AppendMigration(std::string* out, const MigrationTracer& tracer,
-                     int id) {
-  const std::vector<TraceRecord> records = tracer.RecordsFor(id);
+void AppendMigration(std::string* out, int id,
+                     const std::vector<TraceRecord>& records) {
   char buf[160];
   std::snprintf(buf, sizeof(buf), "{\"id\": %d, \"events\": [", id);
   *out += buf;
@@ -125,24 +95,24 @@ void AppendMigration(std::string* out, const MigrationTracer& tracer,
     if (i) *out += ", ";
     const TraceRecord& r = records[i];
     *out += "{\"event\": ";
-    AppendEscaped(out, MigrationEventName(r.event));
+    AppendJsonString(out, MigrationEventName(r.event));
     std::snprintf(buf, sizeof(buf),
                   ", \"app_time\": %" PRId64 ", \"wall_ns\": %" PRIu64
                   ", \"detail\": ",
                   r.app_time.t, r.wall_ns);
     *out += buf;
-    AppendEscaped(out, r.detail);
+    AppendJsonString(out, r.detail);
     *out += "}";
   }
   *out += "], \"phase_ns\": {";
   bool first = true;
   for (size_t i = 0; i + 1 < records.size(); ++i) {
-    const int64_t ns = tracer.PhaseNs(id, records[i].event,
-                                      records[i + 1].event);
+    const int64_t ns =
+        PhaseNs(records, records[i].event, records[i + 1].event);
     if (ns < 0) continue;
     if (!first) *out += ", ";
     first = false;
-    AppendEscaped(out, PhaseKey(records[i].event, records[i + 1].event));
+    AppendJsonString(out, PhaseKey(records[i].event, records[i + 1].event));
     std::snprintf(buf, sizeof(buf), ": %" PRId64, ns);
     *out += buf;
   }
@@ -156,10 +126,32 @@ void AppendMigration(std::string* out, const MigrationTracer& tracer,
   *out += "}}";
 }
 
+/// What the exporters read from a journal, decoded from one Snapshot():
+/// phase records grouped by migration id, and the timeline samples.
+struct JournalView {
+  std::map<int, std::vector<TraceRecord>> migrations;
+  std::vector<MetricSample> samples;
+};
+
+JournalView Decode(const EventJournal* journal) {
+  JournalView view;
+  if (journal == nullptr) return view;
+  TraceRecord record;
+  MetricSample sample;
+  for (const JournalEvent& e : journal->Snapshot()) {
+    if (TraceRecordFromEvent(e, &record)) {
+      view.migrations[record.migration_id].push_back(record);
+    } else if (SampleFromEvent(e, &sample)) {
+      view.samples.push_back(std::move(sample));
+    }
+  }
+  return view;
+}
+
 }  // namespace
 
 std::string ToJson(const MetricsRegistry& registry,
-                   const MigrationTracer* tracer) {
+                   const EventJournal* journal) {
   std::string out;
   out.reserve(4096);
   out += "{\n  \"operators\": [";
@@ -176,12 +168,12 @@ std::string ToJson(const MetricsRegistry& registry,
   AppendKeyU64(&out, "state_bytes", registry.TotalStateBytes(),
                /*trailing_comma=*/false);
   out += "},\n  \"migrations\": [";
-  if (tracer != nullptr) {
-    for (int id = 0; id < tracer->migration_count(); ++id) {
-      if (id) out += ",";
-      out += "\n    ";
-      AppendMigration(&out, *tracer, id);
-    }
+  first = true;
+  for (const auto& [id, records] : Decode(journal).migrations) {
+    if (!first) out += ",";
+    first = false;
+    out += "\n    ";
+    AppendMigration(&out, id, records);
   }
   out += "\n  ]\n}\n";
   return out;
@@ -216,8 +208,8 @@ std::string ToCsv(const MetricsRegistry& registry) {
 }
 
 std::string ToChromeTrace(const MetricsRegistry& registry,
-                          const MigrationTracer* tracer,
-                          const TimeSeriesRing* timeline) {
+                          const EventJournal* journal) {
+  const JournalView view = Decode(journal);
   std::string out;
   out.reserve(8192);
   out += "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
@@ -239,82 +231,77 @@ std::string ToChromeTrace(const MetricsRegistry& registry,
   begin_event();
   out += "{\"ph\": \"M\", \"pid\": 1, \"tid\": 1, \"name\": \"thread_name\","
          " \"args\": {\"name\": \"migrations\"}}";
-  if (tracer != nullptr) {
-    std::map<int, bool> lanes_named;
-    for (int id = 0; id < tracer->migration_count(); ++id) {
-      const int lane = tracer->LaneOf(id);
-      if (lane <= 0 || lanes_named[lane]) continue;
-      lanes_named[lane] = true;
-      begin_event();
-      std::snprintf(buf, sizeof(buf),
-                    "{\"ph\": \"M\", \"pid\": 1, \"tid\": %d, \"name\": "
-                    "\"thread_name\", \"args\": {\"name\": \"shard %d "
-                    "migrations\"}}",
-                    1 + lane, lane - 1);
-      out += buf;
-    }
+  std::map<int, bool> lanes_named;
+  for (const auto& [id, records] : view.migrations) {
+    const int lane = records.front().lane;
+    if (lane <= 0 || lanes_named[lane]) continue;
+    lanes_named[lane] = true;
+    begin_event();
+    std::snprintf(buf, sizeof(buf),
+                  "{\"ph\": \"M\", \"pid\": 1, \"tid\": %d, \"name\": "
+                  "\"thread_name\", \"args\": {\"name\": \"shard %d "
+                  "migrations\"}}",
+                  1 + lane, lane - 1);
+    out += buf;
   }
 
-  if (tracer != nullptr) {
-    for (int id = 0; id < tracer->migration_count(); ++id) {
-      const std::vector<TraceRecord> records = tracer->RecordsFor(id);
-      const int tid = 1 + tracer->LaneOf(id);
-      if (records.size() >= 2) {
-        // Enclosing span: whole migration. Complete ("X") events on one tid
-        // nest by containment, so the per-phase children render inside it.
-        begin_event();
-        std::snprintf(buf, sizeof(buf),
-                      "{\"ph\": \"X\", \"pid\": 1, \"tid\": %d, \"cat\": "
-                      "\"migration\", \"name\": ",
-                      tid);
-        out += buf;
-        AppendEscaped(&out, "migration #" + std::to_string(id) + " (" +
-                                records.front().detail + ")");
-        std::snprintf(buf, sizeof(buf),
-                      ", \"ts\": %.3f, \"dur\": %.3f, \"args\": "
-                      "{\"app_start\": %" PRId64 ", \"app_end\": %" PRId64
-                      "}}",
-                      us(records.front().wall_ns),
-                      us(records.back().wall_ns - records.front().wall_ns),
-                      records.front().app_time.t, records.back().app_time.t);
-        out += buf;
-      }
-      // One child span per consecutive event pair (phase).
-      for (size_t i = 0; i + 1 < records.size(); ++i) {
-        const TraceRecord& a = records[i];
-        const TraceRecord& b = records[i + 1];
-        begin_event();
-        std::snprintf(buf, sizeof(buf),
-                      "{\"ph\": \"X\", \"pid\": 1, \"tid\": %d, \"cat\": "
-                      "\"migration-phase\", \"name\": ",
-                      tid);
-        out += buf;
-        AppendEscaped(&out, std::string(MigrationEventName(a.event)) + "→" +
-                                MigrationEventName(b.event));
-        std::snprintf(buf, sizeof(buf), ", \"ts\": %.3f, \"dur\": %.3f",
-                      us(a.wall_ns), us(b.wall_ns - a.wall_ns));
-        out += buf;
-        out += ", \"args\": {\"detail\": ";
-        AppendEscaped(&out, a.detail.empty() ? b.detail : a.detail);
-        out += "}}";
-      }
-      // Plus an instant per record (visible even for 1-record traces).
-      for (const TraceRecord& r : records) {
-        begin_event();
-        std::snprintf(buf, sizeof(buf),
-                      "{\"ph\": \"i\", \"pid\": 1, \"tid\": %d, \"s\": \"t\", "
-                      "\"cat\": \"migration\", \"name\": ",
-                      tid);
-        out += buf;
-        AppendEscaped(&out, MigrationEventName(r.event));
-        std::snprintf(buf, sizeof(buf),
-                      ", \"ts\": %.3f, \"args\": {\"app_time\": %" PRId64
-                      ", \"detail\": ",
-                      us(r.wall_ns), r.app_time.t);
-        out += buf;
-        AppendEscaped(&out, r.detail);
-        out += "}}";
-      }
+  for (const auto& [id, records] : view.migrations) {
+    const int tid = 1 + records.front().lane;
+    if (records.size() >= 2) {
+      // Enclosing span: whole migration. Complete ("X") events on one tid
+      // nest by containment, so the per-phase children render inside it.
+      begin_event();
+      std::snprintf(buf, sizeof(buf),
+                    "{\"ph\": \"X\", \"pid\": 1, \"tid\": %d, \"cat\": "
+                    "\"migration\", \"name\": ",
+                    tid);
+      out += buf;
+      AppendJsonString(&out, "migration #" + std::to_string(id) + " (" +
+                                 records.front().detail + ")");
+      std::snprintf(buf, sizeof(buf),
+                    ", \"ts\": %.3f, \"dur\": %.3f, \"args\": "
+                    "{\"app_start\": %" PRId64 ", \"app_end\": %" PRId64
+                    "}}",
+                    us(records.front().wall_ns),
+                    us(records.back().wall_ns - records.front().wall_ns),
+                    records.front().app_time.t, records.back().app_time.t);
+      out += buf;
+    }
+    // One child span per consecutive event pair (phase).
+    for (size_t i = 0; i + 1 < records.size(); ++i) {
+      const TraceRecord& a = records[i];
+      const TraceRecord& b = records[i + 1];
+      begin_event();
+      std::snprintf(buf, sizeof(buf),
+                    "{\"ph\": \"X\", \"pid\": 1, \"tid\": %d, \"cat\": "
+                    "\"migration-phase\", \"name\": ",
+                    tid);
+      out += buf;
+      AppendJsonString(&out, std::string(MigrationEventName(a.event)) +
+                                 "→" + MigrationEventName(b.event));
+      std::snprintf(buf, sizeof(buf), ", \"ts\": %.3f, \"dur\": %.3f",
+                    us(a.wall_ns), us(b.wall_ns - a.wall_ns));
+      out += buf;
+      out += ", \"args\": {\"detail\": ";
+      AppendJsonString(&out, a.detail.empty() ? b.detail : a.detail);
+      out += "}}";
+    }
+    // Plus an instant per record (visible even for 1-record traces).
+    for (const TraceRecord& r : records) {
+      begin_event();
+      std::snprintf(buf, sizeof(buf),
+                    "{\"ph\": \"i\", \"pid\": 1, \"tid\": %d, \"s\": \"t\", "
+                    "\"cat\": \"migration\", \"name\": ",
+                    tid);
+      out += buf;
+      AppendJsonString(&out, MigrationEventName(r.event));
+      std::snprintf(buf, sizeof(buf),
+                    ", \"ts\": %.3f, \"args\": {\"app_time\": %" PRId64
+                    ", \"detail\": ",
+                    us(r.wall_ns), r.app_time.t);
+      out += buf;
+      AppendJsonString(&out, r.detail);
+      out += "}}";
     }
   }
 
@@ -341,7 +328,7 @@ std::string ToChromeTrace(const MetricsRegistry& registry,
                     "\"thread_name\", \"args\": {\"name\": ",
                     tid);
       out += buf;
-      AppendEscaped(&out, m.name);
+      AppendJsonString(&out, m.name);
       out += "}}";
       // Snapshot then sort: the ring overwrites in place, so slots are not
       // in start order once it wraps.
@@ -359,7 +346,7 @@ std::string ToChromeTrace(const MetricsRegistry& registry,
                       "\"op-push\", \"name\": ",
                       tid);
         out += buf;
-        AppendEscaped(&out, m.name);
+        AppendJsonString(&out, m.name);
         std::snprintf(buf, sizeof(buf), ", \"ts\": %.3f, \"dur\": %.3f}",
                       us(start_ns), us(dur_ns));
         out += buf;
@@ -367,19 +354,19 @@ std::string ToChromeTrace(const MetricsRegistry& registry,
     }
   }
 
-  if (timeline != nullptr) {
+  {
     auto counter = [&](uint64_t wall_ns, const char* name, const char* key,
                        double value) {
       begin_event();
       out += "{\"ph\": \"C\", \"pid\": 1, \"name\": ";
-      AppendEscaped(&out, name);
+      AppendJsonString(&out, name);
       std::snprintf(buf, sizeof(buf), ", \"ts\": %.3f, \"args\": {\"%s\": %.3f}}",
                     us(wall_ns), key, value);
       out += buf;
     };
     const std::deque<OperatorMetrics>& ops = registry.operators();
-    for (size_t i = 0; i < timeline->size(); ++i) {
-      const MetricSample& s = timeline->at(i);
+    for (size_t i = 0; i < view.samples.size(); ++i) {
+      const MetricSample& s = view.samples[i];
       counter(s.wall_ns, "queue_depth", "elements",
               static_cast<double>(s.queue_depth));
       counter(s.wall_ns, "state_bytes", "bytes",
@@ -398,7 +385,7 @@ std::string ToChromeTrace(const MetricsRegistry& registry,
       }
       if (i == 0) continue;
       // Per-operator output rates from consecutive cumulative counts.
-      const MetricSample& prev = timeline->at(i - 1);
+      const MetricSample& prev = view.samples[i - 1];
       const double dt_s =
           static_cast<double>(s.wall_ns - prev.wall_ns) / 1e9;
       if (dt_s <= 0.0) continue;

@@ -1,7 +1,7 @@
-// Exporters: serialize a MetricsRegistry (and optionally a MigrationTracer
-// and a TimeSeriesRing) to JSON, CSV or Chrome-trace JSON. The plain JSON
-// layout is what bench/ writes into BENCH_*.json and what
-// examples/quickstart --stats prints:
+// Exporters: serialize a MetricsRegistry (and optionally the migration
+// phases and timeline samples of an EventJournal) to JSON, CSV or
+// Chrome-trace JSON. The plain JSON layout is what bench/ writes into
+// BENCH_*.json and what examples/quickstart --stats prints:
 //
 // {
 //   "operators": [ { "name": ..., "elements_in": ..., "elements_out": ...,
@@ -26,6 +26,7 @@
 
 #include <string>
 
+#include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
@@ -33,8 +34,10 @@
 namespace genmig {
 namespace obs {
 
+/// "migrations" lists every migration with a phase event retained in
+/// `journal`, by id.
 std::string ToJson(const MetricsRegistry& registry,
-                   const MigrationTracer* tracer = nullptr);
+                   const EventJournal* journal = nullptr);
 
 std::string ToCsv(const MetricsRegistry& registry);
 
@@ -44,14 +47,13 @@ std::string ToCsv(const MetricsRegistry& registry);
 ///     consecutive MigrationEvent pair (requested→split_installed→...),
 ///     with T_split / buffer sizes from the trace details in span args;
 ///   * an instant per trace record;
-///   * counter tracks from the timeline ring: queue depth, state bytes,
+///   * counter tracks from the timeline samples: queue depth, state bytes,
 ///     interval sink e2e p50/p99 latency, per-operator output rates.
-/// All timestamps share the obs::MonotonicNowNs domain (exported in µs).
-/// `tracer` and `timeline` are optional; a registry alone yields a valid
-/// (metadata-only) trace.
+/// Phases and samples come from one `journal` snapshot. All timestamps
+/// share the obs::MonotonicNowNs domain (exported in µs). `journal` is
+/// optional; a registry alone yields a valid (metadata-only) trace.
 std::string ToChromeTrace(const MetricsRegistry& registry,
-                          const MigrationTracer* tracer = nullptr,
-                          const TimeSeriesRing* timeline = nullptr);
+                          const EventJournal* journal = nullptr);
 
 /// Writes `content` to `path`; returns false (and leaves errno) on failure.
 bool WriteFile(const std::string& path, const std::string& content);

@@ -1,5 +1,6 @@
 #include "obs/journal.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -14,49 +15,17 @@ namespace obs {
 
 namespace {
 
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
 void AppendNumber(std::string* out, double v) {
   if (!std::isfinite(v)) v = 0.0;  // Keep the line valid JSON.
-  if (v == static_cast<double>(static_cast<int64_t>(v)) &&
-      std::fabs(v) < 9.0e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(static_cast<int64_t>(v)));
-    *out += buf;
+  char buf[40];
+  // Range check before the integer cast: converting a double outside
+  // int64_t's range is undefined.
+  if (std::fabs(v) < 9.0e15 && v == std::trunc(v)) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
   } else {
-    char buf[40];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
-    *out += buf;
   }
+  *out += buf;
 }
 
 // --- Minimal JSON parser for the journal's own flat output ----------------
@@ -191,6 +160,45 @@ bool JournalEvent::HasNum(const std::string& key) const {
   return false;
 }
 
+void AppendJsonString(std::string* out, const std::string& s) {
+  out->push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          *out += buf;
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
+uint64_t JsonU64(double v) {
+  if (!(v > 0.0)) return 0;  // Negative, zero or NaN.
+  if (v >= 18446744073709551616.0) return UINT64_MAX;  // 2^64.
+  return static_cast<uint64_t>(v);
+}
+
 const char* JournalKindName(JournalEvent::Kind kind) {
   switch (kind) {
     case JournalEvent::Kind::kTriggerEval:
@@ -201,6 +209,8 @@ const char* JournalKindName(JournalEvent::Kind kind) {
       return "disorder_adapt";
     case JournalEvent::Kind::kCheckpoint:
       return "checkpoint";
+    case JournalEvent::Kind::kSample:
+      return "sample";
   }
   return "unknown";
 }
@@ -214,6 +224,8 @@ bool JournalKindFromName(const std::string& name, JournalEvent::Kind* out) {
     *out = JournalEvent::Kind::kDisorderAdapt;
   } else if (name == "checkpoint") {
     *out = JournalEvent::Kind::kCheckpoint;
+  } else if (name == "sample") {
+    *out = JournalEvent::Kind::kSample;
   } else {
     return false;
   }
@@ -290,16 +302,15 @@ std::string EventJournal::ToJsonl(const JournalEvent& event) {
   AppendNumber(&out, static_cast<double>(event.app_time.t));
   out += ",\"app_eps\":";
   AppendNumber(&out, static_cast<double>(event.app_time.eps));
-  out += ",\"subject\":\"";
-  AppendEscaped(&out, event.subject);
-  out += "\",\"num\":{";
+  out += ",\"subject\":";
+  AppendJsonString(&out, event.subject);
+  out += ",\"num\":{";
   bool first = true;
   for (const auto& [k, v] : event.nums) {
     if (!first) out += ',';
     first = false;
-    out += '"';
-    AppendEscaped(&out, k);
-    out += "\":";
+    AppendJsonString(&out, k);
+    out += ':';
     AppendNumber(&out, v);
   }
   out += "},\"str\":{";
@@ -307,11 +318,9 @@ std::string EventJournal::ToJsonl(const JournalEvent& event) {
   for (const auto& [k, v] : event.strs) {
     if (!first) out += ',';
     first = false;
-    out += '"';
-    AppendEscaped(&out, k);
-    out += "\":\"";
-    AppendEscaped(&out, v);
-    out += '"';
+    AppendJsonString(&out, k);
+    out += ':';
+    AppendJsonString(&out, v);
   }
   out += "}}";
   return out;
@@ -359,13 +368,17 @@ bool EventJournal::FromJsonl(const std::string& line, JournalEvent* out) {
         double v = 0;
         if (!ParseNumber(&c, &v)) return false;
         if (key == "seq") {
-          out->seq = static_cast<uint64_t>(v);
+          out->seq = JsonU64(v);
         } else if (key == "wall_ns") {
-          out->wall_ns = static_cast<uint64_t>(v);
+          out->wall_ns = JsonU64(v);
         } else if (key == "app_t") {
-          out->app_time.t = static_cast<int64_t>(v);
+          // Clamped: casting an out-of-range double is undefined.
+          const double t = std::isfinite(v) ? std::clamp(v, -9.2e18, 9.2e18)
+                                            : 0.0;
+          out->app_time.t = static_cast<int64_t>(t);
         } else if (key == "app_eps") {
-          out->app_time.eps = static_cast<uint32_t>(v);
+          out->app_time.eps = static_cast<uint32_t>(
+              std::min<uint64_t>(JsonU64(v), UINT32_MAX));
         }  // Unknown numeric keys are ignored (forward compatibility).
       }
     } while (c.Eat(','));

@@ -1,8 +1,9 @@
-// EventJournal: the engine's decision audit log (ISSUE 9 tentpole).
+// EventJournal: the engine's one log of control-rate events.
 //
 // Metrics (metrics.h) answer "how fast is the engine right now"; the journal
-// answers "why did the engine migrate at t=X". It records every *decision
-// point* of the adaptive control loop as a structured event:
+// answers "why did the engine migrate at t=X" and "what did the engine do
+// around it". It records every *decision point* of the adaptive control loop
+// and every periodic metric sample as a structured event:
 //
 //   kTriggerEval     — one calibrate->cost->trigger evaluation: policy name,
 //                      estimated running/candidate plan cost, ratio, margin,
@@ -13,11 +14,14 @@
 //                      observed lateness quantile.
 //   kCheckpoint      — a durable-state cycle (src/ckpt) began, committed or
 //                      aborted: sequence number, bytes, duration.
+//   kSample          — one TimelineSampler snapshot (obs/timeline.h).
 //
-// Decision points are rare (one trigger evaluation per calibration period,
-// a handful of phase transitions per migration), so the journal is mutex
-// guarded and deliberately NOT on the per-element hot path — asserted by
-// tests/obs/hot_path_test.cc. Storage: a bounded ring (old events overwritten)
+// MigrationTracer (obs/trace.h) and the timeline functions are typed views
+// over these events; they keep no store of their own. Events are rare (one
+// trigger evaluation per calibration period, one sample per timeline
+// period, a handful of phase transitions per migration), so the journal is
+// mutex guarded and deliberately NOT on the per-element hot path — asserted
+// by tests/obs/hot_path_test.cc. Storage: a bounded ring (old events overwritten)
 // plus an optional line-buffered JSONL spill file that keeps the full
 // history. Each event serializes to one self-contained JSON object per line,
 // so `python3 -m json.tool` validates any line and tools can tail the spill
@@ -47,6 +51,7 @@ struct JournalEvent {
     kMigrationPhase,
     kDisorderAdapt,
     kCheckpoint,
+    kSample,
   };
 
   Kind kind = Kind::kTriggerEval;
@@ -69,6 +74,15 @@ struct JournalEvent {
   std::string Str(const std::string& key) const;
   bool HasNum(const std::string& key) const;
 };
+
+/// Appends `s` as a quoted JSON string: `"`, `\`, newline, carriage return
+/// and tab get their short escapes, other control bytes \u00XX; bytes
+/// >= 0x80 pass through, so UTF-8 stays UTF-8.
+void AppendJsonString(std::string* out, const std::string& s);
+
+/// `v` clamped into uint64_t (JSON numbers are doubles, and casting a
+/// negative or out-of-range double to an integer is undefined).
+uint64_t JsonU64(double v);
 
 const char* JournalKindName(JournalEvent::Kind kind);
 /// False iff `name` is not a journal kind.

@@ -1,139 +1,138 @@
 #include "obs/timeline.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <iterator>
+#include <string>
 #include <utility>
 
-#include "common/check.h"
 #include "obs/clock.h"
 
 namespace genmig {
 namespace obs {
 
-TimeSeriesRing::TimeSeriesRing(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  slots_.reserve(capacity_);
-}
+namespace {
 
-void TimeSeriesRing::Push(MetricSample sample) {
-  ++pushed_;
-  if (slots_.size() < capacity_) {
-    slots_.push_back(std::move(sample));
-    ++size_;
-    return;
-  }
-  // Full: overwrite the oldest slot and advance the head.
-  slots_[head_] = std::move(sample);
-  head_ = (head_ + 1) % capacity_;
-}
+constexpr char kOpOutPrefix[] = "op_out.";
 
-void TimeSeriesRing::Clear() {
-  slots_.clear();
-  head_ = 0;
-  size_ = 0;
-}
-
-const MetricSample& TimeSeriesRing::at(size_t i) const {
-  GENMIG_CHECK(i < size_);
-  return slots_[(head_ + i) % slots_.size()];
-}
+struct U64Field {
+  const char* key;
+  uint64_t MetricSample::*field;
+};
+constexpr U64Field kU64Fields[] = {
+    {"elements_in", &MetricSample::elements_in},
+    {"elements_out", &MetricSample::elements_out},
+    {"state_bytes", &MetricSample::state_bytes},
+    {"queue_depth", &MetricSample::queue_depth},
+    {"watermark_lag_max", &MetricSample::watermark_lag_max},
+    {"backpressure_ns", &MetricSample::backpressure_ns},
+    {"sink_count", &MetricSample::sink_count},
+    {"sink_max_ns", &MetricSample::sink_max_ns},
+};
 
 template <typename Fn>
-void TimeSeriesRing::ForEachBetween(Timestamp from, Timestamp to,
-                                    Fn&& fn) const {
-  for (size_t i = 0; i < size_; ++i) {
-    const MetricSample& s = at(i);
+void ForEachBetween(const std::vector<MetricSample>& samples, Timestamp from,
+                    Timestamp to, Fn&& fn) {
+  for (const MetricSample& s : samples) {
     if (s.app_time < from || s.app_time > to) continue;
     fn(s);
   }
 }
 
-double TimeSeriesRing::MaxSinkP99Between(Timestamp from, Timestamp to) const {
+}  // namespace
+
+JournalEvent SampleEvent(const MetricSample& s) {
+  JournalEvent e;
+  e.kind = JournalEvent::Kind::kSample;
+  e.wall_ns = s.wall_ns;
+  e.app_time = s.app_time;
+  e.subject = "timeline";
+  e.nums.reserve(std::size(kU64Fields) + 3 + s.op_elements_out.size());
+  e.nums.emplace_back("migration_active", s.migration_active ? 1.0 : 0.0);
+  for (const U64Field& f : kU64Fields) {
+    e.nums.emplace_back(f.key, static_cast<double>(s.*f.field));
+  }
+  e.nums.emplace_back("sink_p50_ns", s.sink_p50_ns);
+  e.nums.emplace_back("sink_p99_ns", s.sink_p99_ns);
+  for (size_t i = 0; i < s.op_elements_out.size(); ++i) {
+    e.nums.emplace_back(kOpOutPrefix + std::to_string(i),
+                        static_cast<double>(s.op_elements_out[i]));
+  }
+  return e;
+}
+
+bool SampleFromEvent(const JournalEvent& event, MetricSample* out) {
+  if (event.kind != JournalEvent::Kind::kSample) return false;
+  *out = MetricSample{};
+  out->wall_ns = event.wall_ns;
+  out->app_time = event.app_time;
+  for (const auto& [key, v] : event.nums) {
+    if (key.rfind(kOpOutPrefix, 0) == 0) {
+      const size_t slot = std::strtoul(
+          key.c_str() + sizeof(kOpOutPrefix) - 1, nullptr, 10);
+      if (slot >= event.nums.size()) continue;  // Not an encoded slot.
+      if (slot >= out->op_elements_out.size()) {
+        out->op_elements_out.resize(slot + 1);
+      }
+      out->op_elements_out[slot] = JsonU64(v);
+    } else if (key == "migration_active") {
+      out->migration_active = v != 0.0;
+    } else if (key == "sink_p50_ns") {
+      out->sink_p50_ns = v;
+    } else if (key == "sink_p99_ns") {
+      out->sink_p99_ns = v;
+    } else {
+      for (const U64Field& f : kU64Fields) {
+        if (key == f.key) out->*f.field = JsonU64(v);
+      }
+    }
+  }
+  return true;
+}
+
+std::vector<MetricSample> Samples(const EventJournal& journal) {
+  std::vector<MetricSample> out;
+  MetricSample s;
+  for (const JournalEvent& e :
+       journal.SnapshotKind(JournalEvent::Kind::kSample)) {
+    if (SampleFromEvent(e, &s)) out.push_back(std::move(s));
+  }
+  return out;
+}
+
+double MaxSinkP99Between(const std::vector<MetricSample>& samples,
+                         Timestamp from, Timestamp to) {
   double best = 0.0;
-  ForEachBetween(from, to, [&](const MetricSample& s) {
+  ForEachBetween(samples, from, to, [&](const MetricSample& s) {
     if (s.sink_count > 0) best = std::max(best, s.sink_p99_ns);
   });
   return best;
 }
 
-uint64_t TimeSeriesRing::MaxQueueDepthBetween(Timestamp from,
-                                              Timestamp to) const {
+uint64_t MaxQueueDepthBetween(const std::vector<MetricSample>& samples,
+                              Timestamp from, Timestamp to) {
   uint64_t best = 0;
-  ForEachBetween(from, to, [&](const MetricSample& s) {
+  ForEachBetween(samples, from, to, [&](const MetricSample& s) {
     best = std::max(best, s.queue_depth);
   });
   return best;
 }
 
-uint64_t TimeSeriesRing::MaxStateBytesBetween(Timestamp from,
-                                              Timestamp to) const {
+uint64_t MaxStateBytesBetween(const std::vector<MetricSample>& samples,
+                              Timestamp from, Timestamp to) {
   uint64_t best = 0;
-  ForEachBetween(from, to, [&](const MetricSample& s) {
+  ForEachBetween(samples, from, to, [&](const MetricSample& s) {
     best = std::max(best, s.state_bytes);
   });
   return best;
 }
 
-size_t TimeSeriesRing::SamplesWithSinkTrafficBetween(Timestamp from,
-                                                     Timestamp to) const {
+size_t SamplesWithSinkTrafficBetween(const std::vector<MetricSample>& samples,
+                                     Timestamp from, Timestamp to) {
   size_t n = 0;
-  ForEachBetween(from, to,
+  ForEachBetween(samples, from, to,
                  [&](const MetricSample& s) { n += s.sink_count > 0; });
   return n;
-}
-
-TimelineSpillWriter::TimelineSpillWriter(std::string path, size_t rotate_bytes)
-    : path_(std::move(path)), rotate_bytes_(rotate_bytes) {
-  GENMIG_CHECK(!path_.empty());
-  OpenFresh();
-}
-
-TimelineSpillWriter::~TimelineSpillWriter() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-void TimelineSpillWriter::OpenFresh() {
-  file_ = std::fopen(path_.c_str(), "w");
-  GENMIG_CHECK(file_ != nullptr);
-  const int n = std::fprintf(
-      file_,
-      "wall_ns,app_time,app_eps,migration_active,elements_in,elements_out,"
-      "state_bytes,queue_depth,sink_count,sink_p50_ns,sink_p99_ns,"
-      "sink_max_ns,watermark_lag_max,backpressure_ns\n");
-  GENMIG_CHECK(n > 0);
-  bytes_written_ = static_cast<size_t>(n);
-}
-
-void TimelineSpillWriter::Append(const MetricSample& s) {
-  if (rotate_bytes_ > 0 && bytes_written_ >= rotate_bytes_) {
-    std::fclose(file_);
-    file_ = nullptr;
-    // Best-effort: a failed rename only means the old file gets truncated.
-    std::remove(rotated_path().c_str());
-    std::rename(path_.c_str(), rotated_path().c_str());
-    OpenFresh();
-    ++rotations_;
-  }
-  const int n = std::fprintf(
-      file_,
-      "%llu,%lld,%u,%d,%llu,%llu,%llu,%llu,%llu,%.1f,%.1f,%llu,%llu,%llu\n",
-      static_cast<unsigned long long>(s.wall_ns),
-      static_cast<long long>(s.app_time.t), s.app_time.eps,
-      s.migration_active ? 1 : 0,
-      static_cast<unsigned long long>(s.elements_in),
-      static_cast<unsigned long long>(s.elements_out),
-      static_cast<unsigned long long>(s.state_bytes),
-      static_cast<unsigned long long>(s.queue_depth),
-      static_cast<unsigned long long>(s.sink_count), s.sink_p50_ns,
-      s.sink_p99_ns, static_cast<unsigned long long>(s.sink_max_ns),
-      static_cast<unsigned long long>(s.watermark_lag_max),
-      static_cast<unsigned long long>(s.backpressure_ns));
-  GENMIG_CHECK(n > 0);
-  bytes_written_ += static_cast<size_t>(n);
-  ++rows_written_;
-}
-
-void TimelineSpillWriter::Flush() {
-  if (file_ != nullptr) std::fflush(file_);
 }
 
 void TimelineSampler::Sample(Timestamp app_time, bool migration_active) {
@@ -183,8 +182,7 @@ void TimelineSampler::Sample(Timestamp app_time, bool migration_active) {
   prev_e2e_ = e2e;
   prev_e2e_count_ = e2e_count;
 
-  if (spill_ != nullptr) spill_->Append(s);
-  ring_->Push(std::move(s));
+  journal_->Append(SampleEvent(s));
 }
 
 void TimelineSampler::Rebaseline() {

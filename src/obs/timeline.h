@@ -1,5 +1,5 @@
-// Metric time-series: periodic snapshots of the registry in a fixed-capacity
-// ring, so tests and benches can ask *what happened over time* — "what did
+// Metric time-series: periodic snapshots of the registry in the event
+// journal, so tests and benches can ask *what happened over time* — "what did
 // queue depth / p99 end-to-end latency do during the migration window?" —
 // instead of only reading cumulative totals after the run. This is the
 // instrument behind Fig. 4-style latency-during-migration plots (the paper
@@ -10,11 +10,13 @@
 // (ops/source.h), sinks fold ingress→egress deltas into per-sink
 // OperatorMetrics::e2e_ns histograms (ops/sink.h), and a TimelineSampler —
 // driven from the Dsms reoptimization hook or any executor after_step —
-// periodically snapshots the registry into a TimeSeriesRing. Per-sample
-// latency quantiles are *interval* quantiles: the sampler differences the
-// cumulative e2e histogram between consecutive samples, so a sample reflects
-// only the elements that arrived since the previous one. The Chrome-trace
-// exporter (obs/export.h) renders the ring as counter tracks.
+// periodically snapshots the registry into a kSample event of an
+// EventJournal (obs/journal.h), which bounds retention and spills the full
+// history. Per-sample latency quantiles are *interval* quantiles: the
+// sampler differences the cumulative e2e histogram between consecutive
+// samples, so a sample reflects only the elements that arrived since the
+// previous one. The Chrome-trace exporter (obs/export.h) renders the
+// samples as counter tracks.
 
 #ifndef GENMIG_OBS_TIMELINE_H_
 #define GENMIG_OBS_TIMELINE_H_
@@ -22,10 +24,9 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
-#include <string>
 #include <vector>
 
+#include "obs/journal.h"
 #include "obs/metrics.h"
 #include "time/timestamp.h"
 
@@ -66,92 +67,33 @@ struct MetricSample {
   std::vector<uint64_t> op_elements_out;
 };
 
-/// Fixed-capacity ring of MetricSamples: pushing beyond capacity drops the
-/// oldest sample. Samples are app-time ordered because producers sample on
-/// executor progress.
-class TimeSeriesRing {
- public:
-  explicit TimeSeriesRing(size_t capacity = 1024);
+/// Journal encoding of a sample: one kSample event whose nums carry every
+/// field above, the per-operator counts as "op_out.<slot>".
+JournalEvent SampleEvent(const MetricSample& sample);
+/// Decodes a kSample event; false for any other event.
+bool SampleFromEvent(const JournalEvent& event, MetricSample* out);
+/// The samples `journal` retains, oldest first.
+std::vector<MetricSample> Samples(const EventJournal& journal);
 
-  void Push(MetricSample sample);
-  void Clear();
+// --- Window queries over samples with from <= app_time <= to ---------------
+/// Max interval sink p99 in the window (0 if no sample has sink traffic).
+double MaxSinkP99Between(const std::vector<MetricSample>& samples,
+                         Timestamp from, Timestamp to);
+uint64_t MaxQueueDepthBetween(const std::vector<MetricSample>& samples,
+                              Timestamp from, Timestamp to);
+uint64_t MaxStateBytesBetween(const std::vector<MetricSample>& samples,
+                              Timestamp from, Timestamp to);
+/// Samples inside the window that saw at least one stamped sink arrival.
+size_t SamplesWithSinkTrafficBetween(const std::vector<MetricSample>& samples,
+                                     Timestamp from, Timestamp to);
 
-  size_t size() const { return size_; }
-  size_t capacity() const { return capacity_; }
-  bool empty() const { return size_ == 0; }
-  /// i-th oldest retained sample, i in [0, size()).
-  const MetricSample& at(size_t i) const;
-  const MetricSample& back() const { return at(size_ - 1); }
-
-  /// Total samples ever pushed (>= size() once the ring wrapped).
-  uint64_t pushed() const { return pushed_; }
-
-  // --- Window queries over samples with from <= app_time <= to -----------
-  /// Max interval sink p99 in the window (0 if no sample has sink traffic).
-  double MaxSinkP99Between(Timestamp from, Timestamp to) const;
-  uint64_t MaxQueueDepthBetween(Timestamp from, Timestamp to) const;
-  uint64_t MaxStateBytesBetween(Timestamp from, Timestamp to) const;
-  /// Samples inside the window that saw at least one stamped sink arrival.
-  size_t SamplesWithSinkTrafficBetween(Timestamp from, Timestamp to) const;
-
- private:
-  template <typename Fn>
-  void ForEachBetween(Timestamp from, Timestamp to, Fn&& fn) const;
-
-  size_t capacity_;
-  std::vector<MetricSample> slots_;
-  size_t head_ = 0;  ///< Index of the oldest sample.
-  size_t size_ = 0;
-  uint64_t pushed_ = 0;
-};
-
-/// Appends MetricSamples to a CSV file so long runs outlive the ring's
-/// fixed capacity: the ring keeps the recent window for in-process queries,
-/// the spill file keeps the full history for offline analysis. Size-based
-/// rotation renames the active file to `<path>.1` (replacing a previous
-/// rotation) and starts a fresh file, bounding disk use to ~2x rotate_bytes.
-/// Single-threaded, like the sampler that feeds it.
-class TimelineSpillWriter {
- public:
-  /// Truncates any existing file at `path` and writes the CSV header.
-  /// `rotate_bytes` = 0 disables rotation (the file grows unboundedly).
-  explicit TimelineSpillWriter(std::string path, size_t rotate_bytes = 0);
-  ~TimelineSpillWriter();
-
-  TimelineSpillWriter(const TimelineSpillWriter&) = delete;
-  TimelineSpillWriter& operator=(const TimelineSpillWriter&) = delete;
-
-  /// Appends one CSV row; rotates beforehand when the active file already
-  /// exceeds rotate_bytes.
-  void Append(const MetricSample& sample);
-
-  /// Flushes buffered rows to disk (also runs on destruction).
-  void Flush();
-
-  const std::string& path() const { return path_; }
-  /// Path the active file moves to on rotation.
-  std::string rotated_path() const { return path_ + ".1"; }
-  uint64_t rows_written() const { return rows_written_; }
-  int rotations() const { return rotations_; }
-
- private:
-  void OpenFresh();
-
-  std::string path_;
-  size_t rotate_bytes_;
-  std::FILE* file_ = nullptr;
-  size_t bytes_written_ = 0;
-  uint64_t rows_written_ = 0;
-  int rotations_ = 0;
-};
-
-/// Snapshots a MetricsRegistry into a TimeSeriesRing. Keeps the previous
-/// cumulative e2e bucket counts so each sample carries interval latency
-/// quantiles. Not owned by either side; single-threaded like the engine.
+/// Snapshots a MetricsRegistry into kSample events of a journal. Keeps the
+/// previous cumulative e2e bucket counts so each sample carries interval
+/// latency quantiles. Owns neither side; single-threaded like the engine.
 class TimelineSampler {
  public:
-  TimelineSampler(const MetricsRegistry* registry, TimeSeriesRing* ring)
-      : registry_(registry), ring_(ring) {}
+  TimelineSampler(const MetricsRegistry* registry, EventJournal* journal)
+      : registry_(registry), journal_(journal) {}
 
   /// Takes one sample. `migration_active` is the caller's knowledge of
   /// whether a migration is in flight at this instant.
@@ -161,13 +103,9 @@ class TimelineSampler {
   /// the next interval does not underflow).
   void Rebaseline();
 
-  /// Also append every sample to `spill` (nullable; not owned).
-  void set_spill(TimelineSpillWriter* spill) { spill_ = spill; }
-
  private:
   const MetricsRegistry* registry_;
-  TimeSeriesRing* ring_;
-  TimelineSpillWriter* spill_ = nullptr;
+  EventJournal* journal_;
   std::array<uint64_t, LatencyHistogram::kBuckets> prev_e2e_{};
   uint64_t prev_e2e_count_ = 0;
 };

@@ -12,16 +12,21 @@
 // The tracer is deliberately strategy-agnostic: it stores what the
 // controllers report, so a bench/test can reconstruct per-phase durations
 // without knowing controller internals.
+//
+// The tracer keeps no records of its own: every transition is one
+// kMigrationPhase event in an EventJournal (obs/journal.h), and the readers
+// below decode the journal's retained events. Retention is the journal's
+// ring; its spill file holds the full history.
 
 #ifndef GENMIG_OBS_TRACE_H_
 #define GENMIG_OBS_TRACE_H_
 
+#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "obs/clock.h"
+#include "obs/journal.h"
 #include "time/timestamp.h"
 
 namespace genmig {
@@ -54,53 +59,52 @@ struct TraceRecord {
   std::string detail;
 };
 
-class EventJournal;
+/// Decodes a kMigrationPhase journal event; false for any other event.
+bool TraceRecordFromEvent(const JournalEvent& event, TraceRecord* out);
+
+/// Wall-clock nanoseconds between the first `from` and the first `to`
+/// record of `records`, or -1 if either is missing.
+int64_t PhaseNs(const std::vector<TraceRecord>& records, MigrationEvent from,
+                MigrationEvent to);
 
 /// Thread-safe: shard-local controllers (src/par) record into one shared
-/// tracer concurrently; every accessor below takes the internal mutex.
-/// records() returns a reference and must only be iterated while no
-/// concurrent Record() is possible (quiescent phases / after shard join).
+/// tracer concurrently; the journal serializes the appends.
 class MigrationTracer {
  public:
-  MigrationTracer() = default;
+  /// Writes into `journal` (not owned; must outlive the tracer).
+  explicit MigrationTracer(EventJournal* journal) : journal_(journal) {}
 
-  /// Mirrors every Record() into `journal` as a kMigrationPhase event
-  /// (obs/journal.h), so the decision audit log carries the full phase
-  /// timeline of every migration — engine-level and shard-local alike —
-  /// without per-call-site wiring. Nullable; set before concurrent use.
-  void SetJournal(EventJournal* journal) { journal_ = journal; }
+  MigrationTracer(const MigrationTracer&) = delete;
+  MigrationTracer& operator=(const MigrationTracer&) = delete;
 
   /// Opens a new migration trace; `strategy` lands in the kRequested detail.
-  /// Returns the migration id for subsequent Record calls. `lane` tags every
-  /// record of this migration for display (0 = engine, 1 + k = shard k).
+  /// Returns the migration id for subsequent Record calls (dense from 0).
+  /// `lane` tags the kRequested record (0 = engine, 1 + k = shard k).
   int BeginMigration(const std::string& strategy, Timestamp app_time,
                      int lane = 0);
 
+  /// Appends one kMigrationPhase event; the journal stamps its wall clock.
   void Record(int migration_id, MigrationEvent event, Timestamp app_time,
-              std::string detail = "");
+              std::string detail = "", int lane = 0);
 
-  const std::vector<TraceRecord>& records() const { return records_; }
+  /// Retained phase records of every migration, in journal order.
+  std::vector<TraceRecord> records() const;
   std::vector<TraceRecord> RecordsFor(int migration_id) const;
+  /// Migrations ever begun; exact even after the journal dropped their
+  /// phase events.
   int migration_count() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return next_id_;
+    return next_id_.load(std::memory_order_relaxed);
   }
-  /// Display lane of `migration_id` (0 if unknown).
+  /// Display lane of `migration_id` (0 if none of its records is retained).
   int LaneOf(int migration_id) const;
 
-  /// Wall-clock nanoseconds between the first `from` and first `to` event of
-  /// `migration_id`, or -1 if either is missing.
+  /// PhaseNs over RecordsFor(migration_id).
   int64_t PhaseNs(int migration_id, MigrationEvent from,
                   MigrationEvent to) const;
 
-  uint64_t NowNs() const { return MonotonicNowNs(); }
-
  private:
-  mutable std::mutex mu_;
-  int next_id_ = 0;
-  std::vector<int> lane_of_;  // Indexed by migration id.
-  std::vector<TraceRecord> records_;
-  EventJournal* journal_ = nullptr;
+  EventJournal* journal_;
+  std::atomic<int> next_id_{0};
 };
 
 }  // namespace obs

@@ -43,11 +43,9 @@ MaterializedStream PiecewiseRate(int64_t t_end, int64_t period_before,
 /// Application times of every completed migration recorded by the tracer.
 std::vector<int64_t> CompletionTimes(const obs::MigrationTracer& tracer) {
   std::vector<int64_t> times;
-  for (int id = 0; id < tracer.migration_count(); ++id) {
-    for (const obs::TraceRecord& record : tracer.RecordsFor(id)) {
-      if (record.event == obs::MigrationEvent::kCompleted) {
-        times.push_back(record.app_time.t);
-      }
+  for (const obs::TraceRecord& record : tracer.records()) {
+    if (record.event == obs::MigrationEvent::kCompleted) {
+      times.push_back(record.app_time.t);
     }
   }
   return times;
@@ -216,6 +214,58 @@ TEST(AutoReoptTest, AutoMigratedOutputIsSnapshotEquivalent) {
   EXPECT_TRUE(eq.ok()) << eq.ToString();
 }
 
+/// A and B fast on odd 4000-unit segments, C on even ones: the best join
+/// order flips every segment.
+MaterializedStream Flipping(int64_t end, bool fast_on_odd, uint64_t seed) {
+  constexpr int64_t kSegment = 4000;
+  MaterializedStream out;
+  std::mt19937_64 rng(seed);
+  for (int64_t t = 0; t < end;) {
+    out.push_back(El(static_cast<int64_t>(rng() % 200), t, t + 1));
+    const bool odd = (t / kSegment) % 2 == 1;
+    t += odd == fast_on_odd ? 4 : 40;
+  }
+  return out;
+}
+
+TEST(AutoReoptTest, MigrationCountsStayExactAfterJournalDropsPhases) {
+  // A 4-event journal overwrites the phase events of every migration but
+  // the last; each migration count the engine reports stays exact.
+  Dsms::Options options;
+  options.stats_horizon = 2000;
+  options.calibration_period = 1000;
+  options.cost_margin = 0.01;
+  options.cost_hysteresis = 0.0;
+  options.migration_cooldown = 0;
+  options.journal_capacity = 4;
+  Dsms dsms(options);
+  dsms.RegisterStream("A", Schema::OfInts({"x"}), Flipping(20000, true, 51));
+  dsms.RegisterStream("B", Schema::OfInts({"x"}), Flipping(20000, true, 52));
+  dsms.RegisterStream("C", Schema::OfInts({"x"}), Flipping(20000, false, 53));
+  auto id = dsms.InstallQuery(kChainQuery);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  dsms.RunToCompletion();
+
+  const int completed = dsms.Info(id.value()).migrations_completed;
+  ASSERT_GE(completed, 2);
+  const int started = dsms.AutoStatus(id.value()).fires;
+  EXPECT_GE(started, completed);
+  EXPECT_EQ(dsms.journal().size(), 4u);
+  EXPECT_LT(dsms.tracer().records().size(), 6u * static_cast<size_t>(started))
+      << "the ring should have dropped phase events";
+
+  EXPECT_EQ(dsms.tracer().migration_count(), started);
+  EXPECT_EQ(dsms.Stats().migrations, started);
+  EXPECT_NE(dsms.StatusJson().find("\"migrations_total\": " +
+                                   std::to_string(started) + ","),
+            std::string::npos);
+#ifndef GENMIG_NO_METRICS
+  EXPECT_NE(dsms.MetricsText().find("\ngenmig_engine_migrations_total " +
+                                    std::to_string(started) + "\n"),
+            std::string::npos);
+#endif
+}
+
 TEST(AutoReoptTest, HysteresisAndCooldownPreventThrash) {
   // Adversarial workload: the rates of {A, B} and C trade places every 4000
   // time units, so the "best" plan keeps flipping. The shipped trigger must
@@ -223,18 +273,7 @@ TEST(AutoReoptTest, HysteresisAndCooldownPreventThrash) {
   // configuration (no hysteresis, no cool-down, hair-trigger margin)
   // demonstrates the thrash this guards against.
   constexpr int64_t kEnd = 40000;
-  constexpr int64_t kSegment = 4000;
   constexpr Duration kCooldown = 10000;
-  auto flipping = [](int64_t fast_on_odd, uint64_t seed) {
-    MaterializedStream out;
-    std::mt19937_64 rng(seed);
-    for (int64_t t = 0; t < kEnd;) {
-      out.push_back(El(static_cast<int64_t>(rng() % 200), t, t + 1));
-      const bool odd = (t / kSegment) % 2 == 1;
-      t += odd == (fast_on_odd != 0) ? 4 : 40;
-    }
-    return out;
-  };
 
   auto run = [&](double margin, double hysteresis, Duration cooldown) {
     Dsms::Options options;
@@ -244,9 +283,10 @@ TEST(AutoReoptTest, HysteresisAndCooldownPreventThrash) {
     options.cost_hysteresis = hysteresis;
     options.migration_cooldown = cooldown;
     auto dsms = std::make_unique<Dsms>(options);
-    dsms->RegisterStream("A", Schema::OfInts({"x"}), flipping(1, 51));
-    dsms->RegisterStream("B", Schema::OfInts({"x"}), flipping(1, 52));
-    dsms->RegisterStream("C", Schema::OfInts({"x"}), flipping(0, 53));
+    dsms->RegisterStream("A", Schema::OfInts({"x"}), Flipping(kEnd, true, 51));
+    dsms->RegisterStream("B", Schema::OfInts({"x"}), Flipping(kEnd, true, 52));
+    dsms->RegisterStream("C", Schema::OfInts({"x"}),
+                         Flipping(kEnd, false, 53));
     auto id = dsms->InstallQuery(kChainQuery);
     EXPECT_TRUE(id.ok()) << id.status().ToString();
     dsms->RunToCompletion();

@@ -216,7 +216,7 @@ TEST(DsmsTest, TimelineSamplingFillsRingAndStats) {
 #endif
   Dsms::Options options;
   options.timeline_period = 100;
-  options.timeline_capacity = 32;
+  options.journal_capacity = 32;
   Dsms dsms(options);
   dsms.RegisterStream("S", Schema::OfInts({"x"}),
                       ToPhysicalStream(GenerateKeyedStream(2000, 2, 4, 51)));
@@ -225,9 +225,9 @@ TEST(DsmsTest, TimelineSamplingFillsRingAndStats) {
   dsms.RunToCompletion();
 
   // ~4000 time units at one sample per 100 units, ring capped at 32.
-  const obs::TimeSeriesRing& tl = dsms.timeline();
+  const std::vector<obs::MetricSample> tl = dsms.timeline();
   EXPECT_EQ(tl.size(), 32u);
-  EXPECT_GT(tl.pushed(), 32u);
+  EXPECT_GT(dsms.journal().total_appended(), 32u);
   for (size_t i = 1; i < tl.size(); ++i) {
     EXPECT_GE(tl.at(i).app_time.t, tl.at(i - 1).app_time.t);
     EXPECT_GE(tl.at(i).elements_out, tl.at(i - 1).elements_out);
@@ -456,12 +456,12 @@ TEST(DsmsParallelTest, ScheduleMigrationOnSingleThreadedQueryIsRejected) {
   EXPECT_EQ(s.code(), Status::Code::kFailedPrecondition);
 }
 
-TEST(DsmsTest, TimelineSpillsToCsvFile) {
-  const std::string path = testing::TempDir() + "dsms_timeline.csv";
+TEST(DsmsTest, TimelineSpillsToJournalFile) {
+  const std::string path = testing::TempDir() + "dsms_timeline.jsonl";
   Dsms::Options opt;
   opt.timeline_period = 20;
-  opt.timeline_capacity = 4;  // Tiny ring: the spill keeps the history.
-  opt.timeline_spill_path = path;
+  opt.journal_capacity = 4;  // Tiny ring: the spill keeps the history.
+  opt.journal_spill_path = path;
   Dsms dsms(opt);
   dsms.RegisterStream("S", Schema::OfInts({"x"}),
                       ToPhysicalStream(GenerateKeyedStream(400, 5, 4, 7)));
@@ -472,11 +472,15 @@ TEST(DsmsTest, TimelineSpillsToCsvFile) {
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::string line;
-  size_t lines = 0;
-  while (std::getline(in, line)) ++lines;
-  // Header + more rows than the ring could hold.
-  EXPECT_GT(lines, 1 + opt.timeline_capacity);
-  EXPECT_EQ(dsms.timeline().size(), opt.timeline_capacity);
+  size_t samples = 0;
+  while (std::getline(in, line)) {
+    obs::JournalEvent ev;
+    ASSERT_TRUE(obs::EventJournal::FromJsonl(line, &ev)) << line;
+    samples += ev.kind == obs::JournalEvent::Kind::kSample;
+  }
+  // More samples than the ring could hold.
+  EXPECT_GT(samples, opt.journal_capacity);
+  EXPECT_EQ(dsms.timeline().size(), opt.journal_capacity);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "obs/export.h"
+#include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
@@ -20,7 +21,6 @@ using obs::MetricsRegistry;
 using obs::MigrationEvent;
 using obs::MigrationTracer;
 using obs::TimelineSampler;
-using obs::TimeSeriesRing;
 
 // --- Minimal recursive-descent JSON validator -------------------------------
 // Deliberately strict subset (objects, arrays, strings, numbers, booleans,
@@ -188,12 +188,12 @@ size_t CountOccurrences(const std::string& haystack,
   return n;
 }
 
-/// A registry + tracer + timeline with one full GenMig event sequence and a
-/// few timeline samples, synthesized without running a plan.
+/// A registry + journal with one full GenMig event sequence and a few
+/// timeline samples, synthesized without running a plan.
 struct Fixture {
   MetricsRegistry registry;
-  MigrationTracer tracer;
-  TimeSeriesRing ring{16};
+  obs::EventJournal journal;
+  MigrationTracer tracer{&journal};
 
   Fixture() {
     obs::OperatorMetrics* join = registry.Register("join");
@@ -212,7 +212,7 @@ struct Fixture {
     tracer.Record(id, MigrationEvent::kReferencePointSwitch, Timestamp(171));
     tracer.Record(id, MigrationEvent::kCompleted, Timestamp(171));
 
-    TimelineSampler sampler(&registry, &ring);
+    TimelineSampler sampler(&registry, &journal);
     sampler.Sample(Timestamp(50), false);
     for (int i = 0; i < 5; ++i) sink->e2e_ns.Record(1 << 16);
     sampler.Sample(Timestamp(150), true);
@@ -222,14 +222,14 @@ struct Fixture {
 
 TEST(ExportTest, ToJsonIsValidJson) {
   Fixture f;
-  const std::string json = obs::ToJson(f.registry, &f.tracer);
+  const std::string json = obs::ToJson(f.registry, &f.journal);
   EXPECT_TRUE(JsonValidator(json).Valid()) << json;
   EXPECT_NE(json.find("\"e2e_ns\""), std::string::npos);
 }
 
 TEST(ExportTest, ChromeTraceIsValidJsonWithPhaseSpans) {
   Fixture f;
-  const std::string trace = obs::ToChromeTrace(f.registry, &f.tracer, &f.ring);
+  const std::string trace = obs::ToChromeTrace(f.registry, &f.journal);
   EXPECT_TRUE(JsonValidator(trace).Valid()) << trace;
 
   // Envelope Perfetto understands.
@@ -253,7 +253,7 @@ TEST(ExportTest, ChromeTraceIsValidJsonWithPhaseSpans) {
 
 TEST(ExportTest, ChromeTracePhaseSpansNestInsideMigrationSpan) {
   Fixture f;
-  const std::string trace = obs::ToChromeTrace(f.registry, &f.tracer, nullptr);
+  const std::string trace = obs::ToChromeTrace(f.registry, &f.journal);
   EXPECT_TRUE(JsonValidator(trace).Valid()) << trace;
 
   // Extract every complete event's ts and dur, in emission order: the first
@@ -284,14 +284,14 @@ TEST(ExportTest, ChromeTracePhaseSpansNestInsideMigrationSpan) {
 
 TEST(ExportTest, ChromeTraceIsDeterministicForSameInput) {
   Fixture f;
-  const std::string a = obs::ToChromeTrace(f.registry, &f.tracer, &f.ring);
-  const std::string b = obs::ToChromeTrace(f.registry, &f.tracer, &f.ring);
+  const std::string a = obs::ToChromeTrace(f.registry, &f.journal);
+  const std::string b = obs::ToChromeTrace(f.registry, &f.journal);
   EXPECT_EQ(a, b);
 }
 
 TEST(ExportTest, ChromeTraceWithoutInputsIsStillValid) {
   MetricsRegistry registry;
-  const std::string trace = obs::ToChromeTrace(registry, nullptr, nullptr);
+  const std::string trace = obs::ToChromeTrace(registry, nullptr);
   EXPECT_TRUE(JsonValidator(trace).Valid()) << trace;
 }
 

@@ -2,6 +2,8 @@
 // overhead budgets are not deterministic on a shared machine, so they live
 // in bench/metrics_guard (run nightly); these tests count instead of time:
 //   * the decision journal sees zero appends while elements are pushed,
+//   * an engine with timeline sampling and the calibration loop on appends
+//     per period and per migration phase, never per element,
 //   * push latency is clocked on at most one in kSampleEvery pushes,
 //   * detached operators record nothing,
 //   * batched engine runs deliver whole batches to the stats tap, the
@@ -90,11 +92,10 @@ size_t RunMix(MetricsRegistry* registry) {
 
 TEST(HotPathGuardTest, JournalSeesNoAppendsDuringElementPushes) {
   // A migration-hosting join with the engine's control-path wiring: metrics
-  // attached and the tracer mirrored into a journal. Element pushes append
+  // attached and the tracer writing into a journal. Element pushes append
   // nothing; only the migration's phase transitions do.
   obs::EventJournal journal;
-  obs::MigrationTracer tracer;
-  tracer.SetJournal(&journal);
+  obs::MigrationTracer tracer(&journal);
   MetricsRegistry registry;
   const LogicalPtr plan =
       logical::EquiJoin(logical::SourceNode("A", Schema::OfInts({"x"})),
@@ -138,6 +139,50 @@ TEST(HotPathGuardTest, JournalSeesNoAppendsDuringElementPushes) {
   }
   // Bounded by the phase count, not by the 1000 pushes after the start.
   EXPECT_LE(journal.total_appended(), 10u);
+}
+
+TEST(HotPathGuardTest, EngineJournalAppendsScaleWithPeriodsNotElements) {
+  // Timeline sampling and the calibration loop both write into the engine's
+  // journal: one sample per timeline period, one trigger evaluation per
+  // calibration pass (plus one per fire), and the phases of each migration.
+  Dsms::Options options;
+  options.timeline_period = 100;
+  options.calibration_period = 500;
+  Dsms dsms(options);
+  constexpr size_t kPerStream = 4000;
+  dsms.RegisterRawStream("A", Schema::OfInts({"k"}),
+                         GenerateKeyedStream(kPerStream, 1, 50, 8));
+  dsms.RegisterRawStream("B", Schema::OfInts({"k"}),
+                         GenerateKeyedStream(kPerStream, 1, 50, 9));
+  auto id = dsms.InstallQuery(
+      "SELECT A.k FROM A [RANGE 100], B [RANGE 100] WHERE A.k = B.k");
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  dsms.RunToCompletion();
+
+  const obs::EventJournal& journal = dsms.journal();
+  ASSERT_EQ(journal.size(), journal.total_appended());  // Nothing dropped.
+  uint64_t samples = 0;
+  uint64_t evals = 0;
+  uint64_t phases = 0;
+  for (const obs::JournalEvent& ev : journal.Snapshot()) {
+    samples += ev.kind == obs::JournalEvent::Kind::kSample;
+    evals += ev.kind == obs::JournalEvent::Kind::kTriggerEval;
+    phases += ev.kind == obs::JournalEvent::Kind::kMigrationPhase;
+  }
+  const int64_t span = dsms.current_time().t;
+  const Dsms::AutoReoptStatus& status = dsms.AutoStatus(id.value());
+  EXPECT_GT(samples, 0u);
+  EXPECT_LE(samples,
+            static_cast<uint64_t>(span / options.timeline_period + 1));
+  EXPECT_GT(status.calibrations, 0u);
+  EXPECT_LE(status.calibrations,
+            static_cast<size_t>(span / options.calibration_period));
+  EXPECT_EQ(evals, status.calibrations + static_cast<size_t>(status.fires));
+  EXPECT_LE(phases, 6u * static_cast<uint64_t>(
+                             dsms.tracer().migration_count()));
+  EXPECT_EQ(journal.total_appended(), samples + evals + phases);
+  // Orders of magnitude below the 2 * kPerStream pushed elements.
+  EXPECT_LT(journal.total_appended(), 2 * kPerStream / 20);
 }
 
 TEST(HotPathGuardTest, PushLatencyIsClockedOnAtMostOneInSampleEveryPushes) {

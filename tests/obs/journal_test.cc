@@ -36,7 +36,8 @@ TEST(JournalEventTest, PayloadAccessors) {
 TEST(JournalEventTest, KindNamesRoundTrip) {
   for (JournalEvent::Kind kind :
        {JournalEvent::Kind::kTriggerEval, JournalEvent::Kind::kMigrationPhase,
-        JournalEvent::Kind::kDisorderAdapt, JournalEvent::Kind::kCheckpoint}) {
+        JournalEvent::Kind::kDisorderAdapt, JournalEvent::Kind::kCheckpoint,
+        JournalEvent::Kind::kSample}) {
     JournalEvent::Kind parsed;
     ASSERT_TRUE(JournalKindFromName(JournalKindName(kind), &parsed));
     EXPECT_EQ(parsed, kind);
@@ -127,6 +128,43 @@ TEST(JournalTest, JsonlRoundTripPreservesEverything) {
   ASSERT_EQ(back.strs.size(), ev.strs.size());
   EXPECT_EQ(back.strs[0].first, "why");
   EXPECT_EQ(back.strs[0].second, "late\nline");
+}
+
+TEST(JournalTest, NumbersBeyondInt64RangeRoundTrip) {
+  // Integral doubles outside int64_t's range take the %.17g path instead
+  // of an (undefined) integer cast.
+  JournalEvent ev;
+  ev.kind = JournalEvent::Kind::kSample;
+  ev.nums.emplace_back("big", 1.8e19);
+  ev.nums.emplace_back("tiny", -1e300);
+  const std::string line = EventJournal::ToJsonl(ev);
+  JournalEvent back;
+  ASSERT_TRUE(EventJournal::FromJsonl(line, &back)) << line;
+  EXPECT_EQ(back.Num("big"), 1.8e19);
+  EXPECT_EQ(back.Num("tiny"), -1e300);
+  // Out-of-range header fields from a foreign line are clamped, not cast.
+  ASSERT_TRUE(EventJournal::FromJsonl(
+      "{\"kind\":\"sample\",\"seq\":-5,\"wall_ns\":1e30,"
+      "\"app_t\":-1e30,\"app_eps\":1e12}",
+      &back));
+  EXPECT_EQ(back.seq, 0u);
+  EXPECT_EQ(back.wall_ns, UINT64_MAX);
+  EXPECT_LT(back.app_time.t, -9'000'000'000'000'000'000);
+  EXPECT_EQ(back.app_time.eps, UINT32_MAX);
+}
+
+TEST(JsonStringTest, EscapesControlBytesAndKeepsUtf8) {
+  const std::string raw = std::string("q\"b\\n\nr\rt\tc") + '\x01' +
+                          "u\xc3\xa9";  // U+00E9 as UTF-8.
+  std::string out;
+  AppendJsonString(&out, raw);
+  EXPECT_EQ(out, "\"q\\\"b\\\\n\\nr\\rt\\tc\\u0001u\xc3\xa9\"");
+  // The journal's parser reads it back byte for byte.
+  JournalEvent ev;
+  ev.subject = raw;
+  JournalEvent back;
+  ASSERT_TRUE(EventJournal::FromJsonl(EventJournal::ToJsonl(ev), &back));
+  EXPECT_EQ(back.subject, raw);
 }
 
 TEST(JournalTest, FromJsonlRejectsGarbage) {

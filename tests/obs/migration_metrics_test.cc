@@ -47,7 +47,8 @@ TEST(MigrationMetricsTest, GenMigDoesNotDoubleCountCoalescedOutputs) {
       [](MigrationController&, Box) {});
 
   MetricsRegistry registry;
-  obs::MigrationTracer tracer;
+  obs::EventJournal journal;
+  obs::MigrationTracer tracer(&journal);
   auto result = RunLogicalMigration(
       LeftDeep3(), RightDeep3(), inputs, Timestamp(200),
       [&](MigrationController& c, Box b) {
@@ -90,7 +91,7 @@ TEST(MigrationMetricsTest, GenMigDoesNotDoubleCountCoalescedOutputs) {
   EXPECT_GT(registry.TotalElementsIn(), merge->elements_in);
 
   // Exporters accept a registry populated across a migration.
-  const std::string json = obs::ToJson(registry, &tracer);
+  const std::string json = obs::ToJson(registry, &journal);
   EXPECT_NE(json.find("\"ctrl/coalesce\""), std::string::npos);
   EXPECT_NE(json.find("\"migrations\""), std::string::npos);
   EXPECT_NE(json.find("\"reference_point_switch\""), std::string::npos);

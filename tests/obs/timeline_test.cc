@@ -1,11 +1,11 @@
-// TimeSeriesRing / TimelineSampler: ring semantics, window queries, interval
-// latency quantiles, and the end-to-end acceptance scenario — a Fig. 4-style
-// join migration whose sink p99 latency spike during the migration window is
-// captured by the timeline.
+// Timeline samples in the event journal: ring retention, window queries,
+// interval latency quantiles, the JSONL round trip of a sample event, and
+// the end-to-end acceptance scenario — a Fig. 4-style join migration whose
+// sink p99 latency spike during the migration window is captured by the
+// timeline.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <string>
@@ -13,6 +13,7 @@
 
 #include "migration/controller.h"
 #include "migration/join_tree.h"
+#include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
@@ -24,11 +25,11 @@
 namespace genmig {
 namespace {
 
+using obs::EventJournal;
 using obs::LatencyHistogram;
 using obs::MetricSample;
 using obs::MetricsRegistry;
 using obs::TimelineSampler;
-using obs::TimeSeriesRing;
 
 // --- ApproxQuantile ---------------------------------------------------------
 
@@ -92,11 +93,12 @@ TEST(ApproxQuantileTest, QuantileFromCountsMatchesHistogram) {
   EXPECT_LT(q, 2.0);
 }
 
-// --- TimeSeriesRing ---------------------------------------------------------
+// --- Samples in the journal ring ------------------------------------------
 
 MetricSample SampleAt(int64_t t, uint64_t sink_count, double p99,
                       uint64_t queue, uint64_t bytes) {
   MetricSample s;
+  s.wall_ns = static_cast<uint64_t>(t) + 1;
   s.app_time = Timestamp(t);
   s.sink_count = sink_count;
   s.sink_p99_ns = p99;
@@ -106,38 +108,90 @@ MetricSample SampleAt(int64_t t, uint64_t sink_count, double p99,
 }
 
 TEST(TimeSeriesRingTest, DropsOldestBeyondCapacity) {
-  TimeSeriesRing ring(4);
-  EXPECT_TRUE(ring.empty());
-  for (int64_t t = 0; t < 6; ++t) ring.Push(SampleAt(t, 0, 0.0, 0, 0));
+  EventJournal journal(EventJournal::Options{4, ""});
+  EXPECT_TRUE(obs::Samples(journal).empty());
+  for (int64_t t = 0; t < 6; ++t) {
+    journal.Append(obs::SampleEvent(SampleAt(t, 0, 0.0, 0, 0)));
+  }
+  const std::vector<MetricSample> ring = obs::Samples(journal);
   EXPECT_EQ(ring.size(), 4u);
-  EXPECT_EQ(ring.capacity(), 4u);
-  EXPECT_EQ(ring.pushed(), 6u);
+  EXPECT_EQ(journal.capacity(), 4u);
+  EXPECT_EQ(journal.total_appended(), 6u);
   EXPECT_EQ(ring.at(0).app_time.t, 2);  // 0 and 1 were dropped.
   EXPECT_EQ(ring.at(3).app_time.t, 5);
   EXPECT_EQ(ring.back().app_time.t, 5);
 }
 
 TEST(TimeSeriesRingTest, WindowQueriesAreInclusive) {
-  TimeSeriesRing ring(16);
-  ring.Push(SampleAt(100, 5, 1000.0, 2, 64));
-  ring.Push(SampleAt(200, 0, 0.0, 9, 128));
-  ring.Push(SampleAt(300, 3, 8000.0, 1, 32));
-  ring.Push(SampleAt(400, 7, 2000.0, 4, 256));
+  const std::vector<MetricSample> ring = {
+      SampleAt(100, 5, 1000.0, 2, 64), SampleAt(200, 0, 0.0, 9, 128),
+      SampleAt(300, 3, 8000.0, 1, 32), SampleAt(400, 7, 2000.0, 4, 256)};
 
-  EXPECT_DOUBLE_EQ(ring.MaxSinkP99Between(Timestamp(100), Timestamp(300)),
-                   8000.0);
-  EXPECT_DOUBLE_EQ(ring.MaxSinkP99Between(Timestamp(301), Timestamp(400)),
-                   2000.0);
+  EXPECT_DOUBLE_EQ(
+      obs::MaxSinkP99Between(ring, Timestamp(100), Timestamp(300)), 8000.0);
+  EXPECT_DOUBLE_EQ(
+      obs::MaxSinkP99Between(ring, Timestamp(301), Timestamp(400)), 2000.0);
   // Samples without sink traffic contribute no latency...
-  EXPECT_DOUBLE_EQ(ring.MaxSinkP99Between(Timestamp(150), Timestamp(250)),
-                   0.0);
+  EXPECT_DOUBLE_EQ(
+      obs::MaxSinkP99Between(ring, Timestamp(150), Timestamp(250)), 0.0);
   // ...but do contribute to the other gauges.
-  EXPECT_EQ(ring.MaxQueueDepthBetween(Timestamp(150), Timestamp(250)), 9u);
-  EXPECT_EQ(ring.MaxStateBytesBetween(Timestamp(100), Timestamp(400)), 256u);
-  EXPECT_EQ(
-      ring.SamplesWithSinkTrafficBetween(Timestamp(100), Timestamp(400)), 3u);
-  EXPECT_EQ(
-      ring.SamplesWithSinkTrafficBetween(Timestamp(500), Timestamp(900)), 0u);
+  EXPECT_EQ(obs::MaxQueueDepthBetween(ring, Timestamp(150), Timestamp(250)),
+            9u);
+  EXPECT_EQ(obs::MaxStateBytesBetween(ring, Timestamp(100), Timestamp(400)),
+            256u);
+  EXPECT_EQ(obs::SamplesWithSinkTrafficBetween(ring, Timestamp(100),
+                                               Timestamp(400)),
+            3u);
+  EXPECT_EQ(obs::SamplesWithSinkTrafficBetween(ring, Timestamp(500),
+                                               Timestamp(900)),
+            0u);
+}
+
+TEST(MetricSampleTest, JsonlRoundTripKeepsEveryField) {
+  MetricSample s;
+  s.wall_ns = 123456789;
+  s.app_time = Timestamp(4000, 2);
+  s.migration_active = true;
+  s.elements_in = 1000;
+  s.elements_out = 640;
+  s.state_bytes = 1 << 20;
+  s.queue_depth = 17;
+  s.watermark_lag_max = 33;
+  s.backpressure_ns = 9000000001;
+  s.sink_count = 12;
+  s.sink_p50_ns = 1234.5;
+  s.sink_p99_ns = 98765.4321;
+  // The top bucket's upper bound is UINT64_MAX: the largest value a sample
+  // carries through the journal's double-valued numbers.
+  s.sink_max_ns =
+      LatencyHistogram::BucketUpperNs(LatencyHistogram::kBuckets - 1);
+  s.op_elements_out = {0, 7, 123456789012, 3};
+
+  obs::JournalEvent decoded;
+  ASSERT_TRUE(EventJournal::FromJsonl(
+      EventJournal::ToJsonl(obs::SampleEvent(s)), &decoded));
+  EXPECT_EQ(decoded.kind, obs::JournalEvent::Kind::kSample);
+  MetricSample back;
+  ASSERT_TRUE(obs::SampleFromEvent(decoded, &back));
+  EXPECT_EQ(back.wall_ns, s.wall_ns);
+  EXPECT_EQ(back.app_time, s.app_time);
+  EXPECT_EQ(back.migration_active, s.migration_active);
+  EXPECT_EQ(back.elements_in, s.elements_in);
+  EXPECT_EQ(back.elements_out, s.elements_out);
+  EXPECT_EQ(back.state_bytes, s.state_bytes);
+  EXPECT_EQ(back.queue_depth, s.queue_depth);
+  EXPECT_EQ(back.watermark_lag_max, s.watermark_lag_max);
+  EXPECT_EQ(back.backpressure_ns, s.backpressure_ns);
+  EXPECT_EQ(back.sink_count, s.sink_count);
+  EXPECT_DOUBLE_EQ(back.sink_p50_ns, s.sink_p50_ns);
+  EXPECT_DOUBLE_EQ(back.sink_p99_ns, s.sink_p99_ns);
+  EXPECT_EQ(back.sink_max_ns, s.sink_max_ns);
+  EXPECT_EQ(back.op_elements_out, s.op_elements_out);
+
+  // Other kinds are not samples.
+  obs::JournalEvent other;
+  other.kind = obs::JournalEvent::Kind::kTriggerEval;
+  EXPECT_FALSE(obs::SampleFromEvent(other, &back));
 }
 
 // --- TimelineSampler --------------------------------------------------------
@@ -145,12 +199,13 @@ TEST(TimeSeriesRingTest, WindowQueriesAreInclusive) {
 TEST(TimelineSamplerTest, SamplesCarryIntervalLatency) {
   MetricsRegistry registry;
   obs::OperatorMetrics* sink = registry.Register("sink");
-  TimeSeriesRing ring(8);
-  TimelineSampler sampler(&registry, &ring);
+  EventJournal journal;
+  TimelineSampler sampler(&registry, &journal);
 
   for (int i = 0; i < 10; ++i) sink->e2e_ns.Record(100);
   sink->elements_in = 10;
   sampler.Sample(Timestamp(1000), /*migration_active=*/false);
+  std::vector<MetricSample> ring = obs::Samples(journal);
   ASSERT_EQ(ring.size(), 1u);
   EXPECT_EQ(ring.back().sink_count, 10u);
   EXPECT_FALSE(ring.back().migration_active);
@@ -162,6 +217,7 @@ TEST(TimelineSamplerTest, SamplesCarryIntervalLatency) {
   // Only the 5 slow recordings land in the second interval.
   for (int i = 0; i < 5; ++i) sink->e2e_ns.Record(1 << 20);
   sampler.Sample(Timestamp(2000), /*migration_active=*/true);
+  ring = obs::Samples(journal);
   ASSERT_EQ(ring.size(), 2u);
   const MetricSample& s = ring.back();
   EXPECT_TRUE(s.migration_active);
@@ -171,14 +227,14 @@ TEST(TimelineSamplerTest, SamplesCarryIntervalLatency) {
 
   // An idle interval has no sink traffic.
   sampler.Sample(Timestamp(3000), /*migration_active=*/false);
-  EXPECT_EQ(ring.back().sink_count, 0u);
+  EXPECT_EQ(obs::Samples(journal).back().sink_count, 0u);
 }
 
 TEST(TimelineSamplerTest, RebaselinesAfterRegistryReset) {
   MetricsRegistry registry;
   obs::OperatorMetrics* sink = registry.Register("sink");
-  TimeSeriesRing ring(8);
-  TimelineSampler sampler(&registry, &ring);
+  EventJournal journal;
+  TimelineSampler sampler(&registry, &journal);
 
   for (int i = 0; i < 8; ++i) sink->e2e_ns.Record(50);
   sampler.Sample(Timestamp(1), false);
@@ -187,7 +243,7 @@ TEST(TimelineSamplerTest, RebaselinesAfterRegistryReset) {
   // The cumulative count went backwards (8 -> 3): the sampler must
   // re-baseline instead of underflowing the interval difference.
   sampler.Sample(Timestamp(2), false);
-  EXPECT_EQ(ring.back().sink_count, 3u);
+  EXPECT_EQ(obs::Samples(journal).back().sink_count, 3u);
 }
 
 // --- Acceptance: latency spike during migration is on the timeline ----------
@@ -216,7 +272,8 @@ TEST(TimelineAcceptanceTest, MigrationWindowP99ExceedsPreMigrationBaseline) {
   controller.ConnectTo(0, &sink, 0);
 
   MetricsRegistry registry;
-  obs::MigrationTracer tracer;
+  EventJournal journal;
+  obs::MigrationTracer tracer(&journal);
   controller.AttachMetricsRecursive(&registry);
   controller.SetTracer(&tracer);
   sink.AttachMetrics(&registry);
@@ -237,8 +294,7 @@ TEST(TimelineAcceptanceTest, MigrationWindowP99ExceedsPreMigrationBaseline) {
   w0.AttachMetrics(&registry);
   w1.AttachMetrics(&registry);
 
-  obs::TimeSeriesRing timeline(256);
-  obs::TimelineSampler sampler(&registry, &timeline);
+  obs::TimelineSampler sampler(&registry, &journal);
   int64_t last_sample = INT64_MIN;
   exec.after_step = [&]() {
     const int64_t t = exec.current_time().t;
@@ -257,6 +313,7 @@ TEST(TimelineAcceptanceTest, MigrationWindowP99ExceedsPreMigrationBaseline) {
   sampler.Sample(exec.current_time(), controller.migration_in_progress());
 
   ASSERT_EQ(controller.migrations_completed(), 1);
+  const std::vector<MetricSample> timeline = obs::Samples(journal);
   const auto records = tracer.RecordsFor(0);
   ASSERT_GE(records.size(), 2u);
   const Timestamp mig_start = records.front().app_time;
@@ -266,7 +323,8 @@ TEST(TimelineAcceptanceTest, MigrationWindowP99ExceedsPreMigrationBaseline) {
   // The timeline captured stamped sink traffic inside the migration window
   // (allow a little slack past the end for the final merge flush).
   const Timestamp probe_end(mig_end.t + 500);
-  ASSERT_GE(timeline.SamplesWithSinkTrafficBetween(mig_start, probe_end), 1u)
+  ASSERT_GE(obs::SamplesWithSinkTrafficBetween(timeline, mig_start, probe_end),
+            1u)
       << "no stamped element reached the sink during the migration window";
 
   // And the coalesce merge's hold-back is on the timeline: the queue depth
@@ -274,10 +332,10 @@ TEST(TimelineAcceptanceTest, MigrationWindowP99ExceedsPreMigrationBaseline) {
   // [2000, 4000). Queue depth is sampled on application-time progress, so
   // the comparison is deterministic; the wall-clock latency spike it causes
   // is reported by bench/fig4_output_rate.
-  const uint64_t baseline_depth = timeline.MaxQueueDepthBetween(
-      Timestamp(2000), Timestamp(kMigrationStart - 1));
+  const uint64_t baseline_depth = obs::MaxQueueDepthBetween(
+      timeline, Timestamp(2000), Timestamp(kMigrationStart - 1));
   const uint64_t migration_depth =
-      timeline.MaxQueueDepthBetween(mig_start, probe_end);
+      obs::MaxQueueDepthBetween(timeline, mig_start, probe_end);
   EXPECT_GT(migration_depth, baseline_depth)
       << "migration hold-back not visible in the queue-depth time-series";
 
@@ -293,7 +351,7 @@ TEST(TimelineAcceptanceTest, MigrationWindowP99ExceedsPreMigrationBaseline) {
   EXPECT_GT(sm->e2e_ns.count(), 0u);
 }
 
-// --- TimelineSpillWriter ----------------------------------------------------
+// --- Journal spill ---------------------------------------------------------
 
 std::vector<std::string> ReadLines(const std::string& path) {
   std::ifstream in(path);
@@ -303,91 +361,29 @@ std::vector<std::string> ReadLines(const std::string& path) {
   return lines;
 }
 
-MetricSample SampleAt(int64_t t, uint64_t out) {
-  MetricSample s;
-  s.wall_ns = static_cast<uint64_t>(t) * 1000;
-  s.app_time = Timestamp(t);
-  s.elements_out = out;
-  return s;
-}
-
-TEST(TimelineSpillWriterTest, WritesHeaderAndRows) {
-  const std::string path = testing::TempDir() + "spill_basic.csv";
-  obs::TimelineSpillWriter spill(path);
-  spill.Append(SampleAt(1, 10));
-  spill.Append(SampleAt(2, 20));
-  spill.Append(SampleAt(3, 30));
-  spill.Flush();
-  EXPECT_EQ(spill.rows_written(), 3u);
-  EXPECT_EQ(spill.rotations(), 0);
-  const auto lines = ReadLines(path);
-  ASSERT_EQ(lines.size(), 4u);
-  EXPECT_EQ(lines[0].rfind("wall_ns,app_time", 0), 0u);  // Header first.
-  EXPECT_NE(lines[0].find("watermark_lag_max"), std::string::npos);
-  EXPECT_NE(lines[0].find("backpressure_ns"), std::string::npos);
-  // Every data row has the full column count (match the header).
-  const auto header_commas =
-      std::count(lines[0].begin(), lines[0].end(), ',');
-  for (size_t i = 1; i < lines.size(); ++i) {
-    EXPECT_EQ(std::count(lines[i].begin(), lines[i].end(), ','),
-              header_commas)
-        << lines[i];
-  }
-}
-
-TEST(TimelineSpillWriterTest, TruncatesPreexistingFile) {
-  const std::string path = testing::TempDir() + "spill_trunc.csv";
-  {
-    std::ofstream out(path);
-    out << "stale content from a previous run\n";
-  }
-  obs::TimelineSpillWriter spill(path);
-  spill.Append(SampleAt(1, 1));
-  spill.Flush();
-  const auto lines = ReadLines(path);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0].rfind("wall_ns,", 0), 0u);
-}
-
-TEST(TimelineSpillWriterTest, RotatesAtSizeThresholdAndKeepsOneOldFile) {
-  const std::string path = testing::TempDir() + "spill_rotate.csv";
-  obs::TimelineSpillWriter spill(path, /*rotate_bytes=*/256);
-  for (int i = 0; i < 64; ++i) {
-    spill.Append(SampleAt(i, static_cast<uint64_t>(i)));
-  }
-  spill.Flush();
-  EXPECT_GE(spill.rotations(), 2);  // 64 rows at ~60 bytes >> 256.
-  // Active file: fresh header, below-threshold tail of the rows.
-  const auto active = ReadLines(path);
-  ASSERT_GE(active.size(), 1u);
-  EXPECT_EQ(active[0].rfind("wall_ns,", 0), 0u);
-  // Rotated file exists, also starting with a header.
-  const auto rotated = ReadLines(spill.rotated_path());
-  ASSERT_GE(rotated.size(), 2u);
-  EXPECT_EQ(rotated[0].rfind("wall_ns,", 0), 0u);
-  // No rows lost: header-free line counts over both files cover the tail of
-  // the run (earlier rotations may have discarded the oldest rows — the
-  // documented ~2x rotate_bytes disk bound).
-  EXPECT_GT(active.size() + rotated.size(), 2u);
-}
-
 TEST(TimelineSpillWriterTest, SamplerAppendsToSpill) {
   MetricsRegistry registry;
   obs::OperatorMetrics* m = registry.Register("op");
-  TimeSeriesRing ring(4);
-  TimelineSampler sampler(&registry, &ring);
-  const std::string path = testing::TempDir() + "spill_sampler.csv";
-  obs::TimelineSpillWriter spill(path);
-  sampler.set_spill(&spill);
+  const std::string path = testing::TempDir() + "spill_sampler.jsonl";
+  EventJournal journal(EventJournal::Options{4, path});
+  TimelineSampler sampler(&registry, &journal);
   // The ring holds 4 samples; the spill keeps all 6.
   for (int i = 0; i < 6; ++i) {
     ++m->elements_out;
     sampler.Sample(Timestamp(i), /*migration_active=*/false);
   }
-  spill.Flush();
-  EXPECT_EQ(ring.size(), 4u);
-  EXPECT_EQ(spill.rows_written(), 6u);
-  EXPECT_EQ(ReadLines(path).size(), 7u);
+  journal.Flush();
+  EXPECT_EQ(obs::Samples(journal).size(), 4u);
+  const std::vector<std::string> lines = ReadLines(path);
+  ASSERT_EQ(lines.size(), 6u);
+  for (size_t i = 0; i < lines.size(); ++i) {
+    obs::JournalEvent ev;
+    ASSERT_TRUE(EventJournal::FromJsonl(lines[i], &ev)) << lines[i];
+    MetricSample s;
+    ASSERT_TRUE(obs::SampleFromEvent(ev, &s)) << lines[i];
+    EXPECT_EQ(s.app_time.t, static_cast<int64_t>(i));
+    EXPECT_EQ(s.op_elements_out, std::vector<uint64_t>{i + 1});
+  }
 }
 
 }  // namespace

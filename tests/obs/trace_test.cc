@@ -41,7 +41,8 @@ LogicalPtr Fig2NewPlan() {
 // --- Direct tracer unit tests --------------------------------------------------
 
 TEST(MigrationTracerTest, RecordsAndPhases) {
-  MigrationTracer tracer;
+  obs::EventJournal journal;
+  MigrationTracer tracer(&journal);
   EXPECT_EQ(tracer.migration_count(), 0);
 
   const int id = tracer.BeginMigration("genmig_coalesce", Timestamp(10));
@@ -89,7 +90,8 @@ TEST(MigrationTracerTest, EventNames) {
 // --- Trace of a real GenMig migration ------------------------------------------
 
 TEST(MigrationTraceIntegrationTest, GenMigPhaseOrdering) {
-  MigrationTracer tracer;
+  obs::EventJournal journal;
+  MigrationTracer tracer(&journal);
   auto inputs = MakeKeyedInputs(2, 200, 4, 5, /*seed=*/11);
   auto result = RunLogicalMigration(
       Fig2OldPlan(), Fig2NewPlan(), inputs, Timestamp(200),
@@ -130,7 +132,8 @@ TEST(MigrationTraceIntegrationTest, GenMigPhaseOrdering) {
 }
 
 TEST(MigrationTraceIntegrationTest, ParallelTrackSubset) {
-  MigrationTracer tracer;
+  obs::EventJournal journal;
+  MigrationTracer tracer(&journal);
   auto inputs = MakeKeyedInputs(2, 200, 4, 5, /*seed=*/13);
   auto old_plan = EquiJoin(WindowedSource("S0"), WindowedSource("S1"), 0, 0);
   auto new_plan = EquiJoin(WindowedSource("S1"), WindowedSource("S0"), 0, 0);

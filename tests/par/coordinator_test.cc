@@ -277,7 +277,8 @@ TEST(CoordinatorTest, MetricsAndTraceLanesArePopulated) {
                        Window(SourceNode("B", OneCol()), 10), 0, 0);
   const par::InputMap inputs = RandomFeeds(20, 30, 3, {"A", "B"});
   obs::MetricsRegistry registry;
-  obs::MigrationTracer tracer;
+  obs::EventJournal journal;
+  obs::MigrationTracer tracer(&journal);
   par::Coordinator::Options options;
   options.shards = 2;
   options.registry = &registry;
