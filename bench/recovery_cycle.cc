@@ -4,7 +4,10 @@
 // a random point in the stream; the parent restores from the surviving
 // directory (or reruns from scratch when the kill beat the first commit),
 // finishes the stream, and compares the stitched output against an
-// uninterrupted oracle in snapshot normal form.
+// uninterrupted oracle in snapshot normal form. Every third seed runs the
+// join on two shards: that victim calls RunToCompletion() and dies once the
+// engine's store counted a seed-drawn number of commits (the engine part
+// plus the sharded query's marker cuts, which share the store).
 //
 //   recovery_cycle [cycles] [base_seed] [outdir]
 //
@@ -24,6 +27,7 @@
 #include <cstdlib>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/dsms.h"
@@ -45,6 +49,8 @@ struct CycleParams {
   int64_t ckpt_period = 0;
   int64_t kill_t = 0;     // Victim app-time horizon before SIGKILL.
   bool join = false;      // Two-stream join instead of single-stream dedup.
+  int shards = 1;         // 2: the join runs on the sharded executor.
+  uint64_t kill_commits = 0;  // Sharded victim: SIGKILL past this many.
 };
 
 CycleParams MakeParams(uint64_t seed) {
@@ -64,6 +70,11 @@ CycleParams MakeParams(uint64_t seed) {
   p.kill_t = span / 4 + static_cast<int64_t>(rng() % static_cast<uint64_t>(
                                                  std::max<int64_t>(span / 2,
                                                                    1)));
+  if (seed % 3 == 0) {
+    p.join = true;
+    p.shards = 2;
+  }
+  p.kill_commits = 1 + rng() % 4;
   return p;
 }
 
@@ -87,6 +98,10 @@ std::vector<TimedTuple> Arrivals(const CycleParams& p, uint64_t stream_salt) {
     if (rng() % 2 == 0) std::swap(raw[i], raw[i + 1]);
   }
   return raw;
+}
+
+const char* Mode(const CycleParams& p) {
+  return p.shards > 1 ? "sharded join" : p.join ? "join" : "dedup";
 }
 
 /// Registers streams and installs the cycle's query; identical in the
@@ -114,14 +129,36 @@ bool Setup(const CycleParams& p, Dsms* dsms, Dsms::QueryId* id) {
   return true;
 }
 
-void Victim(const CycleParams& p, const std::string& dir) {
+/// Options of the victim and the restored engine (the oracle runs unsharded).
+Dsms::Options CheckpointedOptions(const CycleParams& p,
+                                  const std::string& dir) {
   Dsms::Options options;
+  options.shards = p.shards;
   options.checkpoint_dir = dir;
   options.checkpoint_period = p.ckpt_period;
-  Dsms dsms(options);
+  return options;
+}
+
+void Victim(const CycleParams& p, const std::string& dir) {
+  Dsms dsms(CheckpointedOptions(p, dir));
   Dsms::QueryId id = 0;
   if (!Setup(p, &dsms, &id)) _exit(90);
-  dsms.RunUntil(Timestamp(p.kill_t));
+  if (dsms.Info(id).parallel != (p.shards > 1)) _exit(89);
+  if (p.shards > 1) {
+    // The sharded query produces its results inside RunToCompletion(), so
+    // a watcher kills the victim once enough commits landed; a run that
+    // commits fewer dies when it returns.
+    std::thread killer([&dsms, &p] {
+      for (;;) {
+        if (dsms.CheckpointStats().commits > p.kill_commits) raise(SIGKILL);
+        usleep(200);
+      }
+    });
+    killer.detach();
+    dsms.RunToCompletion();
+  } else {
+    dsms.RunUntil(Timestamp(p.kill_t));
+  }
   raise(SIGKILL);  // No destructors, no flushes: a real crash.
 }
 
@@ -168,10 +205,7 @@ bool RunCycle(const CycleParams& p, const std::string& dir) {
     oracle = dsms.Results(id);
   }
 
-  Dsms::Options options;
-  options.checkpoint_dir = dir;
-  options.checkpoint_period = p.ckpt_period;
-  Dsms restored(options);
+  Dsms restored(CheckpointedOptions(p, dir));
   Dsms::QueryId id = 0;
   if (!Setup(p, &restored, &id)) return false;
   const Status s = restored.Restore();
@@ -187,9 +221,9 @@ bool RunCycle(const CycleParams& p, const std::string& dir) {
   if (ref::SnapshotNormalForm(restored.Results(id)) !=
       ref::SnapshotNormalForm(oracle)) {
     std::fprintf(stderr,
-                 "seed %llu: snapshot mismatch (restored %zu results, "
+                 "seed %llu: snapshot mismatch (%s, restored %zu results, "
                  "oracle %zu; %s, kill_t=%lld, period=%lld)\n",
-                 static_cast<unsigned long long>(p.seed),
+                 static_cast<unsigned long long>(p.seed), Mode(p),
                  restored.Results(id).size(), oracle.size(),
                  s.ok() ? "restored" : "fresh run",
                  static_cast<long long>(p.kill_t),
@@ -225,13 +259,15 @@ int main(int argc, char** argv) {
     ::mkdir(dir.c_str(), 0755);
     const bool ok = RunCycle(p, dir);
     std::printf("cycle %3d seed %llu: %s (%s, count=%zu delta=%lld "
-                "range=%lld period=%lld kill_t=%lld)\n",
+                "range=%lld period=%lld kill_%s=%lld)\n",
                 k, static_cast<unsigned long long>(p.seed),
-                ok ? "ok" : "FAIL", p.join ? "join" : "dedup", p.count,
+                ok ? "ok" : "FAIL", Mode(p), p.count,
                 static_cast<long long>(p.delta),
                 static_cast<long long>(p.range),
                 static_cast<long long>(p.ckpt_period),
-                static_cast<long long>(p.kill_t));
+                p.shards > 1 ? "commits" : "t",
+                p.shards > 1 ? static_cast<long long>(p.kill_commits)
+                             : static_cast<long long>(p.kill_t));
     std::fflush(stdout);
     if (ok) {
       RemoveFlatDir(dir);

@@ -15,6 +15,7 @@
 #include <cstdio>
 
 #include "migration/controller.h"
+#include "migration/trigger_policy.h"
 #include "opt/rules.h"
 #include "plan/compile.h"
 #include "plan/executor.h"
@@ -49,6 +50,13 @@ MaterializedStream DriftingTap(size_t count, int64_t period,
   return out;
 }
 
+/// The cheapest of `plan` and its rule rewrites under `stats`.
+LogicalPtr Cheapest(const LogicalPtr& plan, const StatsCatalog& stats) {
+  double cost = 0.0;
+  LogicalPtr best = rules::BestCandidate(plan, stats, nullptr, &cost);
+  return best != nullptr && cost < EstimateCost(*plan, stats) ? best : plan;
+}
+
 }  // namespace
 
 int main() {
@@ -65,10 +73,9 @@ int main() {
   initial.SetSource("edge", 0.1, 1000.0);
   initial.SetSource("core", 0.1, 1000.0);
   initial.SetSource("dmz", 0.1, 1000.0);
-  Optimizer optimizer(initial);
-  LogicalPtr running = optimizer.Optimize(query);
-  std::printf("installed plan (cost %.1f):\n%s\n", optimizer.Cost(running),
-              running->ToString().c_str());
+  LogicalPtr running = Cheapest(query, initial);
+  std::printf("installed plan (cost %.1f):\n%s\n",
+              EstimateCost(*running, initial), running->ToString().c_str());
 
   // Wire up: sources -> windows -> MonitorOps (statistics taps) ->
   // controller(running plan) -> sink.
@@ -123,13 +130,14 @@ int main() {
                 distinct.size());
   }
 
-  Optimizer reoptimizer(drifted);
-  LogicalPtr candidate = reoptimizer.Optimize(running);
-  std::printf("\nre-optimized plan (cost %.1f -> %.1f):\n%s\n",
-              reoptimizer.Cost(running), reoptimizer.Cost(candidate),
-              candidate->ToString().c_str());
+  LogicalPtr candidate = Cheapest(running, drifted);
+  const double running_cost = EstimateCost(*running, drifted);
+  const double candidate_cost = EstimateCost(*candidate, drifted);
+  std::printf("\nre-optimized plan (cost %.1f -> %.1f):\n%s\n", running_cost,
+              candidate_cost, candidate->ToString().c_str());
 
-  if (reoptimizer.ShouldMigrate(running, candidate)) {
+  // The engine's migrate-or-not threshold: running / best >= 1 + margin.
+  if (running_cost / candidate_cost >= CostRatioPolicy().fire_threshold()) {
     Box new_box = CompilePlan(*StripWindows(candidate));
     new_box.ReorderInputs(source_names);
     MigrationController::GenMigOptions opts;

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/store.h"
+#include "ckpt/format.h"
 #include "common/status.h"
 #include "plan/box.h"
 

@@ -61,6 +61,15 @@ struct Manifest {
   std::vector<ManifestEntry> entries;
 };
 
+/// One serialized piece of operator/engine state.
+struct Blob {
+  std::string key;
+  std::string bytes;
+  /// Chunk-file grouping ("main", "s0", "s1", ...). Blobs of one group land
+  /// in one chunk file per commit.
+  std::string group = "main";
+};
+
 /// Appends one framed record to a chunk image and reports where it landed.
 /// `offset`/`length`/`crc` are filled for the manifest entry.
 void AppendChunkRecord(std::string* chunk, std::string_view payload,

@@ -14,6 +14,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/check.h"
+
 namespace genmig {
 namespace ckpt {
 namespace {
@@ -99,16 +101,16 @@ Store::~Store() {
   if (worker_.joinable()) worker_.join();
 }
 
-Status Store::Commit(std::vector<Blob> blobs) {
+Status Store::Commit(std::vector<Blob> blobs, std::string scope) {
   std::lock_guard<std::mutex> lock(commit_mu_);
-  return CommitLocked(blobs);
+  return CommitLocked(Round{std::move(blobs), std::move(scope)});
 }
 
-bool Store::CommitAsync(std::vector<Blob> blobs) {
+bool Store::CommitAsync(std::vector<Blob> blobs, std::string scope) {
   {
     std::lock_guard<std::mutex> lock(worker_mu_);
     if (busy_ || pending_.has_value()) return false;
-    pending_ = std::move(blobs);
+    pending_ = Round{std::move(blobs), std::move(scope)};
   }
   worker_cv_.notify_all();
   return true;
@@ -121,18 +123,18 @@ void Store::WaitIdle() {
 
 void Store::WorkerMain() {
   for (;;) {
-    std::vector<Blob> blobs;
+    Round round;
     {
       std::unique_lock<std::mutex> lock(worker_mu_);
       worker_cv_.wait(lock, [this] { return stop_ || pending_.has_value(); });
       if (stop_ && !pending_.has_value()) return;
-      blobs = std::move(*pending_);
+      round = std::move(*pending_);
       pending_.reset();
       busy_ = true;
     }
     {
       std::lock_guard<std::mutex> lock(commit_mu_);
-      CommitLocked(blobs);  // Failure recorded in stats + event observer.
+      CommitLocked(round);  // Failure recorded in stats + event observer.
     }
     {
       std::lock_guard<std::mutex> lock(worker_mu_);
@@ -146,31 +148,39 @@ void Store::Notify(const Event& event) {
   if (observer_) observer_(event);
 }
 
-Status Store::CommitLocked(std::vector<Blob>& blobs) {
+Status Store::CommitLocked(const Round& round) {
   const uint64_t t0 = MonoNowNs();
   const uint64_t seq = seq_.load(std::memory_order_relaxed) + 1;
 
   Event begin;
   begin.phase = Event::Phase::kBegin;
   begin.seq = seq;
+  begin.scope = round.scope;
   Notify(begin);
 
-  // Previous entries by key, for hash-based carry-forward.
+  // Previous entries: those under the scope by key, for hash-based
+  // carry-forward; the rest carry forward as they are.
+  Manifest next;
+  next.seq = seq;
+  uint64_t total_bytes = 0;
   std::unordered_map<std::string, const ManifestEntry*> prev;
   uint64_t prev_seq = 0;
   if (last_manifest_.has_value()) {
     prev_seq = last_manifest_->seq;
     for (const ManifestEntry& e : last_manifest_->entries) {
-      prev.emplace(e.key, &e);
+      if (e.key.compare(0, round.scope.size(), round.scope) == 0) {
+        prev.emplace(e.key, &e);
+      } else {
+        next.entries.push_back(e);
+        total_bytes += e.length;
+      }
     }
   }
 
-  Manifest next;
-  next.seq = seq;
   std::map<std::string, std::string> chunks;  // group -> file image.
-  uint64_t total_bytes = 0;
   uint64_t written_bytes = 0;
-  for (const Blob& blob : blobs) {
+  for (const Blob& blob : round.blobs) {
+    GENMIG_CHECK(blob.key.compare(0, round.scope.size(), round.scope) == 0);
     total_bytes += blob.bytes.size();
     const uint64_t hash = Fnv1a(blob.bytes);
     auto it = prev.find(blob.key);
@@ -194,6 +204,7 @@ Status Store::CommitLocked(std::vector<Blob>& blobs) {
     Event ev;
     ev.phase = Event::Phase::kAbort;
     ev.seq = seq;
+    ev.scope = round.scope;
     ev.bytes = total_bytes;
     ev.written_bytes = written_bytes;
     ev.duration_ns = MonoNowNs() - t0;
@@ -239,6 +250,7 @@ Status Store::CommitLocked(std::vector<Blob>& blobs) {
   Event ev;
   ev.phase = Event::Phase::kCommit;
   ev.seq = seq;
+  ev.scope = round.scope;
   ev.bytes = total_bytes;
   ev.written_bytes = written_bytes;
   ev.duration_ns = dur;

@@ -16,6 +16,12 @@
 //     the new checkpoint fully readable; Load() additionally falls back to
 //     older MANIFEST-* files when the newest is torn.
 //
+// A commit may be scoped to a key prefix: it then replaces only the keys
+// under that prefix and carries every other entry of the previous manifest
+// forward unchanged. That is how several writers share one store — the
+// engine commits "engine/...", each sharded query its own cut under
+// "par/q<i>/..." — without any of them serializing the others' state.
+//
 // CommitAsync() hands the (already serialized) blob set to a background
 // thread so file IO never blocks stream processing; if the previous commit
 // is still in flight the round is skipped (busy-skip) rather than queued —
@@ -41,15 +47,6 @@
 namespace genmig {
 namespace ckpt {
 
-/// One serialized piece of operator/engine state.
-struct Blob {
-  std::string key;
-  std::string bytes;
-  /// Chunk-file grouping ("main", "s0", "s1", ...). Blobs of one group land
-  /// in one chunk file per commit.
-  std::string group = "main";
-};
-
 class Store {
  public:
   /// Lifecycle notification for journaling. kCommit/kAbort always follow a
@@ -61,6 +58,7 @@ class Store {
     uint64_t bytes = 0;          // Total live bytes in the checkpoint.
     uint64_t written_bytes = 0;  // Bytes actually written (incremental).
     uint64_t duration_ns = 0;
+    std::string scope;    // The commit's key prefix ("" = the full set).
     std::string message;  // Error text on kAbort.
   };
 
@@ -80,22 +78,22 @@ class Store {
   Store(const Store&) = delete;
   Store& operator=(const Store&) = delete;
 
-  const std::string& dir() const { return dir_; }
-
   /// Observer for checkpoint begin/commit/abort. Must be set before the
   /// first commit; invoked from whichever thread runs the commit.
   void SetEventObserver(std::function<void(const Event&)> observer) {
     observer_ = std::move(observer);
   }
 
-  /// Synchronously commits `blobs` as checkpoint seq+1. `blobs` is the FULL
-  /// live set — any key present in the previous checkpoint but absent here
-  /// is dropped from the new manifest.
-  Status Commit(std::vector<Blob> blobs);
+  /// Synchronously commits `blobs` as checkpoint seq+1. `blobs` is the full
+  /// live set under `scope` (every key starts with it): a previous key under
+  /// `scope` that is absent here is dropped from the new manifest, and every
+  /// previous key outside `scope` carries forward unchanged. The default
+  /// empty scope makes `blobs` the whole checkpoint.
+  Status Commit(std::vector<Blob> blobs, std::string scope = "");
 
   /// Queues a commit on the background thread. Returns false (and does
   /// nothing) when a previous async commit is still running.
-  bool CommitAsync(std::vector<Blob> blobs);
+  bool CommitAsync(std::vector<Blob> blobs, std::string scope = "");
 
   /// Blocks until no async commit is pending or running.
   void WaitIdle();
@@ -109,7 +107,11 @@ class Store {
   StatsSnapshot stats() const;
 
  private:
-  Status CommitLocked(std::vector<Blob>& blobs);
+  struct Round {
+    std::vector<Blob> blobs;
+    std::string scope;
+  };
+  Status CommitLocked(const Round& round);
   Status TryLoadManifest(const std::string& manifest_file,
                          std::map<std::string, std::string>* blobs,
                          Manifest* manifest);
@@ -126,7 +128,7 @@ class Store {
   // Background commit worker.
   std::mutex worker_mu_;
   std::condition_variable worker_cv_;
-  std::optional<std::vector<Blob>> pending_;
+  std::optional<Round> pending_;
   bool busy_ = false;
   bool stop_ = false;
   std::thread worker_;

@@ -15,6 +15,17 @@
 
 namespace genmig {
 
+namespace {
+
+/// Key prefix of the engine's own blobs, and of sharded query `qi`'s cut.
+/// Each commit is scoped to one prefix, so neither overwrites the other.
+constexpr char kEngineScope[] = "engine/";
+std::string ShardedScope(size_t qi) {
+  return "par/q" + std::to_string(qi) + "/";
+}
+
+}  // namespace
+
 Dsms::Dsms(Options options)
     : options_(options),
       exec_(options.executor),
@@ -29,15 +40,16 @@ Dsms::Dsms(Options options)
   }
   if (!options_.checkpoint_dir.empty()) {
     ckpt_store_ = std::make_unique<ckpt::Store>(options_.checkpoint_dir);
-    // Every begin/commit/abort lands in the journal; the observer may fire
-    // on the store's background thread — Append is thread-safe, and the
-    // app-time stamp reads the atomic mirror.
+    // Every begin/commit/abort lands in the journal, the engine's under
+    // subject "engine" and a sharded query's cut under "par/q<i>"; the
+    // observer may fire on the store's background thread — Append is
+    // thread-safe, and the app-time stamp reads the atomic mirror.
     ckpt_store_->SetEventObserver([this](const ckpt::Store::Event& e) {
       obs::JournalEvent ev;
       ev.kind = obs::JournalEvent::Kind::kCheckpoint;
       ev.app_time =
           Timestamp(app_time_t_.load(std::memory_order_relaxed), 0);
-      ev.subject = "engine";
+      ev.subject = e.scope.substr(0, e.scope.size() - 1);
       const char* phase = e.phase == ckpt::Store::Event::Phase::kBegin
                               ? "begin"
                               : e.phase == ckpt::Store::Event::Phase::kCommit
@@ -196,13 +208,17 @@ Result<Dsms::QueryId> Dsms::Install(LogicalPtr plan) {
     copt.shards = options_.shards;
     copt.registry = &registry_;
     copt.tracer = &tracer_;
-    // Parallel queries checkpoint through their own store (their state lives
-    // on the coordinator's threads): one subdirectory per query, per-shard
-    // chunk files under one router-global cut.
-    if (!options_.checkpoint_dir.empty()) {
-      copt.checkpoint_dir = options_.checkpoint_dir + "/q" +
-                            std::to_string(queries_.size()) + "par";
+    // The coordinator's marker cuts commit into the engine's store under the
+    // query's key prefix, replacing only its previous cut. Without an engine
+    // part in the store, Restore() would reject the manifest: drop the cut.
+    if (ckpt_store_ != nullptr && options_.checkpoint_period > 0) {
       copt.checkpoint_period = options_.checkpoint_period;
+      copt.on_cut = [this, scope = ShardedScope(queries_.size())](
+                        std::vector<ckpt::Blob> blobs) {
+        if (ckpt_store_->stats().seq == 0) return;
+        for (ckpt::Blob& blob : blobs) blob.key.insert(0, scope);
+        ckpt_store_->CommitAsync(std::move(blobs), scope);
+      };
     }
     auto coordinator = std::make_unique<par::Coordinator>(plan, copt);
     if (coordinator->spec().ok) {
@@ -250,6 +266,16 @@ Result<Dsms::QueryId> Dsms::Install(LogicalPtr plan) {
 }
 
 void Dsms::RunToCompletion() {
+  // Sharded cuts need an engine part in the store (see RunToCompletion's
+  // contract): commit one now if there is none.
+  const bool sharded_cuts =
+      ckpt_store_ != nullptr && options_.checkpoint_period > 0 &&
+      std::any_of(queries_.begin(), queries_.end(),
+                  [](const auto& q) { return q->parallel; });
+  if (sharded_cuts) {
+    ckpt_store_->WaitIdle();
+    if (ckpt_store_->stats().seq == 0) (void)Checkpoint();
+  }
   // Parallel queries first: they consume the immutable feed data on their
   // own threads and barrier on migration completion, so AutoStatus, Info()
   // and metrics are coherent by the time the single-threaded engine (and
@@ -280,6 +306,8 @@ void Dsms::RunToCompletion() {
     query->parallel_results = query->coordinator->TakeOutput();
     query->coordinator->WaitMigrationsComplete();
   }
+  // The last cut is durable before anyone reads the results.
+  if (sharded_cuts) ckpt_store_->WaitIdle();
   exec_.RunToCompletion();
   journal_.Flush();
   app_time_t_.store(exec_.current_time().t, std::memory_order_relaxed);
@@ -380,7 +408,7 @@ Status Dsms::CollectBlobs(std::vector<ckpt::Blob>* blobs) {
   }
   for (size_t qi = 0; qi < queries_.size(); ++qi) {
     const Query& q = *queries_[qi];
-    if (q.parallel) continue;  // Checkpoints through its coordinator store.
+    if (q.parallel) continue;  // Its coordinator's cuts carry its state.
     const std::string base = "engine/q" + std::to_string(qi);
     {
       StateEnc enc;
@@ -441,7 +469,7 @@ Status Dsms::Checkpoint() {
   // A periodic async commit still in flight must not interleave with (or
   // outrank) this explicit one.
   ckpt_store_->WaitIdle();
-  s = ckpt_store_->Commit(std::move(blobs));
+  s = ckpt_store_->Commit(std::move(blobs), kEngineScope);
   if (s.ok()) last_checkpoint_ = exec_.current_time();
   return s;
 }
@@ -458,7 +486,7 @@ void Dsms::MaybeCheckpoint() {
   // A transient migration phase defers to the next period; a still-busy
   // store skips the round (the next one supersedes it anyway).
   if (!CollectBlobs(&blobs).ok()) return;
-  ckpt_store_->CommitAsync(std::move(blobs));
+  ckpt_store_->CommitAsync(std::move(blobs), kEngineScope);
 }
 
 ckpt::Store::StatsSnapshot Dsms::CheckpointStats() const {
@@ -520,10 +548,17 @@ Status Dsms::Restore() {
     Query* q = queries_[qi].get();
     const std::string base = "engine/q" + std::to_string(qi);
     if (q->parallel) {
-      // The coordinator restores from its own store; NotFound means it had
-      // not checkpointed before the crash and simply runs from scratch.
-      Status ps = q->coordinator->Restore();
-      if (!ps.ok() && ps.code() != Status::Code::kNotFound) return ps;
+      // The query's latest cut, prefix stripped. Without one (no cut had
+      // committed, or an older layout kept cuts in a "q<i>par" subdirectory)
+      // it recomputes from its immutable feeds.
+      const std::string scope = ShardedScope(qi);
+      std::map<std::string, std::string> cut;
+      for (auto it = blobs.lower_bound(scope);
+           it != blobs.end() && it->first.rfind(scope, 0) == 0; ++it) {
+        cut.emplace(it->first.substr(scope.size()), std::move(it->second));
+      }
+      Status ps = cut.empty() ? Status::OK() : q->coordinator->Restore(cut);
+      if (!ps.ok()) return ps;
       continue;
     }
     const std::string* ctlb = find(base + "/ctl");
@@ -669,29 +704,6 @@ MigrationController::GenMigOptions Dsms::GenMigOptionsFor(
   return opts;
 }
 
-namespace {
-
-/// Cheapest rewrite of `plan` other than `plan` itself, costed with the
-/// query's observed-rate overlay. Returns null when no rewrite exists.
-LogicalPtr BestCandidate(const LogicalPtr& plan, const StatsCatalog& stats,
-                         const PlanObservations* observed,
-                         double* best_cost_out) {
-  LogicalPtr best;
-  double best_cost = 0.0;
-  for (const LogicalPtr& candidate : rules::EnumerateRewrites(plan, stats)) {
-    if (candidate == plan) continue;
-    const double cost = EstimatePlan(*candidate, stats, observed).cost;
-    if (best == nullptr || cost < best_cost) {
-      best = candidate;
-      best_cost = cost;
-    }
-  }
-  *best_cost_out = best_cost;
-  return best;
-}
-
-}  // namespace
-
 Dsms::CostCheck Dsms::CostAgainstBest(const Query& query,
                                       const StatsCatalog& base) const {
   // Calibrated catalog + observed-rate overlay: with no observations yet
@@ -700,8 +712,8 @@ Dsms::CostCheck Dsms::CostAgainstBest(const Query& query,
   const StatsCatalog stats = query.calibrator.Calibrated(base);
   CostCheck check;
   check.running = EstimatePlan(*query.plan, stats, &query.calibrator).cost;
-  check.best =
-      BestCandidate(query.plan, stats, &query.calibrator, &check.best_cost);
+  check.best = rules::BestCandidate(query.plan, stats, &query.calibrator,
+                                    &check.best_cost);
   if (check.best != nullptr) {
     check.ratio = check.running / std::max(check.best_cost, 1e-12);
   }

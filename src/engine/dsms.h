@@ -3,7 +3,7 @@
 // dynamic-query-optimization loop:
 //
 //   register streams -> install CQL queries -> execute -> collect runtime
-//   statistics (StatsTap) -> re-optimize (Optimizer) -> migrate the running
+//   statistics (StatsTap) -> re-optimize (rules) -> migrate the running
 //   plan (MigrationController, GenMig) -> keep executing.
 //
 // Each installed query owns its window operators, a per-stream StatsTap, a
@@ -116,9 +116,10 @@ class Dsms {
     Executor::Options executor;
     /// Durable-state directory (src/ckpt). Non-empty: Checkpoint()/Restore()
     /// become available and, with checkpoint_period > 0, the engine commits
-    /// incremental checkpoints on the store's background thread. Parallel
-    /// (sharded) queries checkpoint into a per-query subdirectory
-    /// ("q<i>par") through their coordinator, at one router-global cut.
+    /// incremental checkpoints on the store's background thread. The engine
+    /// owns the directory's one store: a parallel (sharded) query's
+    /// coordinator commits its router-global marker cuts into it under the
+    /// key prefix "par/q<i>/", next to the engine's "engine/" blobs.
     /// Empty (default): checkpointing is off.
     std::string checkpoint_dir;
     /// Application-time period of automatic checkpoints (0 = only explicit
@@ -181,7 +182,9 @@ class Dsms {
   bool Step() { return exec_.Step(); }
   void RunUntil(Timestamp t) { exec_.RunUntil(t); }
   /// Drives the single-threaded executor to the end of every feed AND runs
-  /// every parallel (sharded) query to completion.
+  /// every parallel (sharded) query to completion. If their cuts are on and
+  /// the store holds no checkpoint yet, it first calls Checkpoint(); when
+  /// that fails (a transient migration phase), this run's cuts are dropped.
   void RunToCompletion();
   Timestamp current_time() const { return exec_.current_time(); }
 
@@ -196,7 +199,8 @@ class Dsms {
 
   /// Synchronously commits a checkpoint of every feed cursor, operator
   /// state, migration-controller phase (including an in-flight GenMig's
-  /// T_split) and cost-model memory to Options::checkpoint_dir.
+  /// T_split) and cost-model memory to Options::checkpoint_dir. Each
+  /// sharded query's latest marker cut stays in the new checkpoint.
   /// FailedPrecondition when checkpointing is off or a query sits in a
   /// transient migration phase (kWaitingTimestamps/kDraining resolve within
   /// a bounded number of steps — retry); the periodic path simply defers.
@@ -206,9 +210,11 @@ class Dsms {
   /// Call on a freshly constructed Dsms after re-registering the same
   /// streams (same names and data) and re-installing the same queries in
   /// the same order as the checkpointed run; then resume stepping — the
-  /// output tail is snapshot-equivalent to the uninterrupted run. NotFound
-  /// when the directory holds no checkpoint; DataLoss when every candidate
-  /// is torn or the registered topology does not match the checkpoint.
+  /// output tail is snapshot-equivalent to the uninterrupted run. A sharded
+  /// query resumes at its latest cut, or from scratch when it has none.
+  /// NotFound when the directory holds no checkpoint; DataLoss when every
+  /// candidate is torn or the registered topology does not match the
+  /// checkpoint.
   Status Restore();
 
   /// Store counters (all zero when checkpointing is off).

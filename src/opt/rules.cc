@@ -282,20 +282,21 @@ std::vector<LogicalPtr> EnumerateRewrites(const LogicalPtr& plan,
   return out;
 }
 
-}  // namespace rules
-
-LogicalPtr Optimizer::Optimize(const LogicalPtr& plan) const {
-  LogicalPtr best = plan;
-  double best_cost = Cost(plan);
-  for (const LogicalPtr& candidate :
-       rules::EnumerateRewrites(plan, catalog_)) {
-    const double cost = Cost(candidate);
-    if (cost < best_cost) {
-      best_cost = cost;
+LogicalPtr BestCandidate(const LogicalPtr& plan, const StatsCatalog& stats,
+                         const PlanObservations* observed, double* best_cost) {
+  LogicalPtr best;
+  *best_cost = 0.0;
+  for (const LogicalPtr& candidate : EnumerateRewrites(plan, stats)) {
+    if (candidate == plan) continue;
+    const double cost = EstimatePlan(*candidate, stats, observed).cost;
+    if (best == nullptr || cost < *best_cost) {
       best = candidate;
+      *best_cost = cost;
     }
   }
   return best;
 }
+
+}  // namespace rules
 
 }  // namespace genmig

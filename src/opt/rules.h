@@ -42,36 +42,13 @@ std::optional<LogicalPtr> ReorderJoins(const LogicalPtr& plan,
 std::vector<LogicalPtr> EnumerateRewrites(const LogicalPtr& plan,
                                           const StatsCatalog& catalog);
 
+/// Cheapest rewrite of `plan` other than `plan` itself, costed under `stats`
+/// and the observed-rate overlay `observed` (nullable). Returns null when no
+/// rewrite exists; `*best_cost` is its estimated cost (0 without one).
+LogicalPtr BestCandidate(const LogicalPtr& plan, const StatsCatalog& stats,
+                         const PlanObservations* observed, double* best_cost);
+
 }  // namespace rules
-
-/// The dynamic query optimizer: picks the cheapest known rewrite and decides
-/// whether replacing the running plan is worth a migration.
-class Optimizer {
- public:
-  explicit Optimizer(StatsCatalog catalog) : catalog_(std::move(catalog)) {}
-
-  StatsCatalog& catalog() { return catalog_; }
-
-  /// Cheapest equivalent plan found by the rule set.
-  LogicalPtr Optimize(const LogicalPtr& plan) const;
-
-  double Cost(const LogicalPtr& plan) const {
-    return EstimateCost(*plan, catalog_);
-  }
-
-  /// True if `candidate` is enough cheaper than `running` to justify the
-  /// migration overhead (default: 20% improvement).
-  bool ShouldMigrate(const LogicalPtr& running, const LogicalPtr& candidate,
-                     double improvement_threshold = 0.2) const {
-    const double current = Cost(running);
-    const double next = Cost(candidate);
-    return next < current * (1.0 - improvement_threshold);
-  }
-
- private:
-  StatsCatalog catalog_;
-};
-
 }  // namespace genmig
 
 #endif  // GENMIG_OPT_RULES_H_

@@ -18,9 +18,6 @@ Coordinator::Coordinator(LogicalPtr windowed_plan, Options options)
   GENMIG_CHECK(options_.batch_size >= 1);
   spec_ = AnalyzePlan(*windowed_plan_);
   if (spec_.ok) stripped_plan_ = logical::StripWindows(windowed_plan_);
-  if (!options_.checkpoint_dir.empty()) {
-    store_ = std::make_unique<ckpt::Store>(options_.checkpoint_dir);
-  }
 }
 
 Coordinator::~Coordinator() {
@@ -80,7 +77,7 @@ Status Coordinator::BuildRuntime() {
       options_.queue_capacity);
   merge_ = std::make_unique<MergeSink>(options_.shards, out_queue_.get(),
                                        options_.registry);
-  if (store_ != nullptr) {
+  if (options_.on_cut) {
     merge_->on_checkpoint = [this](std::shared_ptr<CkptCapture> capture) {
       std::vector<ckpt::Blob> blobs;
       bool failed = false;
@@ -89,9 +86,7 @@ Status Coordinator::BuildRuntime() {
         failed = capture->failed;
         blobs = std::move(capture->blobs);
       }
-      // Busy-skip semantics: a still-running previous commit drops this
-      // round — the next cut supersedes it anyway.
-      if (!failed) store_->CommitAsync(std::move(blobs));
+      if (!failed) options_.on_cut(std::move(blobs));
       ckpt_inflight_.store(false, std::memory_order_release);
     };
   }
@@ -149,16 +144,9 @@ Status Coordinator::Start(const InputRefs& inputs) {
   return Status::OK();
 }
 
-Status Coordinator::Restore() {
+Status Coordinator::Restore(const std::map<std::string, std::string>& blobs) {
   GENMIG_CHECK(!started_);
-  if (store_ == nullptr) {
-    return Status::FailedPrecondition(
-        "checkpointing disabled (Options::checkpoint_dir is empty)");
-  }
-  std::map<std::string, std::string> blobs;
-  Status s = store_->Load(&blobs);
-  if (!s.ok()) return s;  // NotFound = fresh start; caller decides.
-  s = BuildRuntime();
+  Status s = BuildRuntime();
   if (!s.ok()) return s;
 
   auto it = blobs.find("router");
@@ -393,7 +381,7 @@ void Coordinator::RouterMain(const InputRefs& inputs) {
   // messages routed before the cut, and the merge aligns its own capture on
   // the forwarded markers (see CkptCapture).
   const Duration ckpt_period = options_.checkpoint_period;
-  const bool ckpt_on = store_ != nullptr && ckpt_period > 0;
+  const bool ckpt_on = options_.on_cut && ckpt_period > 0;
   auto initiate_cut = [&] {
     flush_all();  // Accumulated rows must reach the shards before markers.
     auto capture = std::make_shared<CkptCapture>();
@@ -557,8 +545,6 @@ const MaterializedStream& Coordinator::Wait() {
     for (auto& shard : shards_) shard->Join();
     out_queue_->Close();
     merge_->Join();
-    // Make the final in-flight commit durable before callers read results.
-    if (store_ != nullptr) store_->WaitIdle();
     joined_ = true;
     // Final wakeup: shards can no longer publish progress.
     std::lock_guard<std::mutex> lock(progress_mu_);

@@ -44,6 +44,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -89,13 +90,16 @@ class Coordinator {
     size_t batch_size = 256;
     obs::MetricsRegistry* registry = nullptr;  // Nullable.
     obs::MigrationTracer* tracer = nullptr;    // Nullable.
-    /// Durable state (ISSUE 10). Non-empty: the coordinator owns a
-    /// ckpt::Store on this directory and the router initiates a marker-based
-    /// global cut every `checkpoint_period` application-time units (deferred
-    /// while a broadcast migration is in flight anywhere — sharded cuts are
-    /// only taken migration-quiescent). Per-shard blobs land in per-shard
-    /// chunk files ("s<k>") under one manifest.
-    std::string checkpoint_dir;
+    /// Durable state. With `on_cut` set and checkpoint_period > 0, the
+    /// router initiates a marker-based global cut every checkpoint_period
+    /// application-time units (one cut in flight at a time; deferred while a
+    /// broadcast migration is in flight anywhere — sharded cuts are only
+    /// taken migration-quiescent). When a cut completes, the merge thread
+    /// hands its blobs to `on_cut`: "router", "s<k>/..." (chunk group
+    /// "s<k>") and "merge". The owner commits them; one that is still busy
+    /// may drop the cut, since the next one supersedes it. The next cut
+    /// starts only after `on_cut` returns.
+    std::function<void(std::vector<ckpt::Blob>)> on_cut;
     Duration checkpoint_period = 0;
   };
 
@@ -123,14 +127,12 @@ class Coordinator {
   Status Start(InputMap inputs);
   Status Start(const InputRefs& inputs);
 
-  /// Restore (ISSUE 10): loads the newest intact checkpoint from
-  /// Options::checkpoint_dir and re-seeds router cursors, shard controllers/
-  /// boxes and the merge from it, so the next Start()/Run() resumes at the
-  /// cut instead of replaying from scratch. Call before Start(), with the
-  /// same plan and scheduled migrations as the checkpointed run. NotFound
-  /// when the directory holds no checkpoint (callers treat that as a fresh
-  /// start); DataLoss when the checkpoint is unusable.
-  Status Restore();
+  /// Re-seeds router cursors, shard controllers/boxes and the merge from
+  /// the blobs of one cut (as handed to Options::on_cut, keyed by blob key),
+  /// so the next Start()/Run() resumes at the cut instead of replaying from
+  /// scratch. Call before Start(), with the same plan and scheduled
+  /// migrations as the checkpointed run. DataLoss when the cut is unusable.
+  Status Restore(const std::map<std::string, std::string>& blobs);
 
   /// Joins every thread; returns the deterministic merged output.
   const MaterializedStream& Wait();
@@ -173,9 +175,6 @@ class Coordinator {
   int64_t shard_watermark_lag(int k) const {
     return shards_[static_cast<size_t>(k)]->watermark_lag();
   }
-
-  /// The coordinator's checkpoint store (nullptr when checkpointing is off).
-  const ckpt::Store* store() const { return store_.get(); }
 
  private:
   struct Scheduled {
@@ -220,15 +219,14 @@ class Coordinator {
 
   std::vector<Scheduled> scheduled_;
 
-  // Durable state (ISSUE 10).
-  std::unique_ptr<ckpt::Store> store_;
+  // Durable state.
   std::unique_ptr<RouterRestore> router_restore_;
   /// Index into scheduled_ of the last-broadcast migration (-1 = none): the
   /// stripped plan every shard hosts once quiescent. Written by Broadcast
   /// (router thread) and Restore (pre-start), read at capture time.
   int active_plan_idx_ = -1;
   /// One cut in flight at a time: set by the router at initiation, cleared
-  /// on the merge thread once the cut is handed to the store. Guarantees
+  /// on the merge thread once on_cut returned. Guarantees
   /// the merge's side buffer never holds a second marker.
   std::atomic<bool> ckpt_inflight_{false};
 

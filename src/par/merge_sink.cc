@@ -265,7 +265,6 @@ void MergeSink::Release(bool final_flush) {
         }
       }
     }
-    if (on_element) on_element(element);
     merged_.push_back(std::move(element));
   }
   // Drop the released rows: per shard, a prefix of its FIFO.

@@ -61,13 +61,9 @@ class MergeSink {
   /// Hands the merged stream over, leaving it empty. Valid after Join().
   MaterializedStream TakeMerged() { return std::move(merged_); }
 
-  /// Optional hook, invoked on the merge thread at element release (in the
-  /// deterministic output order).
-  std::function<void(const StreamElement&)> on_element;
-
   /// Checkpoint completion hook (ISSUE 10): invoked on the merge thread once
   /// kCheckpoint markers from every shard arrived and the merge's own state
-  /// was captured into the request. The coordinator commits the cut here.
+  /// was captured into the request. The coordinator hands the cut on here.
   std::function<void(std::shared_ptr<CkptCapture>)> on_checkpoint;
 
   /// Restore: re-seeds the held-back rows, per-shard watermarks

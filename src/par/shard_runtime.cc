@@ -165,7 +165,7 @@ void ShardRuntime::CaptureCheckpoint(CkptCapture* capture) {
   // the commit) rather than write an unrestorable cut if that ever breaks.
   if (!controller_->CkptReady() ||
       controller_->phase() != MigrationController::Phase::kDirect) {
-    capture->Fail(prefix_ + "controller not quiescent at checkpoint marker");
+    capture->Fail();
     return;
   }
   const std::string group = prefix_.substr(0, prefix_.size() - 1);  // "s<k>"

@@ -22,7 +22,7 @@
 #include <thread>
 #include <vector>
 
-#include "ckpt/store.h"
+#include "ckpt/format.h"
 #include "migration/controller.h"
 #include "ops/sink.h"
 #include "ops/stateless.h"
@@ -35,23 +35,22 @@ namespace par {
 /// Blob collection of one in-band checkpoint cut (ISSUE 10). The router
 /// creates it, appends its own cursor state and pushes a kCheckpoint marker
 /// to every shard; each shard appends its blobs at the marker position in
-/// its FIFO input and forwards the marker downstream; the merge commits once
-/// markers from all shards arrived (Chandy-Lamport with FIFO channels — the
-/// markers delimit one consistent global cut without pausing the pipeline).
+/// its FIFO input and forwards the marker downstream; the merge hands the
+/// cut on once markers from all shards arrived (Chandy-Lamport with FIFO
+/// channels — the markers delimit one consistent global cut without pausing
+/// the pipeline). A failed capture is dropped.
 struct CkptCapture {
   std::mutex mu;
   std::vector<ckpt::Blob> blobs;
   bool failed = false;
-  std::string error;
 
   void Add(ckpt::Blob blob) {
     std::lock_guard<std::mutex> lock(mu);
     blobs.push_back(std::move(blob));
   }
-  void Fail(std::string why) {
+  void Fail() {
     std::lock_guard<std::mutex> lock(mu);
     failed = true;
-    if (error.empty()) error = std::move(why);
   }
 };
 

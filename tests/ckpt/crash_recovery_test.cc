@@ -3,7 +3,8 @@
 // directory. The recovered output must be byte-identical in snapshot normal
 // form to an uninterrupted oracle run — including a seed with a GenMig in
 // flight at the cut, and a disordered periodic-checkpoint seed where the kill
-// may land before the first commit (NotFound => fresh run, same output).
+// may land before the first commit (NotFound => fresh run, same output),
+// and sharded runs killed right after a marker cut committed.
 
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -13,12 +14,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <random>
 #include <string>
 #include <thread>
 
 #include "../test_util.h"
 #include "engine/dsms.h"
+#include "obs/journal.h"
 #include "par/coordinator.h"
 #include "ref/checker.h"
 #include "stream/generator.h"
@@ -296,13 +299,12 @@ void ShardedVictim(const std::string& dir) {
   SetupSharded(&dsms, &id);
   if (!dsms.Info(id).parallel) _exit(93);
   // Anchor the engine store, then die mid-parallel-run: the watcher fires
-  // SIGKILL the moment the coordinator's first marker cut commits (its
-  // per-query store's CURRENT appears).
+  // SIGKILL the moment the coordinator's first marker cut commits on top of
+  // the anchor.
   if (!dsms.Checkpoint().ok()) _exit(92);
-  std::thread killer([&dir] {
-    const std::string current = dir + "/q0par/CURRENT";
+  std::thread killer([&dsms] {
     for (;;) {
-      if (::access(current.c_str(), F_OK) == 0) raise(SIGKILL);
+      if (dsms.CheckpointStats().commits >= 2) raise(SIGKILL);
       usleep(200);
     }
   });
@@ -327,6 +329,88 @@ TEST(CrashRecoveryTest, ShardedKillRestoresThroughCoordinatorCut) {
 
   const std::string dir = TempDir();
   ASSERT_NO_FATAL_FAILURE(RunVictim(ShardedVictim, dir));
+
+  options.checkpoint_dir = dir;
+  options.checkpoint_period = 25;
+  Dsms restored(options);
+  Dsms::QueryId id = 0;
+  ASSERT_NO_FATAL_FAILURE(SetupSharded(&restored, &id));
+  const Status s = restored.Restore();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  restored.RunToCompletion();
+  EXPECT_EQ(ref::SnapshotNormalForm(restored.Results(id)),
+            ref::SnapshotNormalForm(oracle));
+}
+
+// --- Seed 5: sharded-only engine, no explicit checkpoint ------------------
+
+/// True once the journal holds a committed cut of sharded query q0.
+bool CutCommitted(const std::vector<obs::JournalEvent>& events) {
+  for (const obs::JournalEvent& ev : events) {
+    if (ev.kind == obs::JournalEvent::Kind::kCheckpoint &&
+        ev.subject == "par/q0" && ev.Str("phase") == "commit") {
+      return true;
+    }
+  }
+  return false;
+}
+
+void UnanchoredShardedVictim(const std::string& dir) {
+  Dsms::Options options;
+  options.shards = 2;
+  options.checkpoint_dir = dir;
+  options.checkpoint_period = 25;
+  options.journal_spill_path = dir + "/journal.jsonl";
+  Dsms dsms(options);
+  Dsms::QueryId id = 0;
+  SetupSharded(&dsms, &id);
+  if (!dsms.Info(id).parallel) _exit(93);
+  // No Checkpoint() call: the watcher fires SIGKILL as soon as the first
+  // marker cut is journaled as committed (its spill line is written by
+  // then). Should the run end first, the victim dies right after it.
+  std::thread killer([&dsms] {
+    for (;;) {
+      if (CutCommitted(dsms.journal().SnapshotKind(
+              obs::JournalEvent::Kind::kCheckpoint))) {
+        raise(SIGKILL);
+      }
+      usleep(200);
+    }
+  });
+  killer.detach();
+  dsms.RunToCompletion();
+  raise(SIGKILL);
+}
+
+TEST(CrashRecoveryTest, ShardedKillWithoutExplicitCheckpointRestores) {
+  Dsms::Options options;
+  options.shards = 2;
+
+  MaterializedStream oracle;
+  {
+    Dsms dsms(options);
+    Dsms::QueryId id = 0;
+    ASSERT_NO_FATAL_FAILURE(SetupSharded(&dsms, &id));
+    ASSERT_TRUE(dsms.Info(id).parallel);
+    dsms.RunToCompletion();
+    oracle = dsms.Results(id);
+  }
+  ASSERT_GT(oracle.size(), 0u);
+
+  const std::string dir = TempDir();
+  ASSERT_NO_FATAL_FAILURE(RunVictim(UnanchoredShardedVictim, dir));
+
+  // The spill file outlives the kill and names the committed cut.
+  std::vector<obs::JournalEvent> spilled;
+  {
+    std::ifstream in(dir + "/journal.jsonl");
+    std::string line;
+    while (std::getline(in, line)) {
+      obs::JournalEvent ev;
+      if (obs::EventJournal::FromJsonl(line, &ev)) spilled.push_back(ev);
+    }
+  }
+  EXPECT_TRUE(CutCommitted(spilled));
 
   options.checkpoint_dir = dir;
   options.checkpoint_period = 25;

@@ -13,6 +13,7 @@
 #include "../test_util.h"
 #include "ckpt/store.h"
 #include "engine/dsms.h"
+#include "obs/journal.h"
 #include "par/coordinator.h"
 #include "ref/checker.h"
 #include "ref/eval.h"
@@ -253,6 +254,20 @@ TEST(RestoreTest, CheckpointInsideGenMigParallelPhaseRestores) {
 
 // --- Sharded executor ------------------------------------------------------
 
+// The coordinator hands each completed cut to its owner; here the owner is a
+// store of the test's own, committing each cut as the whole checkpoint.
+void CommitCutsTo(ckpt::Store* store, par::Coordinator::Options* options) {
+  options->on_cut = [store](std::vector<ckpt::Blob> blobs) {
+    store->CommitAsync(std::move(blobs));
+  };
+}
+
+std::map<std::string, std::string> LoadCut(ckpt::Store* store) {
+  std::map<std::string, std::string> blobs;
+  EXPECT_TRUE(store->Load(&blobs).ok());
+  return blobs;
+}
+
 TEST(RestoreTest, ShardedCoordinatorResumesFromMarkerCut) {
   auto plan = EquiJoin(Window(SourceNode("A", OneCol()), 20),
                        Window(SourceNode("B", OneCol()), 20), 0, 0);
@@ -263,7 +278,8 @@ TEST(RestoreTest, ShardedCoordinatorResumesFromMarkerCut) {
   par::Coordinator::Options options;
   options.shards = 2;
   options.queue_capacity = 64;
-  options.checkpoint_dir = TempDir();
+  ckpt::Store store(TempDir());
+  CommitCutsTo(&store, &options);
   options.checkpoint_period = 30;
 
   MaterializedStream first;
@@ -272,11 +288,12 @@ TEST(RestoreTest, ShardedCoordinatorResumesFromMarkerCut) {
     Result<MaterializedStream> result = coordinator.Run(inputs);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     first = std::move(result).ValueOrDie();
-    ASSERT_GE(coordinator.store()->stats().commits, 1u);
+    store.WaitIdle();
+    ASSERT_GE(store.stats().commits, 1u);
   }
 
   par::Coordinator restored(plan, options);
-  ASSERT_TRUE(restored.Restore().ok());
+  ASSERT_TRUE(restored.Restore(LoadCut(&store)).ok());
   // The checkpoint cut is mid-stream: the restored router starts with part
   // of the input already accounted for and only routes the tail.
   EXPECT_GT(restored.elements_routed(), 0u);
@@ -303,7 +320,8 @@ TEST(RestoreTest, ShardedRestoreWithBroadcastMigration) {
   par::Coordinator::Options options;
   options.shards = 2;
   options.queue_capacity = 64;
-  options.checkpoint_dir = TempDir();
+  ckpt::Store store(TempDir());
+  CommitCutsTo(&store, &options);
   options.checkpoint_period = 25;
   const Timestamp at(40);
 
@@ -313,7 +331,8 @@ TEST(RestoreTest, ShardedRestoreWithBroadcastMigration) {
     Result<MaterializedStream> result = coordinator.Run(inputs);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ASSERT_EQ(coordinator.migrations_completed(), 1);
-    ASSERT_GE(coordinator.store()->stats().commits, 1u);
+    store.WaitIdle();
+    ASSERT_GE(store.stats().commits, 1u);
   }
 
   // The restored coordinator re-declares the same schedule; whether the
@@ -321,7 +340,7 @@ TEST(RestoreTest, ShardedRestoreWithBroadcastMigration) {
   // still match the migration-free oracle.
   par::Coordinator restored(old_plan, options);
   ASSERT_TRUE(restored.ScheduleGenMig(new_plan, at).ok());
-  ASSERT_TRUE(restored.Restore().ok());
+  ASSERT_TRUE(restored.Restore(LoadCut(&store)).ok());
   Result<MaterializedStream> result = restored.Run(inputs);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(restored.migrations_completed(), 1);
@@ -334,7 +353,8 @@ TEST(RestoreTest, ShardedScheduleMismatchIsDataLoss) {
   const par::InputMap inputs = RandomFeeds(33, 60, 4, {"A", "B"});
   par::Coordinator::Options options;
   options.shards = 2;
-  options.checkpoint_dir = TempDir();
+  ckpt::Store store(TempDir());
+  CommitCutsTo(&store, &options);
   options.checkpoint_period = 30;
   {
     par::Coordinator coordinator(plan, options);
@@ -342,12 +362,13 @@ TEST(RestoreTest, ShardedScheduleMismatchIsDataLoss) {
         coordinator.ScheduleGenMig(plan, Timestamp(10000)).ok());
     Result<MaterializedStream> result = coordinator.Run(inputs);
     ASSERT_TRUE(result.ok());
-    ASSERT_GE(coordinator.store()->stats().commits, 1u);
+    store.WaitIdle();
+    ASSERT_GE(store.stats().commits, 1u);
   }
   // Restoring without re-declaring the scheduled migration is a topology
   // mismatch, reported as DataLoss rather than silently dropping it.
   par::Coordinator restored(plan, options);
-  EXPECT_EQ(restored.Restore().code(), Status::Code::kDataLoss);
+  EXPECT_EQ(restored.Restore(LoadCut(&store)).code(), Status::Code::kDataLoss);
 }
 
 TEST(RestoreTest, DsmsShardedQueryRestoresThroughItsCoordinator) {
@@ -382,10 +403,7 @@ TEST(RestoreTest, DsmsShardedQueryRestoresThroughItsCoordinator) {
     Dsms dsms(options);
     Dsms::QueryId id = 0;
     ASSERT_NO_FATAL_FAILURE(setup(&dsms, &id));
-    // Seed the engine store before the "crash" so Restore() has an engine
-    // checkpoint to anchor on; the coordinator cuts its own checkpoints
-    // during the run.
-    ASSERT_TRUE(dsms.Checkpoint().ok());
+    // The coordinator's cuts commit into the engine store during the run.
     dsms.RunToCompletion();
   }
   Dsms restored(options);
@@ -396,6 +414,58 @@ TEST(RestoreTest, DsmsShardedQueryRestoresThroughItsCoordinator) {
   restored.RunToCompletion();
   EXPECT_EQ(ref::SnapshotNormalForm(restored.Results(id)),
             ref::SnapshotNormalForm(oracle));
+}
+
+TEST(RestoreTest, DsmsShardedCutsCommitIntoTheEngineStore) {
+  // One store per engine: a sharded query's cuts land in the engine's
+  // manifest under "par/q0/", are journaled and counted with the engine's
+  // own commits, and the engine's next checkpoint keeps them.
+  const par::InputMap feeds = RandomFeeds(36, 80, 4, {"A", "B"});
+  Dsms::Options options;
+  options.shards = 2;
+  options.checkpoint_dir = TempDir();
+  options.checkpoint_period = 30;
+  Dsms dsms(options);
+  for (const auto& [name, data] : feeds) {
+    dsms.RegisterStream(name, OneCol(), data);
+  }
+  auto installed = dsms.InstallQuery(
+      "SELECT A.x, B.x FROM A [RANGE 20], B [RANGE 20] WHERE A.x = B.x");
+  ASSERT_TRUE(installed.ok()) << installed.status().ToString();
+  ASSERT_TRUE(dsms.Info(installed.value()).parallel);
+  dsms.RunToCompletion();
+
+  // The engine part RunToCompletion anchored first, then at least one cut.
+  const ckpt::Store::StatsSnapshot stats = dsms.CheckpointStats();
+  ASSERT_GE(stats.commits, 2u);
+  EXPECT_EQ(stats.failures, 0u);
+  size_t engine_commits = 0;
+  size_t cut_commits = 0;
+  for (const obs::JournalEvent& ev :
+       dsms.journal().SnapshotKind(obs::JournalEvent::Kind::kCheckpoint)) {
+    if (ev.Str("phase") != "commit") continue;
+    if (ev.subject == "engine") ++engine_commits;
+    if (ev.subject == "par/q0") ++cut_commits;
+  }
+  EXPECT_GE(engine_commits, 1u);
+  EXPECT_GE(cut_commits, 1u);
+  EXPECT_EQ(engine_commits + cut_commits, stats.commits);
+#ifndef GENMIG_NO_METRICS
+  EXPECT_NE(dsms.MetricsText().find("genmig_ckpt_commits_total " +
+                                    std::to_string(stats.commits) + "\n"),
+            std::string::npos);
+#endif
+  EXPECT_EQ(::access((options.checkpoint_dir + "/q0par").c_str(), F_OK), -1);
+
+  ASSERT_TRUE(dsms.Checkpoint().ok());
+  ckpt::Store store(options.checkpoint_dir);
+  std::map<std::string, std::string> blobs;
+  ASSERT_TRUE(store.Load(&blobs).ok());
+  EXPECT_EQ(blobs.count("engine/cursor"), 1u);
+  EXPECT_EQ(blobs.count("par/q0/router"), 1u);
+  EXPECT_EQ(blobs.count("par/q0/s0/ctl"), 1u);
+  EXPECT_EQ(blobs.count("par/q0/s1/ctl"), 1u);
+  EXPECT_EQ(blobs.count("par/q0/merge"), 1u);
 }
 
 TEST(RestoreTest, DsmsShardedDisorderedQueryRestores) {
@@ -461,21 +531,22 @@ TEST(RestoreTest, ShardedRouterBlobWithDisorderStateIsDataLoss) {
   const par::InputMap inputs = RandomFeeds(37, 60, 4, {"A", "B"});
   par::Coordinator::Options options;
   options.shards = 2;
-  options.checkpoint_dir = TempDir();
+  ckpt::Store store(TempDir());
+  CommitCutsTo(&store, &options);
   options.checkpoint_period = 30;
   {
     par::Coordinator coordinator(plan, options);
     ASSERT_TRUE(coordinator.Run(inputs).ok());
-    ASSERT_GE(coordinator.store()->stats().commits, 1u);
+    store.WaitIdle();
+    ASSERT_GE(store.stats().commits, 1u);
   }
   {
     par::Coordinator restored(plan, options);
-    ASSERT_TRUE(restored.Restore().ok());
+    ASSERT_TRUE(restored.Restore(LoadCut(&store)).ok());
   }
 
   // Rewrite the first cursor ("A") as the router-side reordering wrote it:
   // its has-buffer flag set, followed by the buffer's state.
-  ckpt::Store store(options.checkpoint_dir);
   std::map<std::string, std::string> blobs;
   ASSERT_TRUE(store.Load(&blobs).ok());
   std::string& router = blobs.at("router");
@@ -501,7 +572,7 @@ TEST(RestoreTest, ShardedRouterBlobWithDisorderStateIsDataLoss) {
   ASSERT_TRUE(store.Commit(std::move(tampered)).ok());
 
   par::Coordinator restored(plan, options);
-  const Status s = restored.Restore();
+  const Status s = restored.Restore(LoadCut(&store));
   EXPECT_EQ(s.code(), Status::Code::kDataLoss) << s.ToString();
   EXPECT_NE(s.ToString().find("not disordered now"), std::string::npos)
       << s.ToString();

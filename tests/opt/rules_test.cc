@@ -4,6 +4,7 @@
 
 #include <random>
 
+#include "migration/trigger_policy.h"
 #include "plan/compile.h"
 #include "plan/executor.h"
 #include "ref/eval.h"
@@ -126,12 +127,19 @@ TEST(OptimizerTest, PicksCheaperPlanAndMigrationTrigger) {
   catalog.SetSource("S0", 1.0, 5.0);
   catalog.SetSource("S1", 1.0, 5.0);
   catalog.SetSource("S2", 1.0, 800.0);
-  Optimizer optimizer(catalog);
   auto plan = EquiJoin(EquiJoin(WS("S0"), WS("S1"), 0, 0), WS("S2"), 0, 0);
-  LogicalPtr best = optimizer.Optimize(plan);
-  EXPECT_LE(optimizer.Cost(best), optimizer.Cost(plan));
-  EXPECT_TRUE(optimizer.ShouldMigrate(plan, best));
-  EXPECT_FALSE(optimizer.ShouldMigrate(best, best));
+  double best_cost = 0.0;
+  LogicalPtr best = rules::BestCandidate(plan, catalog, nullptr, &best_cost);
+  ASSERT_NE(best, nullptr);
+  EXPECT_LE(EstimateCost(*best, catalog), EstimateCost(*plan, catalog));
+  // The engine's migrate-or-not rule: running / best >= 1 + margin.
+  auto should_migrate = [&catalog](const LogicalPtr& running,
+                                   const LogicalPtr& candidate) {
+    return EstimateCost(*running, catalog) / EstimateCost(*candidate, catalog) >=
+           CostRatioPolicy().fire_threshold();
+  };
+  EXPECT_TRUE(should_migrate(plan, best));
+  EXPECT_FALSE(should_migrate(best, best));
 }
 
 TEST(OptimizerTest, EnumerateIncludesOriginal) {
