@@ -105,33 +105,33 @@ RunResult RunOnce(const Workload& w, const Plans& plans,
   par::Coordinator::Options options;
   options.shards = shards;
   options.registry = &registry;
-  par::Coordinator coordinator(plans.old_plan, options);
+  CollectorSink sink("sink");
+  sink.AttachMetrics(&registry);  // Its e2e slot times source-to-sink.
+  par::Coordinator coordinator(plans.old_plan, &sink, options);
   GENMIG_CHECK(coordinator.spec().ok);
   const Status scheduled =
       coordinator.ScheduleGenMig(plans.new_plan, Timestamp(w.migrate_at));
   GENMIG_CHECK(scheduled.ok());
 
   const auto t0 = std::chrono::steady_clock::now();
-  Result<MaterializedStream> merged = coordinator.Run(inputs);
+  const Status ran = coordinator.Run(inputs);
   const auto t1 = std::chrono::steady_clock::now();
-  GENMIG_CHECK(merged.ok());
+  GENMIG_CHECK(ran.ok());
 
   RunResult r;
   r.shards = shards;
   r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   r.elements_in = coordinator.elements_routed();
-  r.outputs = merged.value().size();
+  r.outputs = sink.count();
   r.throughput_eps =
       static_cast<double>(r.elements_in) / r.wall_seconds;
   r.migrations_completed = coordinator.migrations_completed();
   r.t_split = coordinator.t_split().ToString();
 #ifndef GENMIG_NO_METRICS
-  if (const obs::OperatorMetrics* m = registry.FindByName("par/merge")) {
-    r.e2e_p50_ns = m->e2e_ns.ApproxQuantile(0.5);
-    r.e2e_p99_ns = m->e2e_ns.ApproxQuantile(0.99);
-  }
+  r.e2e_p50_ns = sink.metrics()->e2e_ns.ApproxQuantile(0.5);
+  r.e2e_p99_ns = sink.metrics()->e2e_ns.ApproxQuantile(0.99);
 #endif
-  r.normal_form = ref::SnapshotNormalForm(merged.value());
+  r.normal_form = ref::SnapshotNormalForm(sink.collected());
   return r;
 }
 

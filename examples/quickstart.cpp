@@ -452,7 +452,9 @@ int main(int argc, char** argv) {
     options.shards = shards;
     options.registry = &registry;
     options.tracer = &tracer;
-    par::Coordinator coordinator(plan, options);
+    CollectorSink sink("sink");
+    sink.AttachMetrics(&registry);  // The merged stream's e2e latency.
+    par::Coordinator coordinator(plan, &sink, options);
     if (!coordinator.spec().ok) {
       std::fprintf(out, "plan is not shard-partitionable: %s\n",
                    coordinator.spec().reason.c_str());
@@ -477,20 +479,20 @@ int main(int argc, char** argv) {
     inputs["Orders"] = ToPhysicalStream(GenerateKeyedStream(3000, 10, 50, 1));
     inputs["Shipments"] =
         ToPhysicalStream(GenerateKeyedStream(3000, 10, 50, 2));
-    Result<MaterializedStream> merged = coordinator.Run(inputs);
-    if (!merged.ok()) {
-      std::fprintf(out, "run failed: %s\n",
-                   merged.status().ToString().c_str());
+    const Status ran = coordinator.Run(inputs);
+    if (!ran.ok()) {
+      std::fprintf(out, "run failed: %s\n", ran.ToString().c_str());
       return 1;
     }
+    const MaterializedStream& merged = sink.collected();
     std::fprintf(out, "finished: %d migration(s) completed on every shard, "
                  "coordinated T_split=%s, %zu total results\n",
                  coordinator.migrations_completed(),
                  coordinator.t_split().ToString().c_str(),
-                 merged.value().size());
+                 merged.size());
     std::fprintf(out, "first results: ");
-    for (size_t i = 0; i < 3 && i < merged.value().size(); ++i) {
-      std::fprintf(out, "%s ", merged.value()[i].ToString().c_str());
+    for (size_t i = 0; i < 3 && i < merged.size(); ++i) {
+      std::fprintf(out, "%s ", merged[i].ToString().c_str());
     }
     std::fprintf(out, "\n");
 

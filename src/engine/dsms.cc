@@ -31,13 +31,6 @@ Dsms::Dsms(Options options)
       exec_(options.executor),
       journal_(obs::EventJournal::Options{options.journal_capacity,
                                           options.journal_spill_path}) {
-  // Observations must outlive a few calibration periods (a pass is skipped
-  // while a migration is in flight) before the cost model falls back to
-  // estimates; widen the default staleness window accordingly.
-  if (options_.calibration_period > 0) {
-    options_.calibrator.stale_after = std::max(
-        options_.calibrator.stale_after, 4 * options_.calibration_period);
-  }
   if (!options_.checkpoint_dir.empty()) {
     ckpt_store_ = std::make_unique<ckpt::Store>(options_.checkpoint_dir);
     // Every begin/commit/abort lands in the journal, the engine's under
@@ -200,6 +193,8 @@ Result<Dsms::QueryId> Dsms::Install(LogicalPtr plan) {
     }
   }
 
+  query->sink.AttachMetrics(&registry_);
+
   // Partitionable plans run on the sharded executor when requested; the
   // analysis failing is the documented fallback to the single-threaded
   // engine below (shards = 1 semantics).
@@ -220,7 +215,8 @@ Result<Dsms::QueryId> Dsms::Install(LogicalPtr plan) {
         ckpt_store_->CommitAsync(std::move(blobs), scope);
       };
     }
-    auto coordinator = std::make_unique<par::Coordinator>(plan, copt);
+    auto coordinator =
+        std::make_unique<par::Coordinator>(plan, &query->sink, copt);
     if (coordinator->spec().ok) {
       query->parallel = true;
       query->coordinator = std::move(coordinator);
@@ -239,7 +235,13 @@ Result<Dsms::QueryId> Dsms::Install(LogicalPtr plan) {
       qname, CompilePlan(*query->stripped));
   query->controller->ConnectTo(0, &query->sink, 0);
   if (options_.calibration_period > 0) {
-    query->calibrator = CostCalibrator(options_.calibrator);
+    // Observations must outlive a few calibration periods (a pass is skipped
+    // while a migration is in flight) before the cost model falls back to
+    // estimates; widen the default staleness window accordingly.
+    CostCalibrator::Options copt;
+    copt.stale_after =
+        std::max(copt.stale_after, 4 * options_.calibration_period);
+    query->calibrator = CostCalibrator(copt);
     CostRatioPolicy::Options popt;
     popt.margin = options_.cost_margin;
     popt.hysteresis = options_.cost_hysteresis;
@@ -248,7 +250,6 @@ Result<Dsms::QueryId> Dsms::Install(LogicalPtr plan) {
   }
   query->controller->AttachMetricsRecursive(&registry_);
   query->controller->SetTracer(&tracer_);
-  query->sink.AttachMetrics(&registry_);
 
   // Per input port: (shared) feed -> window -> StatsTap, fanned out into
   // this query's controller.
@@ -303,7 +304,7 @@ void Dsms::RunToCompletion() {
     }
     const Status started = query->coordinator->Start(inputs);
     GENMIG_CHECK(started.ok());
-    query->parallel_results = query->coordinator->TakeOutput();
+    query->coordinator->Wait();
     query->coordinator->WaitMigrationsComplete();
   }
   // The last cut is durable before anyone reads the results.
@@ -657,24 +658,26 @@ StatsCatalog Dsms::CurrentStats() const {
   return catalog;
 }
 
+Dsms::QueryInfo Dsms::RuntimeInfo(const Query& query) const {
+  QueryInfo info;
+  info.result_count = query.sink.count();
+  info.parallel = query.parallel;
+  if (query.parallel) {
+    info.shards = options_.shards;
+    info.migrations_completed = query.coordinator->migrations_completed();
+  } else {
+    info.migrations_completed = query.controller->migrations_completed();
+    info.migration_in_progress = query.controller->migration_in_progress();
+    info.state_bytes = query.controller->StateBytes();
+  }
+  return info;
+}
+
 Dsms::QueryInfo Dsms::Info(QueryId id) const {
   const Query& query = *queries_.at(static_cast<size_t>(id));
-  QueryInfo info;
+  QueryInfo info = RuntimeInfo(query);
   info.plan = query.plan;
   info.estimated_cost = EstimateCost(*query.plan, CurrentStats());
-  if (query.parallel) {
-    info.parallel = true;
-    info.shards = query.coordinator->shards() > 0
-                      ? query.coordinator->shards()
-                      : options_.shards;
-    info.migrations_completed = query.coordinator->migrations_completed();
-    info.result_count = query.parallel_results.size();
-    return info;
-  }
-  info.migrations_completed = query.controller->migrations_completed();
-  info.migration_in_progress = query.controller->migration_in_progress();
-  info.result_count = query.sink.count();
-  info.state_bytes = query.controller->StateBytes();
   return info;
 }
 
@@ -756,8 +759,7 @@ void Dsms::MaybeSampleTimeline() {
   last_timeline_sample_ = now;
   bool migrating = false;
   for (const auto& query : queries_) {
-    if (query->controller == nullptr) continue;  // Parallel query.
-    migrating |= query->controller->migration_in_progress();
+    migrating |= RuntimeInfo(*query).migration_in_progress;
   }
   timeline_sampler_.Sample(now, migrating);
 }
@@ -955,7 +957,7 @@ void Dsms::MaybeRefreshStatus() {
 void Dsms::RefreshStatusCache() {
   std::string out;
   out.reserve(1024);
-  char buf[192];
+  char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "{\"app_time\": %" PRId64 ", \"migrations_total\": %d"
                 ", \"journal_events\": %" PRIu64,
@@ -977,17 +979,22 @@ void Dsms::RefreshStatusCache() {
   for (size_t i = 0; i < queries_.size(); ++i) {
     const Query& q = *queries_[i];
     if (i) out += ", ";
-    std::snprintf(buf, sizeof(buf), "{\"id\": %zu, \"name\": \"q%zu\"", i, i);
+    const QueryInfo info = RuntimeInfo(q);
+    std::snprintf(buf, sizeof(buf),
+                  "{\"id\": %zu, \"name\": \"q%zu\", \"parallel\": %s"
+                  ", \"shards\": %d, \"migrations_completed\": %d"
+                  ", \"migration_in_progress\": %s, \"results\": %zu"
+                  ", \"state_bytes\": %zu",
+                  i, i, info.parallel ? "true" : "false", info.shards,
+                  info.migrations_completed,
+                  info.migration_in_progress ? "true" : "false",
+                  info.result_count, info.state_bytes);
     out += buf;
     if (q.parallel) {
       const par::Coordinator& c = *q.coordinator;
       std::snprintf(buf, sizeof(buf),
-                    ", \"parallel\": true, \"shards\": %d"
-                    ", \"migrations_completed\": %d, \"results\": %zu"
                     ", \"source_front\": %" PRId64 ", \"t_split\": %" PRId64,
-                    c.shards(), c.migrations_completed(),
-                    q.parallel_results.size(), c.source_front().t,
-                    c.t_split().t);
+                    c.source_front().t, c.t_split().t);
       out += buf;
       out += ", \"shard_watermarks\": [";
       for (int k = 0; k < c.shards(); ++k) {
@@ -1000,14 +1007,6 @@ void Dsms::RefreshStatusCache() {
       }
       out += "]";
     } else {
-      std::snprintf(buf, sizeof(buf),
-                    ", \"parallel\": false, \"migrations_completed\": %d"
-                    ", \"migration_in_progress\": %s, \"results\": %zu"
-                    ", \"state_bytes\": %zu",
-                    q.controller->migrations_completed(),
-                    q.controller->migration_in_progress() ? "true" : "false",
-                    q.sink.count(), q.controller->StateBytes());
-      out += buf;
       const AutoReoptStatus& a = q.auto_status;
       std::snprintf(buf, sizeof(buf),
                     ", \"auto\": {\"calibrations\": %zu, \"last_ratio\": %.6g"

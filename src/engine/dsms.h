@@ -9,7 +9,9 @@
 // Each installed query owns its window operators, a per-stream StatsTap, a
 // MigrationController hosting the physical plan, and a result sink. Input
 // feeds are shared: a stream registered once can drive any number of
-// queries (the source fans out).
+// queries (the source fans out). A sharded query replaces the controller and
+// tap wiring with a par::Coordinator whose merge releases into the same
+// kind of sink, so every query's results live in exactly one place.
 
 #ifndef GENMIG_ENGINE_DSMS_H_
 #define GENMIG_ENGINE_DSMS_H_
@@ -62,9 +64,6 @@ class Dsms {
     /// Post-migration cool-down: no auto-triggered migration within this
     /// many application-time units of the previous one.
     Duration migration_cooldown = 5000;
-    /// Calibrator knobs; stale_after is raised to cover a few calibration
-    /// periods automatically when left at its default.
-    CostCalibrator::Options calibrator;
     /// GenMig variant used for migrations.
     MigrationController::GenMigOptions::Variant variant =
         MigrationController::GenMigOptions::Variant::kCoalesce;
@@ -100,7 +99,8 @@ class Dsms {
     /// are hash-partitionable (par::AnalyzePlan) run as `shards` independent
     /// plan replicas on their own threads, recombined by a deterministic
     /// temporal merge; other queries fall back to the single-threaded
-    /// engine. Parallel queries produce their results in RunToCompletion().
+    /// engine. Parallel queries produce their results in RunToCompletion(),
+    /// into the same per-query sink a single-threaded query fills.
     /// Their router always ships rows to the shards in batches of up to
     /// par::Coordinator::Options::batch_size (256) rows, whatever
     /// executor.batch_size says, over queues of the coordinator's default
@@ -222,17 +222,18 @@ class Dsms {
 
   // --- Results & introspection ---------------------------------------------------
 
+  /// The query's sink: every result so far, single-threaded or sharded.
   const MaterializedStream& Results(QueryId id) const {
-    const Query& query = *queries_.at(static_cast<size_t>(id));
-    return query.parallel ? query.parallel_results : query.sink.collected();
+    return queries_.at(static_cast<size_t>(id))->sink.collected();
   }
 
   struct QueryInfo {
     LogicalPtr plan;               // Currently running (windowed) plan.
     double estimated_cost = 0.0;   // Under the current statistics.
     int migrations_completed = 0;
+    /// Single-threaded queries only (false / 0 for a sharded query).
     bool migration_in_progress = false;
-    size_t result_count = 0;
+    size_t result_count = 0;       // Results(id).size().
     size_t state_bytes = 0;
     /// True when the query runs on the sharded parallel executor.
     bool parallel = false;
@@ -278,10 +279,6 @@ class Dsms {
   std::vector<obs::MetricSample> timeline() const {
     return obs::Samples(journal_);
   }
-  /// Metrics + migration trace as a JSON document (obs/export.h layout).
-  std::string ExportMetricsJson() const {
-    return obs::ToJson(registry_, &journal_);
-  }
   /// Chrome-trace / Perfetto JSON: migration phase spans + timeline counter
   /// tracks; load the written file in chrome://tracing or ui.perfetto.dev.
   std::string ExportChromeTraceJson() const {
@@ -317,7 +314,8 @@ class Dsms {
   std::string StatusJson();
 
   /// Engine-wide runtime snapshot: cumulative totals plus end-to-end sink
-  /// latency (aggregated over every sink's e2e histogram).
+  /// latency (aggregated over every query sink's e2e histogram, sharded
+  /// queries included).
   struct RuntimeStats {
     uint64_t elements_in = 0;
     uint64_t elements_out = 0;
@@ -358,11 +356,10 @@ class Dsms {
     CostRatioPolicy cost_policy;
     AutoReoptStatus auto_status;
     // Sharded execution (Options::shards > 1 and a partitionable plan):
-    // the coordinator replaces the controller/tap wiring above, and results
-    // land in parallel_results on RunToCompletion.
+    // the coordinator replaces the controller/tap wiring above, and its
+    // merge releases into `sink` on RunToCompletion.
     bool parallel = false;
     std::unique_ptr<par::Coordinator> coordinator;
-    MaterializedStream parallel_results;
   };
 
   /// A shared windowed-source subplan (Section 1: "save system resources by
@@ -374,6 +371,11 @@ class Dsms {
   };
 
   Result<QueryId> Install(LogicalPtr plan);
+  /// The QueryInfo fields both kinds of query share: results (from the
+  /// sink), migrations, parallel and shards, plus the controller's
+  /// in-progress flag and state bytes for a single-threaded query. Leaves
+  /// plan and cost unset, so callers that refresh often do not re-cost.
+  QueryInfo RuntimeInfo(const Query& query) const;
   StatsTap* SharedTap(const std::string& stream,
                       const logical::LeafWindowSpec& spec);
   /// Throttled entry of the calibrate -> cost -> trigger loop (after_step).

@@ -33,7 +33,7 @@ void Coalesce::OnElement(int in_port, const StreamElement& element) {
       it->second.pop_back();
       if (it->second.empty()) m1_.erase(it);
       pending_bytes_ -= element.tuple.PayloadBytes();
-      ++merged_count_;
+      ++coalesced_pairs_;
       MetricsStateExpire();
       heap_.Push(StreamElement(element.tuple,
                                TimeInterval(iv.start, other.interval.end),
@@ -68,7 +68,7 @@ void Coalesce::OnElement(int in_port, const StreamElement& element) {
     GENMIG_CHECK(start_it != m0_starts_.end());
     m0_starts_.erase(start_it);
     pending_bytes_ -= element.tuple.PayloadBytes();
-    ++merged_count_;
+    ++coalesced_pairs_;
     MetricsStateExpire();
     heap_.Push(StreamElement(element.tuple,
                              TimeInterval(other.interval.start, iv.end),
@@ -169,7 +169,7 @@ void Coalesce::CkptExport(StateEnc* enc) const {
   EncodePendingMap(enc, m1_);
   heap_.CkptExport(enc);
   enc->U64(pending_bytes_);
-  enc->U64(merged_count_);
+  enc->U64(coalesced_pairs_);
   enc->Bool(new_side_past_split_);
   enc->Bool(old_side_done_);
 }
@@ -186,7 +186,7 @@ bool Coalesce::CkptImport(StateDec* dec) {
   }
   if (!heap_.CkptImport(dec)) return false;
   pending_bytes_ = static_cast<size_t>(dec->U64());
-  merged_count_ = static_cast<size_t>(dec->U64());
+  coalesced_pairs_ = static_cast<size_t>(dec->U64());
   new_side_past_split_ = dec->Bool();
   old_side_done_ = dec->Bool();
   return dec->ok();

@@ -37,7 +37,7 @@ class Coalesce : public Operator {
   size_t QueueDepth() const override { return heap_.size(); }
 
   /// Number of merges performed (old/new result pairs coalesced).
-  size_t merged_count() const { return merged_count_; }
+  size_t coalesced_pairs() const { return coalesced_pairs_; }
 
   Timestamp t_split() const { return t_split_; }
 
@@ -72,7 +72,7 @@ class Coalesce : public Operator {
   std::multiset<Timestamp> m0_starts_;
   OrderedOutputBuffer heap_;
   size_t pending_bytes_ = 0;
-  size_t merged_count_ = 0;
+  size_t coalesced_pairs_ = 0;
   /// Set once the new-box watermark passed T_split: no further new-box
   /// result can start at T_split, so M0 entries can never match again.
   bool new_side_past_split_ = false;

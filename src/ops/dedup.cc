@@ -32,31 +32,31 @@ void DuplicateElimination::OnElement(int, const StreamElement& element) {
   }
 
   // Merge [s, t) into the coverage (absorbing overlapping/adjacent runs).
-  Timestamp merged_start = s;
-  Timestamp merged_end = t;
-  uint32_t merged_epoch = element.epoch;
+  Timestamp run_start = s;
+  Timestamp run_end = t;
+  uint32_t run_epoch = element.epoch;
   Timestamp absorbed_end = Timestamp::MinInstant();
   auto it = cov.lower_bound(s);
   if (it != cov.begin()) {
     auto prev = std::prev(it);
     if (prev->second.end >= s) it = prev;  // Overlaps or touches on the left.
   }
-  while (it != cov.end() && it->first <= merged_end) {
-    if (it->first < merged_start) merged_start = it->first;
-    if (merged_end < it->second.end) merged_end = it->second.end;
+  while (it != cov.end() && it->first <= run_end) {
+    if (it->first < run_start) run_start = it->first;
+    if (run_end < it->second.end) run_end = it->second.end;
     if (absorbed_end < it->second.end) absorbed_end = it->second.end;
-    if (it->second.epoch < merged_epoch) merged_epoch = it->second.epoch;
+    if (it->second.epoch < run_epoch) run_epoch = it->second.epoch;
     NoteRunRemove(it->second.epoch);
     it = cov.erase(it);
     --state_units_;
     state_bytes_ -= element.tuple.PayloadBytes();
   }
-  cov[merged_start] = Run{merged_end, merged_epoch};
-  NoteRunInsert(merged_epoch);
+  cov[run_start] = Run{run_end, run_epoch};
+  NoteRunInsert(run_epoch);
   ++state_units_;
   state_bytes_ += element.tuple.PayloadBytes();
-  // An absorbed run that ended at merged_end already has its entry.
-  if (absorbed_end != merged_end) expiry_.Push(merged_end, &slot);
+  // An absorbed run that ended at run_end already has its entry.
+  if (absorbed_end != run_end) expiry_.Push(run_end, &slot);
 }
 
 size_t DuplicateElimination::CountStateWithEpochBelow(uint32_t epoch) const {

@@ -9,12 +9,15 @@
 namespace genmig {
 namespace par {
 
-Coordinator::Coordinator(LogicalPtr windowed_plan, Options options)
-    : windowed_plan_(std::move(windowed_plan)), options_(std::move(options)) {
+Coordinator::Coordinator(LogicalPtr windowed_plan, CollectorSink* sink,
+                         Options options)
+    : windowed_plan_(std::move(windowed_plan)),
+      sink_(sink),
+      options_(std::move(options)) {
   GENMIG_CHECK(windowed_plan_ != nullptr);
+  GENMIG_CHECK(sink_ != nullptr);
   GENMIG_CHECK(options_.shards >= 1);
   GENMIG_CHECK(options_.queue_capacity >= 1);
-  GENMIG_CHECK(options_.heartbeat_every >= 1);
   GENMIG_CHECK(options_.batch_size >= 1);
   spec_ = AnalyzePlan(*windowed_plan_);
   if (spec_.ok) stripped_plan_ = logical::StripWindows(windowed_plan_);
@@ -76,7 +79,7 @@ Status Coordinator::BuildRuntime() {
   out_queue_ = std::make_unique<BoundedQueue<ShardOutMsg>>(
       options_.queue_capacity);
   merge_ = std::make_unique<MergeSink>(options_.shards, out_queue_.get(),
-                                       options_.registry);
+                                       sink_, options_.registry);
   if (options_.on_cut) {
     merge_->on_checkpoint = [this](std::shared_ptr<CkptCapture> capture) {
       std::vector<ckpt::Blob> blobs;
@@ -312,15 +315,14 @@ void Coordinator::RouterMain(const InputRefs& inputs) {
 
   const size_t nshards = static_cast<size_t>(options_.shards);
   // Suppressed-element counters for heartbeat thinning, per (port, shard).
-  std::vector<std::vector<int>> suppressed(
-      spec_.ports.size(), std::vector<int>(nshards, 0));
+  std::vector<std::vector<size_t>> suppressed(
+      spec_.ports.size(), std::vector<size_t>(nshards, 0));
 
   // A heartbeat at time t to (p, s) must not overtake pending rows starting
   // before t (the shard-side ordering check rejects them), so a heartbeat
-  // flushes its accumulator first. Thin heartbeats to at least the batch
-  // size so they do not defeat the batching they ride alongside.
-  const int hb_every = std::max(options_.heartbeat_every,
-                                static_cast<int>(options_.batch_size));
+  // flushes its accumulator first. Thin heartbeats to the batch size so
+  // they do not defeat the batching they ride alongside.
+  const size_t hb_every = options_.batch_size;
   // Per (port, shard) row accumulators, shipped as one kBatch message each.
   std::vector<std::vector<TupleBatch>> acc(spec_.ports.size(),
                                            std::vector<TupleBatch>(nshards));
@@ -538,30 +540,23 @@ void Coordinator::RouterMain(const InputRefs& inputs) {
   }
 }
 
-const MaterializedStream& Coordinator::Wait() {
+void Coordinator::Wait() {
   GENMIG_CHECK(started_);
-  if (!joined_) {
-    router_.join();
-    for (auto& shard : shards_) shard->Join();
-    out_queue_->Close();
-    merge_->Join();
-    joined_ = true;
-    // Final wakeup: shards can no longer publish progress.
-    std::lock_guard<std::mutex> lock(progress_mu_);
-    progress_cv_.notify_all();
-  }
-  return merge_->merged();
+  if (joined_) return;
+  router_.join();
+  for (auto& shard : shards_) shard->Join();
+  out_queue_->Close();
+  merge_->Join();
+  joined_ = true;
+  // Final wakeup: shards can no longer publish progress.
+  std::lock_guard<std::mutex> lock(progress_mu_);
+  progress_cv_.notify_all();
 }
 
-MaterializedStream Coordinator::TakeOutput() {
-  Wait();
-  return merge_->TakeMerged();
-}
-
-Result<MaterializedStream> Coordinator::Run(InputMap inputs) {
+Status Coordinator::Run(InputMap inputs) {
   Status status = Start(std::move(inputs));
-  if (!status.ok()) return status;
-  return TakeOutput();
+  if (status.ok()) Wait();
+  return status;
 }
 
 void Coordinator::WaitMigrationsComplete() {

@@ -20,9 +20,10 @@
 // batch_size * ports * shards rows were routed since its first row, so a
 // port that carries few rows does not hold its shards' watermarks, output
 // and state expiry back until its batch fills. The other shards receive a
-// heartbeat instead (thinned to every max(heartbeat_every, batch_size)-th
-// row), so their windows and controllers keep making progress. Shards hand
-// their output to the merge as batches too. Every queue is a mutex +
+// heartbeat instead (thinned to every batch_size-th row), so their windows
+// and controllers keep making progress. Shards hand their output to the
+// merge as batches too, and the merge releases it into the query's
+// CollectorSink, the caller's one result store. Every queue is a mutex +
 // condvar BoundedQueue: it blocks the router when a shard falls behind
 // (backpressure) and blocks shards when the merge falls behind. At a few
 // messages per batch a lock-free ring would have no traffic to serve
@@ -74,13 +75,11 @@ class Coordinator {
     /// queue_capacity * batch_size rows (64 * 256 = 16384 by default); a
     /// shard->merge message carries one output batch of the shard's plan.
     size_t queue_capacity = 64;
-    /// Send every k-th suppressed start timestamp to non-owner shards as a
-    /// heartbeat. The effective period is max(heartbeat_every, batch_size),
-    /// so heartbeats do not break batches up early; correctness is
-    /// unaffected (watermarks only lag, nothing reorders).
-    int heartbeat_every = 1;
     /// Rows per router->shard batch (>= 1; 1 ships every row as a one-row
-    /// batch). Rows accumulate in a per-(port, shard) TupleBatch and flush
+    /// batch). It is also the heartbeat thinning period: a non-owner shard
+    /// hears every batch_size-th suppressed start timestamp, so heartbeats
+    /// do not break batches up early (watermarks only lag, nothing
+    /// reorders). Rows accumulate in a per-(port, shard) TupleBatch and flush
     /// as one kBatch message when full, once batch_size * ports * shards
     /// rows were routed since the batch's first row, before any heartbeat to
     /// that (port, shard) (a heartbeat would advance the shard's input
@@ -106,8 +105,11 @@ class Coordinator {
   /// Fails (Status) when the plan is not partitionable — callers fall back
   /// to the single-threaded engine. `windowed_plan` keeps its Window nodes;
   /// the coordinator strips them itself (windows run per shard, outside the
-  /// migration boundary).
-  Coordinator(LogicalPtr windowed_plan, Options options);
+  /// migration boundary). The merged output goes into `sink` (not owned;
+  /// it must outlive the coordinator): Restore() re-seeds it with the
+  /// checkpointed prefix, the merge thread pushes every release into it and
+  /// ends it with EOS. Read it after Wait().
+  Coordinator(LogicalPtr windowed_plan, CollectorSink* sink, Options options);
   ~Coordinator();
 
   const PartitionSpec& spec() const { return spec_; }
@@ -127,22 +129,19 @@ class Coordinator {
   Status Start(InputMap inputs);
   Status Start(const InputRefs& inputs);
 
-  /// Re-seeds router cursors, shard controllers/boxes and the merge from
-  /// the blobs of one cut (as handed to Options::on_cut, keyed by blob key),
-  /// so the next Start()/Run() resumes at the cut instead of replaying from
-  /// scratch. Call before Start(), with the same plan and scheduled
+  /// Re-seeds router cursors, shard controllers/boxes, the merge and the
+  /// sink from the blobs of one cut (as handed to Options::on_cut, keyed by
+  /// blob key), so the next Start()/Run() resumes at the cut instead of
+  /// replaying from scratch. Call before Start(), with the same plan and scheduled
   /// migrations as the checkpointed run. DataLoss when the cut is unusable.
   Status Restore(const std::map<std::string, std::string>& blobs);
 
-  /// Joins every thread; returns the deterministic merged output.
-  const MaterializedStream& Wait();
+  /// Joins every thread; the sink then holds the deterministic merged
+  /// output and has seen EOS.
+  void Wait();
 
-  /// Wait(), then hands the merged output over without copying it (Wait()
-  /// returns an empty stream afterwards).
-  MaterializedStream TakeOutput();
-
-  /// Start + TakeOutput.
-  Result<MaterializedStream> Run(InputMap inputs);
+  /// Start + Wait.
+  Status Run(InputMap inputs);
 
   // --- Introspection -------------------------------------------------------
 
@@ -206,6 +205,7 @@ class Coordinator {
 
   LogicalPtr windowed_plan_;
   LogicalPtr stripped_plan_;
+  CollectorSink* sink_;
   Options options_;
   PartitionSpec spec_;
 

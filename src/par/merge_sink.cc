@@ -3,22 +3,23 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/clock.h"
 #include "stream/state_codec.h"
 
 namespace genmig {
 namespace par {
 
 MergeSink::MergeSink(int shards, BoundedQueue<ShardOutMsg>* queue,
-                     obs::MetricsRegistry* registry)
+                     CollectorSink* sink, obs::MetricsRegistry* registry)
     : shards_(shards),
       queue_(queue),
+      sink_(sink),
       pending_(static_cast<size_t>(shards)),
       shard_wm_(static_cast<size_t>(shards), Timestamp::MinInstant()),
       shard_eos_(static_cast<size_t>(shards), false),
       shard_seq_(static_cast<size_t>(shards), 0) {
   GENMIG_CHECK(shards_ > 0);
   GENMIG_CHECK(queue_ != nullptr);
+  GENMIG_CHECK(sink_ != nullptr);
   if (registry != nullptr) metrics_ = registry->Register("par/merge");
 }
 
@@ -100,6 +101,7 @@ void MergeSink::Run() {
   Release(/*final_flush=*/true);
   GENMIG_CHECK(HeldBack() == 0);
   SampleHoldBack();
+  sink_->PushEos(0);
 }
 
 void MergeSink::Process(ShardOutMsg& msg) {
@@ -135,8 +137,12 @@ void MergeSink::Process(ShardOutMsg& msg) {
 // nothing after a marker has — capture the merge state, hand the completed
 // request to the coordinator, then replay the held-back messages. The
 // coordinator initiates at most one cut at a time, so the side buffer cannot
-// contain another marker.
+// contain another marker. The capture releases first: the watermarks now
+// reflect exactly the pre-marker messages, so the split between released and
+// held-back rows, and with it the blob, does not depend on when the merge
+// last ran.
 void MergeSink::FinishCapture() {
+  Release(/*final_flush=*/false);
   StateEnc enc;
   enc.U32(static_cast<uint32_t>(shards_));
   for (int s = 0; s < shards_; ++s) {
@@ -155,11 +161,12 @@ void MergeSink::FinishCapture() {
       }
     }
   }
-  enc.Stream(merged_);
   ckpt::Blob blob;
   blob.key = "merge";
   blob.group = "main";
-  blob.bytes = enc.Take();
+  // The released prefix, encoded as StateEnc::Stream would: the sink
+  // appends only the rows released since the previous cut.
+  blob.bytes = enc.Take() + sink_->CkptExportAmortized();
   ckpt_pending_->Add(std::move(blob));
 
   std::shared_ptr<CkptCapture> done = std::move(ckpt_pending_);
@@ -198,8 +205,7 @@ bool MergeSink::CkptImport(const std::string& bytes) {
     std::sort(fifo.begin(), fifo.end(),
               [](const Pending& a, const Pending& b) { return a.seq < b.seq; });
   }
-  merged_ = dec.Stream();
-  if (!dec.AtEnd()) return false;
+  if (!sink_->CkptImport(&dec) || !dec.AtEnd()) return false;
   int eos = 0;
   for (int s = 0; s < shards_; ++s) {
     if (shard_eos_[static_cast<size_t>(s)]) ++eos;
@@ -253,20 +259,13 @@ void MergeSink::Release(bool final_flush) {
         refs_.begin(), refs_.begin() + static_cast<std::ptrdiff_t>(ranges[s - 1]),
         refs_.begin() + static_cast<std::ptrdiff_t>(ranges[s]));
   }
-  for (const Ref& ref : refs_) {
-    StreamElement element = ref.batch->Row(ref.row);
-    if (metrics_ != nullptr) {
-      ++metrics_->elements_in;
-      ++metrics_->elements_out;
-      if (element.ingress_ns != 0) {
-        const uint64_t now = obs::MonotonicNowNs();
-        if (now > element.ingress_ns) {
-          metrics_->e2e_ns.Record(now - element.ingress_ns);
-        }
-      }
-    }
-    merged_.push_back(std::move(element));
+  released_.Clear();
+  for (const Ref& ref : refs_) released_.AppendRowFrom(*ref.batch, ref.row);
+  if (metrics_ != nullptr) {
+    metrics_->elements_in += released_.size();
+    metrics_->elements_out += released_.size();
   }
+  sink_->PushBatch(0, released_);
   // Drop the released rows: per shard, a prefix of its FIFO.
   for (size_t s = 0; s < pending_.size(); ++s) {
     std::deque<Pending>& fifo = pending_[s];

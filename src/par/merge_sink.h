@@ -16,7 +16,10 @@
 // output multiset: identical for every run and — because GenMig per shard
 // with one broadcast T_split produces the same per-shard multisets — byte-
 // comparable against the single-threaded oracle via the canonical snapshot
-// normal form (ref::SnapshotNormalForm).
+// normal form (ref::SnapshotNormalForm). Each release is pushed into the
+// query's CollectorSink as one batch, and EOS follows the final flush: the
+// sink holds the results, records their end-to-end latency and encodes them
+// for checkpoints, as it does for a single-threaded query.
 //
 // A shard's watermark advances from three sources, all in its FIFO output
 // queue order: the rows of its kBatch messages (a row bounds later starts),
@@ -34,6 +37,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "ops/sink.h"
 #include "par/shard_queue.h"
 #include "par/shard_runtime.h"
 #include "stream/element.h"
@@ -44,30 +48,27 @@ namespace par {
 class MergeSink {
  public:
   /// `queue` carries every shard's ShardOutMsgs (multi-producer, this is the
-  /// single consumer). `registry` (nullable) receives a "par/merge" slot:
-  /// elements_in counts merged elements, e2e_ns records ingress->release
-  /// latency of stamped elements, queue_depth gauges the held-back rows
-  /// (those awaiting slower shards' watermarks) and backpressure_ns
-  /// mirrors the blocked time shards spent pushing into the merge queue.
-  MergeSink(int shards, BoundedQueue<ShardOutMsg>* queue,
+  /// single consumer). `sink` receives the merged stream; the merge thread
+  /// is its only writer until Join() returns. `registry` (nullable) receives
+  /// a "par/merge" slot: elements_in counts merged elements, queue_depth
+  /// gauges the held-back rows (those awaiting slower shards' watermarks)
+  /// and backpressure_ns mirrors the blocked time shards spent pushing into
+  /// the merge queue.
+  MergeSink(int shards, BoundedQueue<ShardOutMsg>* queue, CollectorSink* sink,
             obs::MetricsRegistry* registry);
 
   /// Spawns the merge thread. Runs until the queue is closed and drained.
   void Start();
   void Join();
 
-  /// The merged stream. Valid after Join().
-  const MaterializedStream& merged() const { return merged_; }
-  /// Hands the merged stream over, leaving it empty. Valid after Join().
-  MaterializedStream TakeMerged() { return std::move(merged_); }
-
   /// Checkpoint completion hook (ISSUE 10): invoked on the merge thread once
   /// kCheckpoint markers from every shard arrived and the merge's own state
   /// was captured into the request. The coordinator hands the cut on here.
   std::function<void(std::shared_ptr<CkptCapture>)> on_checkpoint;
 
-  /// Restore: re-seeds the held-back rows, per-shard watermarks
-  /// and the merged prefix from a "merge" blob. Must run before Start().
+  /// Restore: re-seeds the held-back rows and per-shard watermarks from a
+  /// "merge" blob, and the sink with the merged prefix. Must run before
+  /// Start().
   bool CkptImport(const std::string& bytes);
 
   /// Shards whose kEos arrived so far (cross-thread readable).
@@ -102,14 +103,15 @@ class MergeSink {
 
   const int shards_;
   BoundedQueue<ShardOutMsg>* queue_;
+  CollectorSink* sink_;
   obs::OperatorMetrics* metrics_ = nullptr;
 
   std::vector<std::deque<Pending>> pending_;  // Per shard, arrival order.
   std::vector<Ref> refs_;  // Release scratch.
+  TupleBatch released_;    // Release scratch: the rows pushed into sink_.
   std::vector<Timestamp> shard_wm_;
   std::vector<bool> shard_eos_;
   std::vector<uint64_t> shard_seq_;
-  MaterializedStream merged_;
   std::atomic<int> eos_seen_{0};
   std::thread thread_;
 

@@ -74,13 +74,6 @@ class Executor {
   int AddDisorderedFeed(std::string name, MaterializedStream arrivals,
                         DisorderBuffer::Options disorder);
 
-  int AddRawDisorderedFeed(std::string name,
-                           const std::vector<TimedTuple>& raw,
-                           DisorderBuffer::Options disorder) {
-    return AddDisorderedFeed(std::move(name), ToPhysicalStream(raw),
-                             disorder);
-  }
-
   Source* source(int feed) { return feeds_[static_cast<size_t>(feed)].source.get(); }
 
   /// The raw elements registered for feed `feed` — Dsms hands them to the

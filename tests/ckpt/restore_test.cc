@@ -284,27 +284,62 @@ TEST(RestoreTest, ShardedCoordinatorResumesFromMarkerCut) {
 
   MaterializedStream first;
   {
-    par::Coordinator coordinator(plan, options);
-    Result<MaterializedStream> result = coordinator.Run(inputs);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    first = std::move(result).ValueOrDie();
+    CollectorSink sink("sink");
+    par::Coordinator coordinator(plan, &sink, options);
+    const Status s = coordinator.Run(inputs);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    first = sink.collected();
     store.WaitIdle();
     ASSERT_GE(store.stats().commits, 1u);
   }
 
-  par::Coordinator restored(plan, options);
+  CollectorSink sink("sink");
+  par::Coordinator restored(plan, &sink, options);
   ASSERT_TRUE(restored.Restore(LoadCut(&store)).ok());
   // The checkpoint cut is mid-stream: the restored router starts with part
   // of the input already accounted for and only routes the tail.
   EXPECT_GT(restored.elements_routed(), 0u);
   EXPECT_LT(restored.elements_routed(), 160u);
-  Result<MaterializedStream> result = restored.Run(inputs);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const MaterializedStream out = std::move(result).ValueOrDie();
+  const Status s = restored.Run(inputs);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  const MaterializedStream& out = sink.collected();
   EXPECT_TRUE(IsOrderedByStart(out));
   EXPECT_EQ(ref::SnapshotNormalForm(out), oracle);
   // Deterministic merge: the resumed run reproduces the exact byte sequence.
   EXPECT_EQ(out, first);
+}
+
+TEST(RestoreTest, ShardedCutBytesAreReproducible) {
+  // The merge releases before it captures, so which rows a cut lists as
+  // released and which as held back depends only on the pre-marker
+  // messages, not on when the merge thread last ran.
+  auto wa = Window(SourceNode("A", OneCol()), 12);
+  auto wb = Window(SourceNode("B", OneCol()), 12);
+  auto wc = Window(SourceNode("C", OneCol()), 12);
+  auto plan = EquiJoin(EquiJoin(wa, wb, 0, 0), wc, 0, 0);
+  const par::InputMap inputs = RandomFeeds(38, 300, 3, {"A", "B", "C"});
+
+  auto first_merge_blob = [&plan, &inputs] {
+    par::Coordinator::Options options;
+    options.shards = 3;
+    options.queue_capacity = 8;
+    options.checkpoint_period = 200;
+    std::string merge;
+    options.on_cut = [&merge](std::vector<ckpt::Blob> blobs) {
+      for (ckpt::Blob& blob : blobs) {
+        if (merge.empty() && blob.key == "merge") merge = std::move(blob.bytes);
+      }
+    };
+    CollectorSink sink("sink");
+    par::Coordinator coordinator(plan, &sink, options);
+    EXPECT_TRUE(coordinator.Run(inputs).ok());
+    return merge;
+  };
+  const std::string first = first_merge_blob();
+  ASSERT_FALSE(first.empty());
+  for (int run = 1; run < 20; ++run) {
+    EXPECT_EQ(first_merge_blob(), first) << "run " << run;
+  }
 }
 
 TEST(RestoreTest, ShardedRestoreWithBroadcastMigration) {
@@ -326,10 +361,11 @@ TEST(RestoreTest, ShardedRestoreWithBroadcastMigration) {
   const Timestamp at(40);
 
   {
-    par::Coordinator coordinator(old_plan, options);
+    CollectorSink sink("sink");
+    par::Coordinator coordinator(old_plan, &sink, options);
     ASSERT_TRUE(coordinator.ScheduleGenMig(new_plan, at).ok());
-    Result<MaterializedStream> result = coordinator.Run(inputs);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const Status s = coordinator.Run(inputs);
+    ASSERT_TRUE(s.ok()) << s.ToString();
     ASSERT_EQ(coordinator.migrations_completed(), 1);
     store.WaitIdle();
     ASSERT_GE(store.stats().commits, 1u);
@@ -338,13 +374,14 @@ TEST(RestoreTest, ShardedRestoreWithBroadcastMigration) {
   // The restored coordinator re-declares the same schedule; whether the
   // newest cut fell before or after the broadcast, the resumed run must
   // still match the migration-free oracle.
-  par::Coordinator restored(old_plan, options);
+  CollectorSink sink("sink");
+  par::Coordinator restored(old_plan, &sink, options);
   ASSERT_TRUE(restored.ScheduleGenMig(new_plan, at).ok());
   ASSERT_TRUE(restored.Restore(LoadCut(&store)).ok());
-  Result<MaterializedStream> result = restored.Run(inputs);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const Status s = restored.Run(inputs);
+  ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(restored.migrations_completed(), 1);
-  EXPECT_EQ(ref::SnapshotNormalForm(std::move(result).ValueOrDie()), oracle);
+  EXPECT_EQ(ref::SnapshotNormalForm(sink.collected()), oracle);
 }
 
 TEST(RestoreTest, ShardedScheduleMismatchIsDataLoss) {
@@ -357,17 +394,18 @@ TEST(RestoreTest, ShardedScheduleMismatchIsDataLoss) {
   CommitCutsTo(&store, &options);
   options.checkpoint_period = 30;
   {
-    par::Coordinator coordinator(plan, options);
+    CollectorSink sink("sink");
+    par::Coordinator coordinator(plan, &sink, options);
     ASSERT_TRUE(
         coordinator.ScheduleGenMig(plan, Timestamp(10000)).ok());
-    Result<MaterializedStream> result = coordinator.Run(inputs);
-    ASSERT_TRUE(result.ok());
+    ASSERT_TRUE(coordinator.Run(inputs).ok());
     store.WaitIdle();
     ASSERT_GE(store.stats().commits, 1u);
   }
   // Restoring without re-declaring the scheduled migration is a topology
   // mismatch, reported as DataLoss rather than silently dropping it.
-  par::Coordinator restored(plan, options);
+  CollectorSink sink("sink");
+  par::Coordinator restored(plan, &sink, options);
   EXPECT_EQ(restored.Restore(LoadCut(&store)).code(), Status::Code::kDataLoss);
 }
 
@@ -535,13 +573,15 @@ TEST(RestoreTest, ShardedRouterBlobWithDisorderStateIsDataLoss) {
   CommitCutsTo(&store, &options);
   options.checkpoint_period = 30;
   {
-    par::Coordinator coordinator(plan, options);
+    CollectorSink sink("sink");
+    par::Coordinator coordinator(plan, &sink, options);
     ASSERT_TRUE(coordinator.Run(inputs).ok());
     store.WaitIdle();
     ASSERT_GE(store.stats().commits, 1u);
   }
   {
-    par::Coordinator restored(plan, options);
+    CollectorSink sink("sink");
+    par::Coordinator restored(plan, &sink, options);
     ASSERT_TRUE(restored.Restore(LoadCut(&store)).ok());
   }
 
@@ -571,7 +611,8 @@ TEST(RestoreTest, ShardedRouterBlobWithDisorderStateIsDataLoss) {
   }
   ASSERT_TRUE(store.Commit(std::move(tampered)).ok());
 
-  par::Coordinator restored(plan, options);
+  CollectorSink sink("sink");
+  par::Coordinator restored(plan, &sink, options);
   const Status s = restored.Restore(LoadCut(&store));
   EXPECT_EQ(s.code(), Status::Code::kDataLoss) << s.ToString();
   EXPECT_NE(s.ToString().find("not disordered now"), std::string::npos)

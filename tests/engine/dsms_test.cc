@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <fstream>
 #include <random>
+#include <string>
 
 #include "../test_util.h"
 #include "ref/checker.h"
@@ -454,6 +457,82 @@ TEST(DsmsParallelTest, ScheduleMigrationOnSingleThreadedQueryIsRejected) {
       id.value(), Window(SourceNode("S", Schema::OfInts({"x"})), 10),
       Timestamp(5));
   EXPECT_EQ(s.code(), Status::Code::kFailedPrecondition);
+}
+
+/// The "results" value of the first query record in a /status document.
+size_t StatusResults(const std::string& json) {
+  const std::string key = "\"results\": ";
+  const size_t at = json.find(key);
+  EXPECT_NE(at, std::string::npos) << json;
+  return at == std::string::npos
+             ? 0
+             : std::stoul(json.substr(at + key.size()));
+}
+
+TEST(DsmsParallelTest, ResultsInfoAndStatusReadTheOneSink) {
+  std::string dir = testing::TempDir() + "/genmig_dsms_sink_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  Dsms::Options opt;
+  opt.shards = 2;
+  opt.checkpoint_dir = dir;
+  opt.checkpoint_period = 30;
+  auto setup = [](Dsms* dsms) {
+    dsms->RegisterStream("A", Schema::OfInts({"x"}), KeyedFeed(41, 120, 4, 3));
+    dsms->RegisterStream("B", Schema::OfInts({"x"}), KeyedFeed(42, 120, 4, 3));
+    auto id = dsms->InstallQuery(
+        "SELECT A.x, B.x FROM A [RANGE 20], B [RANGE 20] WHERE A.x = B.x");
+    EXPECT_TRUE(id.ok()) << id.status().ToString();
+    return id.ok() ? id.value() : 0;
+  };
+  auto expect_one_count = [](Dsms& dsms, Dsms::QueryId id) {
+    const size_t n = dsms.Results(id).size();
+    EXPECT_EQ(dsms.Info(id).result_count, n);
+    EXPECT_EQ(StatusResults(dsms.StatusJson()), n);
+  };
+
+  MaterializedStream uninterrupted;
+  {
+    Dsms dsms(opt);
+    const Dsms::QueryId id = setup(&dsms);
+    ASSERT_TRUE(dsms.Info(id).parallel);
+    dsms.RunToCompletion();
+    ASSERT_GT(dsms.Results(id).size(), 0u);
+    expect_one_count(dsms, id);
+    uninterrupted = dsms.Results(id);
+  }
+  Dsms restored(opt);
+  const Dsms::QueryId id = setup(&restored);
+  const Status s = restored.Restore();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  // The restored sink already holds the cut's merged prefix.
+  EXPECT_GT(restored.Results(id).size(), 0u);
+  expect_one_count(restored, id);
+  restored.RunToCompletion();
+  expect_one_count(restored, id);
+  EXPECT_EQ(ref::SnapshotNormalForm(restored.Results(id)),
+            ref::SnapshotNormalForm(uninterrupted));
+}
+
+TEST(DsmsParallelTest, ShardedSinkRecordsTheEndToEndLatency) {
+#ifdef GENMIG_NO_METRICS
+  GTEST_SKIP() << "instrumentation compiled out (GENMIG_NO_METRICS)";
+#endif
+  Dsms::Options opt;
+  opt.shards = 2;
+  Dsms dsms(opt);
+  dsms.RegisterStream("S", Schema::OfInts({"x"}), KeyedFeed(43, 2000, 8, 3));
+  auto id = dsms.InstallQuery("SELECT * FROM S [RANGE 50] WHERE S.x > 1");
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ASSERT_TRUE(dsms.Info(id.value()).parallel);
+  dsms.RunToCompletion();
+  ASSERT_GT(dsms.Results(id.value()).size(), 0u);
+  // The router stamps sampled rows; the query's sink times them, not the
+  // merge.
+  EXPECT_GT(dsms.Stats().sink_latency_count, 0u);
+  const obs::OperatorMetrics* merge = dsms.metrics().FindByName("par/merge");
+  ASSERT_NE(merge, nullptr);
+  EXPECT_GT(merge->elements_out, 0u);
+  EXPECT_EQ(merge->e2e_ns.count(), 0u);
 }
 
 TEST(DsmsTest, TimelineSpillsToJournalFile) {

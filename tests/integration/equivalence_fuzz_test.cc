@@ -297,16 +297,19 @@ void RunOneParallelSeed(uint64_t seed, size_t batch_size) {
     par::Coordinator::Options options;
     options.shards = shards;
     options.queue_capacity = queue_capacity;
-    options.heartbeat_every = 1 + static_cast<int>(rng() % 4);
+    // The draw of a removed heartbeat-period option, kept so every later
+    // seed-derived draw stays the same.
+    (void)rng();
     options.batch_size = batch_size;
-    par::Coordinator coordinator(c.old_plan, options);
+    CollectorSink sink("sink");
+    par::Coordinator coordinator(c.old_plan, &sink, options);
     EXPECT_TRUE(coordinator.spec().ok) << coordinator.spec().reason;
     EXPECT_TRUE(coordinator.ScheduleGenMig(c.new_plan, at, base).ok());
-    Result<MaterializedStream> result = coordinator.Run(c.inputs);
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    const Status s = coordinator.Run(c.inputs);
+    EXPECT_TRUE(s.ok()) << s.ToString();
     EXPECT_EQ(coordinator.migrations_completed(), shards > 0 ? 1 : 0)
         << "seed=" << seed << " shards=" << shards;
-    return std::move(result).ValueOrDie();
+    return sink.collected();
   };
 
   MaterializedStream canonical;
@@ -331,12 +334,11 @@ void RunOneParallelSeed(uint64_t seed, size_t batch_size) {
       options.shards = shards;
       options.queue_capacity = queue_capacity;
       options.batch_size = batch_size;
-      par::Coordinator repeat(c.old_plan, options);
+      CollectorSink sink("sink");
+      par::Coordinator repeat(c.old_plan, &sink, options);
       EXPECT_TRUE(repeat.ScheduleGenMig(c.new_plan, at, base).ok());
-      Result<MaterializedStream> again = repeat.Run(c.inputs);
-      EXPECT_TRUE(again.ok());
-      // heartbeat_every differs from run(); raw bytes must not care.
-      EXPECT_EQ(ref::SnapshotNormalForm(again.value()), canonical)
+      EXPECT_TRUE(repeat.Run(c.inputs).ok());
+      EXPECT_EQ(ref::SnapshotNormalForm(sink.collected()), canonical)
           << "seed=" << seed << ": repeat run diverged";
     }
   }
@@ -459,16 +461,17 @@ void RunOneDisorderParallelSeed(uint64_t seed, size_t batch_size) {
     par::Coordinator::Options options;
     options.shards = shards;
     options.queue_capacity = queue_capacity;
-    options.heartbeat_every = 1 + static_cast<int>(rng() % 4);
+    (void)rng();  // The removed heartbeat-period draw, as in run() above.
     options.batch_size = batch_size;
-    par::Coordinator coordinator(c.old_plan, options);
+    CollectorSink sink("sink");
+    par::Coordinator coordinator(c.old_plan, &sink, options);
     EXPECT_TRUE(coordinator.spec().ok) << coordinator.spec().reason;
     EXPECT_TRUE(coordinator.ScheduleGenMig(c.new_plan, at, base).ok());
-    Result<MaterializedStream> result = coordinator.Run(reordered);
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    const Status s = coordinator.Run(reordered);
+    EXPECT_TRUE(s.ok()) << s.ToString();
     EXPECT_EQ(coordinator.migrations_completed(), 1)
         << "seed=" << seed << " shards=" << shards;
-    return std::move(result).ValueOrDie();
+    return sink.collected();
   };
 
   MaterializedStream canonical;

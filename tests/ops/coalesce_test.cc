@@ -44,7 +44,7 @@ TEST(CoalesceTest, MergesMatchingPairAcrossTSplit) {
   h.new_src.Close();
   ASSERT_EQ(h.sink.count(), 1u);
   EXPECT_EQ(h.sink.collected()[0].interval, TimeInterval(10, 90));
-  EXPECT_EQ(h.coalesce.merged_count(), 1u);
+  EXPECT_EQ(h.coalesce.coalesced_pairs(), 1u);
 }
 
 TEST(CoalesceTest, NonTouchingElementsPassThrough) {
@@ -54,7 +54,7 @@ TEST(CoalesceTest, NonTouchingElementsPassThrough) {
   h.old_src.Close();
   h.new_src.Close();
   ASSERT_EQ(h.sink.count(), 2u);
-  EXPECT_EQ(h.coalesce.merged_count(), 0u);
+  EXPECT_EQ(h.coalesce.coalesced_pairs(), 0u);
   EXPECT_TRUE(IsOrderedByStart(h.sink.collected()));
 }
 
@@ -92,7 +92,7 @@ TEST(CoalesceTest, MultisetMergeWithDuplicateTuples) {
   h.old_src.Close();
   h.new_src.Close();
   ASSERT_EQ(h.sink.count(), 2u);
-  EXPECT_EQ(h.coalesce.merged_count(), 2u);
+  EXPECT_EQ(h.coalesce.coalesced_pairs(), 2u);
   // Snapshot content is preserved regardless of pairing: total validity of
   // tuple 7 equals (50-10) + (50-20) + (80-50) + (95-50).
   EXPECT_EQ(testutil::TotalValidity(h.sink.collected(), Tuple::OfInts({7})),

@@ -45,17 +45,16 @@ par::InputMap RandomFeeds(uint64_t seed, int n, int64_t keys,
 
 MaterializedStream RunSharded(
     const LogicalPtr& plan, const par::InputMap& inputs, int shards,
-    int heartbeat_every = 1,
     size_t batch_size = par::Coordinator::Options().batch_size) {
   par::Coordinator::Options options;
   options.shards = shards;
   options.queue_capacity = 64;  // Small: exercises backpressure.
-  options.heartbeat_every = heartbeat_every;
   options.batch_size = batch_size;
-  par::Coordinator coordinator(plan, options);
-  Result<MaterializedStream> result = coordinator.Run(inputs);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return std::move(result).ValueOrDie();
+  CollectorSink sink("sink");
+  par::Coordinator coordinator(plan, &sink, options);
+  const Status s = coordinator.Run(inputs);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return sink.collected();
 }
 
 void ExpectMatchesOracleAcrossShardCounts(const LogicalPtr& plan,
@@ -96,12 +95,10 @@ TEST(CoordinatorTest, HeartbeatThinningDoesNotChangeOutput) {
   auto plan = EquiJoin(Window(SourceNode("A", OneCol()), 20),
                        Window(SourceNode("B", OneCol()), 20), 0, 0);
   const par::InputMap inputs = RandomFeeds(14, 60, 4, {"A", "B"});
-  // One-row batches: thinning widens to the batch size, so at a larger
-  // batch both runs would use the same heartbeat period.
-  EXPECT_EQ(RunSharded(plan, inputs, 4, /*heartbeat_every=*/1,
-                       /*batch_size=*/1),
-            RunSharded(plan, inputs, 4, /*heartbeat_every=*/8,
-                       /*batch_size=*/1));
+  // The batch size is the heartbeat thinning period: one-row batches send
+  // a heartbeat per suppressed row, eight-row batches one per eight.
+  EXPECT_EQ(RunSharded(plan, inputs, 4, /*batch_size=*/1),
+            RunSharded(plan, inputs, 4, /*batch_size=*/8));
 }
 
 TEST(CoordinatorTest, RouterShipsRowsInBatches) {
@@ -122,10 +119,11 @@ TEST(CoordinatorTest, RouterShipsRowsInBatches) {
   par::Coordinator::Options options;  // Default batch size.
   options.shards = 2;
   options.registry = &registry;
-  par::Coordinator coordinator(plan, options);
-  Result<MaterializedStream> result = coordinator.Run(std::move(inputs));
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GT(result.value().size(), 0u);
+  CollectorSink sink("sink");
+  par::Coordinator coordinator(plan, &sink, options);
+  const Status s = coordinator.Run(std::move(inputs));
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_GT(sink.count(), 0u);
   // A shard pushes each router message into its window chain whole, so the
   // chain's rows per batch reads the router's batch factor.
   for (const char* name : {"s0/w0_A", "s0/w1_B", "s1/w0_A", "s1/w1_B"}) {
@@ -158,10 +156,11 @@ TEST(CoordinatorTest, RouterShipsQuietPortsWithinAnAgeLimit) {
   par::Coordinator::Options options;  // Default batch size.
   options.shards = 2;
   options.registry = &registry;
-  par::Coordinator coordinator(plan, options);
-  Result<MaterializedStream> result = coordinator.Run(std::move(inputs));
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GT(result.value().size(), 0u);
+  CollectorSink sink("sink");
+  par::Coordinator coordinator(plan, &sink, options);
+  const Status s = coordinator.Run(std::move(inputs));
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_GT(sink.count(), 0u);
   // 8200 routed rows are 8 periods of batch_size * ports * shards = 1024
   // rows; A's rows reach every shard within a period instead of at the
   // end of input.
@@ -199,11 +198,13 @@ TEST(CoordinatorTest, CoordinatedMigrationMatchesOracleAcrossShardCounts) {
     par::Coordinator::Options options;
     options.shards = shards;
     options.queue_capacity = 64;
-    par::Coordinator coordinator(old_plan, options);
+    CollectorSink sink("sink");
+    par::Coordinator coordinator(old_plan, &sink, options);
     ASSERT_TRUE(coordinator.ScheduleGenMig(new_plan, at).ok());
     ASSERT_TRUE(coordinator.Start(inputs).ok());
     coordinator.WaitMigrationsComplete();
-    const MaterializedStream& out = coordinator.Wait();
+    coordinator.Wait();
+    const MaterializedStream& out = sink.collected();
     EXPECT_EQ(coordinator.migrations_completed(), 1) << "shards=" << shards;
     EXPECT_GE(coordinator.t_split(), at) << "shards=" << shards;
     EXPECT_TRUE(IsOrderedByStart(out)) << "shards=" << shards;
@@ -217,7 +218,8 @@ TEST(CoordinatorTest, EveryShardSplitsAtTheBroadcastInstant) {
   const par::InputMap inputs = RandomFeeds(16, 40, 4, {"A", "B"});
   par::Coordinator::Options options;
   options.shards = 4;
-  par::Coordinator coordinator(plan, options);
+  CollectorSink sink("sink");
+  par::Coordinator coordinator(plan, &sink, options);
   ASSERT_TRUE(coordinator.ScheduleGenMig(plan, Timestamp(20)).ok());
   ASSERT_TRUE(coordinator.Start(inputs).ok());
   coordinator.Wait();
@@ -234,11 +236,13 @@ TEST(CoordinatorTest, MigrationScheduledPastEndOfDataStillCompletes) {
       ref::SnapshotNormalForm(ref::EvalPlanToStream(*plan, inputs));
   par::Coordinator::Options options;
   options.shards = 2;
-  par::Coordinator coordinator(plan, options);
+  CollectorSink sink("sink");
+  par::Coordinator coordinator(plan, &sink, options);
   ASSERT_TRUE(
       coordinator.ScheduleGenMig(plan, Timestamp(1'000'000)).ok());
   ASSERT_TRUE(coordinator.Start(inputs).ok());
-  const MaterializedStream& out = coordinator.Wait();
+  coordinator.Wait();
+  const MaterializedStream& out = sink.collected();
   EXPECT_EQ(coordinator.migrations_completed(), 1);
   EXPECT_EQ(ref::SnapshotNormalForm(out), oracle);
 }
@@ -246,7 +250,8 @@ TEST(CoordinatorTest, MigrationScheduledPastEndOfDataStillCompletes) {
 TEST(CoordinatorTest, NonPartitionablePlanFailsToStart) {
   auto plan = Union(Window(SourceNode("A", OneCol()), 10),
                     Window(SourceNode("B", OneCol()), 10));
-  par::Coordinator coordinator(plan, {});
+  CollectorSink sink("sink");
+  par::Coordinator coordinator(plan, &sink, {});
   EXPECT_FALSE(coordinator.spec().ok);
   const Status s = coordinator.Start(RandomFeeds(18, 5, 2, {"A", "B"}));
   EXPECT_EQ(s.code(), Status::Code::kFailedPrecondition);
@@ -254,7 +259,8 @@ TEST(CoordinatorTest, NonPartitionablePlanFailsToStart) {
 
 TEST(CoordinatorTest, MissingInputStreamIsNotFound) {
   auto plan = Window(SourceNode("A", OneCol()), 10);
-  par::Coordinator coordinator(plan, {});
+  CollectorSink sink("sink");
+  par::Coordinator coordinator(plan, &sink, {});
   const Status s = coordinator.Start(RandomFeeds(19, 5, 2, {"B"}));
   EXPECT_EQ(s.code(), Status::Code::kNotFound);
 }
@@ -267,7 +273,8 @@ TEST(CoordinatorTest, ScheduleGenMigRejectsDifferentPartitioning) {
   // re-routed, so this must be rejected up front.
   auto new_plan = EquiJoin(Window(SourceNode("A", two), 10),
                            Window(SourceNode("B", OneCol()), 10), 1, 0);
-  par::Coordinator coordinator(old_plan, {});
+  CollectorSink sink("sink");
+  par::Coordinator coordinator(old_plan, &sink, {});
   const Status s = coordinator.ScheduleGenMig(new_plan, Timestamp(5));
   EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
 }
@@ -283,7 +290,8 @@ TEST(CoordinatorTest, MetricsAndTraceLanesArePopulated) {
   options.shards = 2;
   options.registry = &registry;
   options.tracer = &tracer;
-  par::Coordinator coordinator(plan, options);
+  CollectorSink sink("sink");
+  par::Coordinator coordinator(plan, &sink, options);
   ASSERT_TRUE(coordinator.ScheduleGenMig(plan, Timestamp(15)).ok());
   ASSERT_TRUE(coordinator.Start(inputs).ok());
   coordinator.Wait();
@@ -361,16 +369,17 @@ TEST(DisorderCoordinatorTest, ForcedTSplitNeverBelowDisorderHorizon) {
     par::Coordinator::Options options;
     options.shards = shards;
     options.queue_capacity = 64;
-    par::Coordinator coordinator(old_plan, options);
+    CollectorSink sink("sink");
+    par::Coordinator coordinator(old_plan, &sink, options);
     ASSERT_TRUE(coordinator.spec().ok) << coordinator.spec().reason;
     ASSERT_TRUE(coordinator.ScheduleGenMig(new_plan, at).ok());
-    Result<MaterializedStream> merged = coordinator.Run(reordered);
-    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    const Status ran = coordinator.Run(reordered);
+    ASSERT_TRUE(ran.ok()) << ran.ToString();
     coordinator.WaitMigrationsComplete();
     EXPECT_EQ(coordinator.migrations_completed(), 1) << "shards=" << shards;
     EXPECT_EQ(coordinator.t_split(), ExpectedSplit(reordered, at, 12))
         << "shards=" << shards;
-    EXPECT_EQ(ref::SnapshotNormalForm(merged.value()), oracle)
+    EXPECT_EQ(ref::SnapshotNormalForm(sink.collected()), oracle)
         << "shards=" << shards;
   }
 }
@@ -390,10 +399,11 @@ TEST(DisorderCoordinatorTest, OrderedInputsKeepLegacyBroadcastBehavior) {
   }
   par::Coordinator::Options options;
   options.shards = 2;
-  par::Coordinator coordinator(plan, options);
+  CollectorSink sink("sink");
+  par::Coordinator coordinator(plan, &sink, options);
   ASSERT_TRUE(coordinator.ScheduleGenMig(plan, Timestamp(40)).ok());
-  Result<MaterializedStream> merged = coordinator.Run(inputs);
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  const Status ran = coordinator.Run(inputs);
+  ASSERT_TRUE(ran.ok()) << ran.ToString();
   coordinator.WaitMigrationsComplete();
   EXPECT_EQ(coordinator.migrations_completed(), 1);
   EXPECT_EQ(coordinator.t_split(), ExpectedSplit(inputs, Timestamp(40), 10));

@@ -67,7 +67,8 @@ TEST(ShardLagTest, WatermarksConvergeAndLagGaugesClearAtEos) {
   options.shards = 2;
   options.queue_capacity = 8;  // Small: exercises backpressure paths.
   options.registry = &registry;
-  par::Coordinator coordinator(plan, options);
+  CollectorSink sink("sink");
+  par::Coordinator coordinator(plan, &sink, options);
   ASSERT_TRUE(coordinator.Start(inputs).ok());
   coordinator.Wait();
 
@@ -128,11 +129,13 @@ TEST(ShardLagTest, DisorderedShardsRespectTheDisorderHorizon) {
 
   par::Coordinator::Options options;
   options.shards = 2;
-  par::Coordinator coordinator(plan, options);
+  CollectorSink sink("sink");
+  par::Coordinator coordinator(plan, &sink, options);
   const Timestamp at(60);
   ASSERT_TRUE(coordinator.ScheduleGenMig(plan, at).ok());
   ASSERT_TRUE(coordinator.Start(inputs).ok());
-  const MaterializedStream& out = coordinator.Wait();
+  coordinator.Wait();
+  const MaterializedStream& out = sink.collected();
 
   ASSERT_EQ(coordinator.migrations_completed(), 1);
   // The horizon at the broadcast: the first routed start at or past `at`.

@@ -41,12 +41,13 @@ par::ShardOutMsg Eos(int shard) {
 MaterializedStream MergeOf(int shards,
                            const std::vector<par::ShardOutMsg>& msgs) {
   par::BoundedQueue<par::ShardOutMsg> q(256);
-  par::MergeSink sink(shards, &q, /*registry=*/nullptr);
+  CollectorSink out("sink");
+  par::MergeSink sink(shards, &q, &out, /*registry=*/nullptr);
   sink.Start();
   for (const auto& m : msgs) q.Push(m);
   q.Close();
   sink.Join();
-  return sink.merged();
+  return out.collected();
 }
 
 bool SortedByKey(const MaterializedStream& s) {
@@ -151,6 +152,29 @@ TEST(MergeSinkTest, MultiRowBatchesMergeAsTheirRowsWould) {
   EXPECT_EQ(out, MergeOf(2, one_row));
 }
 
+TEST(MergeSinkTest, ReleasesReachTheSinkInKeyOrderAndEosComesLast) {
+  par::BoundedQueue<par::ShardOutMsg> q(16);
+  CollectorSink out("sink");
+  par::MergeSink sink(2, &q, &out, nullptr);
+  sink.Start();
+  // Shard 1's watermark releases starts below 4; the rest waits for the
+  // final flush.
+  q.Push(Rows(0, {El(3, 1, 4), El(1, 5, 6)}));
+  q.Push(Rows(1, {El(2, 1, 3), El(4, 2, 9)}));
+  q.Push(Wm(1, Timestamp(4)));
+  q.Push(Rows(1, {El(5, 5, 7)}));
+  q.Push(Eos(0));
+  q.Push(Eos(1));
+  q.Close();
+  sink.Join();
+  // The sink refuses a push after its EOS, so the final flush's rows being
+  // in it means the EOS came after them.
+  EXPECT_TRUE(out.finished());
+  const MaterializedStream expected = {El(2, 1, 3), El(3, 1, 4), El(4, 2, 9),
+                                       El(1, 5, 6), El(5, 5, 7)};
+  EXPECT_EQ(out.collected(), expected);
+}
+
 TEST(MergeSinkTest, CheckpointImportAcceptsHeldRowsInAnyOrder) {
   // A "merge" blob whose held-back rows are not in arrival order (a
   // checkpoint may list them in any order).
@@ -173,7 +197,8 @@ TEST(MergeSinkTest, CheckpointImportAcceptsHeldRowsInAnyOrder) {
   enc.Stream({El(1, 1, 2)});  // Already merged before the cut.
 
   par::BoundedQueue<par::ShardOutMsg> q(16);
-  par::MergeSink sink(2, &q, nullptr);
+  CollectorSink merged("sink");
+  par::MergeSink sink(2, &q, &merged, nullptr);
   ASSERT_TRUE(sink.CkptImport(enc.Take()));
   sink.Start();
   q.Push(Elem(0, El(5, 4, 5)));
@@ -181,7 +206,7 @@ TEST(MergeSinkTest, CheckpointImportAcceptsHeldRowsInAnyOrder) {
   q.Push(Eos(1));
   q.Close();
   sink.Join();
-  const MaterializedStream& out = sink.merged();
+  const MaterializedStream& out = merged.collected();
   ASSERT_EQ(out.size(), 6u);
   EXPECT_TRUE(SortedByKey(out));
   EXPECT_EQ(out[0], El(1, 1, 2));
@@ -190,7 +215,8 @@ TEST(MergeSinkTest, CheckpointImportAcceptsHeldRowsInAnyOrder) {
 
 TEST(MergeSinkTest, EosSeenCountsShards) {
   par::BoundedQueue<par::ShardOutMsg> q(16);
-  par::MergeSink sink(3, &q, nullptr);
+  CollectorSink out("sink");
+  par::MergeSink sink(3, &q, &out, nullptr);
   sink.Start();
   q.Push(Eos(0));
   q.Push(Eos(2));
@@ -198,7 +224,7 @@ TEST(MergeSinkTest, EosSeenCountsShards) {
   q.Close();
   sink.Join();
   EXPECT_EQ(sink.eos_seen(), 3);
-  EXPECT_TRUE(sink.merged().empty());
+  EXPECT_TRUE(out.collected().empty());
 }
 
 }  // namespace
