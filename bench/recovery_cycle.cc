@@ -5,9 +5,12 @@
 // directory (or reruns from scratch when the kill beat the first commit),
 // finishes the stream, and compares the stitched output against an
 // uninterrupted oracle in snapshot normal form. Every third seed runs the
-// join on two shards: that victim calls RunToCompletion() and dies once the
-// engine's store counted a seed-drawn number of commits (the engine part
-// plus the sharded query's marker cuts, which share the store).
+// join on two shards and schedules a GenMig at a seed-drawn instant: that
+// victim calls RunToCompletion() and dies once the engine's store counted a
+// seed-drawn number of commits (the engine part plus the sharded query's
+// marker cuts, which share the store). A cut may land inside the migration;
+// each line reports the phase the restored cut caught the shards in, and
+// the summary counts the cycles killed inside a migration.
 //
 //   recovery_cycle [cycles] [base_seed] [outdir]
 //
@@ -25,14 +28,17 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "ckpt/store.h"
 #include "engine/dsms.h"
 #include "ref/checker.h"
 #include "stream/disorder.h"
+#include "stream/state_codec.h"
 
 namespace genmig {
 namespace {
@@ -51,6 +57,7 @@ struct CycleParams {
   bool join = false;      // Two-stream join instead of single-stream dedup.
   int shards = 1;         // 2: the join runs on the sharded executor.
   uint64_t kill_commits = 0;  // Sharded victim: SIGKILL past this many.
+  int64_t migrate_at = 0;     // Sharded: the scheduled GenMig's instant.
 };
 
 CycleParams MakeParams(uint64_t seed) {
@@ -75,6 +82,9 @@ CycleParams MakeParams(uint64_t seed) {
     p.shards = 2;
   }
   p.kill_commits = 1 + rng() % 4;
+  p.migrate_at = span / 8 + static_cast<int64_t>(
+                                rng() % static_cast<uint64_t>(
+                                            std::max<int64_t>(span / 2, 1)));
   return p;
 }
 
@@ -126,6 +136,20 @@ bool Setup(const CycleParams& p, Dsms* dsms, Dsms::QueryId* id) {
     return false;
   }
   *id = installed.value();
+  if (!dsms->Info(*id).parallel) return true;
+  // The same join with its inputs swapped, columns restored to (A.x, B.x);
+  // it partitions identically. The unsharded oracle does not migrate.
+  using namespace logical;  // NOLINT
+  auto window = [&p](const char* name) {
+    return Window(SourceNode(name, Schema::OfInts({"x"})), p.range);
+  };
+  const Status s = dsms->ScheduleMigration(
+      *id, Project(EquiJoin(window("B"), window("A"), 0, 0), {1, 0}),
+      Timestamp(p.migrate_at));
+  if (!s.ok()) {
+    std::fprintf(stderr, "schedule failed: %s\n", s.ToString().c_str());
+    return false;
+  }
   return true;
 }
 
@@ -174,10 +198,28 @@ void RemoveFlatDir(const std::string& dir) {
   ::rmdir(dir.c_str());
 }
 
+/// The phase shard 0 of the sharded query sits in at the surviving cut:
+/// "parallel" (inside the migration), "direct", or "none" without a cut.
+const char* CutPhase(const std::string& dir) {
+  ckpt::Store store(dir);
+  std::map<std::string, std::string> blobs;
+  if (!store.Load(&blobs).ok() || blobs.count("par/q0/s0/ctl") == 0) {
+    return "none";
+  }
+  StateDec dec(blobs.at("par/q0/s0/ctl"));
+  MigrationController::CkptControl control;
+  if (!MigrationController::CkptDecodeControl(&dec, &control)) {
+    return "corrupt";
+  }
+  return control.phase == MigrationController::Phase::kParallel ? "parallel"
+                                                                 : "direct";
+}
+
 /// One checkpoint -> kill -> restore cycle. Returns true when the stitched
 /// output matches the oracle; on failure the checkpoint directory survives
-/// for the artifact upload.
-bool RunCycle(const CycleParams& p, const std::string& dir) {
+/// for the artifact upload. `cut` receives CutPhase for sharded cycles.
+bool RunCycle(const CycleParams& p, const std::string& dir,
+              std::string* cut) {
   const pid_t pid = fork();
   if (pid < 0) {
     std::perror("fork");
@@ -195,6 +237,7 @@ bool RunCycle(const CycleParams& p, const std::string& dir) {
                  static_cast<unsigned long long>(p.seed), status);
     return false;
   }
+  if (p.shards > 1) *cut = CutPhase(dir);
 
   MaterializedStream oracle;
   {
@@ -253,13 +296,20 @@ int main(int argc, char** argv) {
   ::mkdir(outdir.c_str(), 0755);
 
   int failures = 0;
+  int in_migration = 0;
   for (int k = 0; k < cycles; ++k) {
     const CycleParams p = MakeParams(base_seed + static_cast<uint64_t>(k));
     const std::string dir = outdir + "/cycle-" + std::to_string(k);
     ::mkdir(dir.c_str(), 0755);
-    const bool ok = RunCycle(p, dir);
+    std::string cut;
+    const bool ok = RunCycle(p, dir, &cut);
+    if (cut == "parallel") ++in_migration;
+    const std::string sharded =
+        p.shards > 1
+            ? " migrate_at=" + std::to_string(p.migrate_at) + " cut=" + cut
+            : "";
     std::printf("cycle %3d seed %llu: %s (%s, count=%zu delta=%lld "
-                "range=%lld period=%lld kill_%s=%lld)\n",
+                "range=%lld period=%lld kill_%s=%lld%s)\n",
                 k, static_cast<unsigned long long>(p.seed),
                 ok ? "ok" : "FAIL", Mode(p), p.count,
                 static_cast<long long>(p.delta),
@@ -267,7 +317,8 @@ int main(int argc, char** argv) {
                 static_cast<long long>(p.ckpt_period),
                 p.shards > 1 ? "commits" : "t",
                 p.shards > 1 ? static_cast<long long>(p.kill_commits)
-                             : static_cast<long long>(p.kill_t));
+                             : static_cast<long long>(p.kill_t),
+                sharded.c_str());
     std::fflush(stdout);
     if (ok) {
       RemoveFlatDir(dir);
@@ -282,7 +333,8 @@ int main(int argc, char** argv) {
                 failures, cycles, outdir.c_str());
     return 1;
   }
-  std::printf("recovery_cycle: OK — %d cycles recovered equivalently\n",
-              cycles);
+  std::printf("recovery_cycle: OK — %d cycles recovered equivalently (%d "
+              "killed after a cut inside a migration)\n",
+              cycles, in_migration);
   return 0;
 }

@@ -6,9 +6,10 @@
 // data distributions — but the traffic mix drifts: the flow-id cardinality
 // at the 'edge' and 'core' taps collapses (e.g. a flood from few flows), so
 // the installed bottom join edge |x| core suddenly produces a huge
-// intermediate stream. The monitors notice, the optimizer re-costs the plan,
-// finds a join order that joins the still-selective 'dmz' tap first, and the
-// controller migrates to it with GenMig while the query keeps running.
+// intermediate stream. The statistics taps notice, the optimizer re-costs
+// the plan, finds a join order that joins the still-selective 'dmz' tap
+// first, and the controller migrates to it with GenMig while the query keeps
+// running.
 //
 //   ./build/examples/network_monitor
 
@@ -17,6 +18,7 @@
 #include "migration/controller.h"
 #include "migration/trigger_policy.h"
 #include "opt/rules.h"
+#include "opt/stats_tap.h"
 #include "plan/compile.h"
 #include "plan/executor.h"
 #include "stream/generator.h"
@@ -77,8 +79,8 @@ int main() {
   std::printf("installed plan (cost %.1f):\n%s\n",
               EstimateCost(*running, initial), running->ToString().c_str());
 
-  // Wire up: sources -> windows -> MonitorOps (statistics taps) ->
-  // controller(running plan) -> sink.
+  // Wire up: sources -> windows -> StatsTaps (one window of statistics
+  // each) -> controller(running plan) -> sink.
   const auto source_names = CollectSourceNames(*running);
   MigrationController controller(
       "ctrl", CompilePlan(*StripWindows(running)));
@@ -87,7 +89,7 @@ int main() {
 
   Executor exec;
   std::vector<std::unique_ptr<StatelessChain>> windows;
-  std::vector<std::unique_ptr<MonitorOp>> monitors;
+  std::vector<std::unique_ptr<StatsTap>> taps;
   const int64_t kDrift = 30000;
   std::map<std::string, MaterializedStream> traffic = {
       // After the drift, edge and core collapse to ~50 flows (flood) while
@@ -102,32 +104,25 @@ int main() {
     const int feed = exec.AddFeed(name, traffic.at(name));
     windows.push_back(std::make_unique<StatelessChain>(
         "w_" + name, StatelessChain::Window(kWindow)));
-    monitors.push_back(std::make_unique<MonitorOp>("mon_" + name));
+    taps.push_back(std::make_unique<StatsTap>("tap_" + name, kWindow));
     exec.ConnectFeed(feed, windows.back().get(), 0);
-    windows.back()->ConnectTo(0, monitors.back().get(), 0);
-    monitors.back()->ConnectTo(0, &controller, static_cast<int>(i));
+    windows.back()->ConnectTo(0, taps.back().get(), 0);
+    taps.back()->ConnectTo(0, &controller, static_cast<int>(i));
   }
 
-  // Run past the drift, then re-estimate the key cardinalities the way a
-  // DSMS's statistics component would (here: recount distinct keys in the
-  // last window of traffic).
+  // Run past the drift, then read the key cardinalities the taps measured
+  // over the last window of traffic.
   exec.RunUntil(Timestamp(kDrift + kWindow));
   std::printf("t=%.0fs: %zu results so far; traffic drifted, re-profiling "
               "...\n",
               (kDrift + kWindow) / 1000.0, sink.count());
 
   StatsCatalog drifted;
-  for (const auto& [name, stream] : traffic) {
-    std::set<int64_t> distinct;
-    for (const StreamElement& e : stream) {
-      if (e.interval.start.t >= kDrift &&
-          e.interval.start.t < kDrift + kWindow) {
-        distinct.insert(e.tuple.field(0).AsInt64());
-      }
-    }
-    drifted.SetSource(name, 0.1, static_cast<double>(distinct.size()));
-    std::printf("  %-5s distinct flows in last window: %zu\n", name.c_str(),
-                distinct.size());
+  for (size_t i = 0; i < source_names.size(); ++i) {
+    const SourceStats stats = taps[i]->Snapshot();
+    drifted.SetSource(source_names[i], stats);
+    std::printf("  %-5s distinct flows in last window: %.0f\n",
+                source_names[i].c_str(), stats.DistinctOf(0));
   }
 
   LogicalPtr candidate = Cheapest(running, drifted);
@@ -150,10 +145,7 @@ int main() {
   }
 
   exec.RunToCompletion();
-  std::printf("\nfinished: %d migration(s), %zu total results, monitors saw "
-              "%zu/%zu/%zu elements\n",
-              controller.migrations_completed(), sink.count(),
-              monitors[0]->count(), monitors[1]->count(),
-              monitors[2]->count());
+  std::printf("\nfinished: %d migration(s), %zu total results\n",
+              controller.migrations_completed(), sink.count());
   return 0;
 }

@@ -40,6 +40,12 @@ class Tuple {
   const std::vector<Value>& fields() const { return fields_; }
 
   void Append(Value v) { fields_.push_back(std::move(v)); }
+  /// Appends a field constructed in place from `arg` (int64_t, double or
+  /// string), without a Value temporary to move.
+  template <typename T>
+  void Emplace(T arg) {
+    fields_.emplace_back(std::move(arg));
+  }
 
   /// Concatenation, used by joins to build output rows.
   static Tuple Concat(const Tuple& left, const Tuple& right);

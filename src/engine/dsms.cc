@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "ckpt/box_codec.h"
-#include "ckpt/plan_codec.h"
 #include "obs/clock.h"
 #include "ops/count_window.h"
 #include "ops/stateless.h"
@@ -307,9 +306,13 @@ void Dsms::RunToCompletion() {
     query->coordinator->Wait();
     query->coordinator->WaitMigrationsComplete();
   }
-  // The last cut is durable before anyone reads the results.
+  // The last cut is durable before the executor pass, so that pass's
+  // periodic commits never find the store busy with it.
   if (sharded_cuts) ckpt_store_->WaitIdle();
   exec_.RunToCompletion();
+  // Nothing is left in flight on return: CheckpointStats(), the journal and
+  // the directory agree with each other and from run to run.
+  if (ckpt_store_ != nullptr) ckpt_store_->WaitIdle();
   journal_.Flush();
   app_time_t_.store(exec_.current_time().t, std::memory_order_relaxed);
   if (telemetry_ != nullptr) RefreshStatusCache();
@@ -410,51 +413,20 @@ Status Dsms::CollectBlobs(std::vector<ckpt::Blob>* blobs) {
   for (size_t qi = 0; qi < queries_.size(); ++qi) {
     const Query& q = *queries_[qi];
     if (q.parallel) continue;  // Its coordinator's cuts carry its state.
-    const std::string base = "engine/q" + std::to_string(qi);
-    {
-      StateEnc enc;
-      q.controller->CkptExportControl(&enc);
-      add(base + "/ctl", enc.Take());
-    }
-    add(base + "/plan", ckpt::PlanToBytes(q.plan));
-    const bool in_flight =
-        q.controller->phase() == MigrationController::Phase::kParallel;
-    if (in_flight) {
-      GENMIG_CHECK(q.prev_plan != nullptr);
-      add(base + "/oldplan", ckpt::PlanToBytes(q.prev_plan));
-    }
-    const Box& active = q.controller->active_box();
-    for (size_t i = 0; i < active.ops().size(); ++i) {
-      const Operator* op = active.ops()[i].get();
-      if (!op->CkptStateful()) continue;
-      const std::string key =
-          base + "/box/" + std::to_string(i) + ":" + op->name();
-      add(key, CachedOpBytes(key, *op));
-    }
-    if (in_flight) {
-      const Box& nbox = q.controller->new_box();
-      for (size_t i = 0; i < nbox.ops().size(); ++i) {
-        const Operator* op = nbox.ops()[i].get();
-        if (!op->CkptStateful()) continue;
-        const std::string key =
-            base + "/nbox/" + std::to_string(i) + ":" + op->name();
-        add(key, CachedOpBytes(key, *op));
-      }
-      const Operator* merge = q.controller->merge_op();
-      if (merge != nullptr && merge->CkptStateful()) {
-        StateEnc enc;
-        merge->CkptExport(&enc);
-        add(base + "/merge", enc.Take());
-      }
-    }
+    const std::string base = "engine/q" + std::to_string(qi) + "/";
+    ckpt::ExportController(
+        base, *q.controller, ckpt::HostedPlans{q.plan, q.prev_plan},
+        "main", blobs, [this](const std::string& key, const Operator& op) {
+          return CachedOpBytes(key, op);
+        });
     // Not via CachedOpBytes: the sink grows every step, so the version
     // cache would re-encode the entire result log at every cut. The
     // amortized path appends only the post-previous-cut elements.
-    add(base + "/sink", q.sink.CkptExportAmortized());
+    add(base + "sink", q.sink.CkptExportAmortized());
     {
       StateEnc enc;
       q.calibrator.CkptExport(&enc);
-      add(base + "/cal", enc.Take());
+      add(base + "cal", enc.Take());
     }
   }
   return Status::OK();
@@ -547,7 +519,6 @@ Status Dsms::Restore() {
   }
   for (size_t qi = 0; qi < queries_.size(); ++qi) {
     Query* q = queries_[qi].get();
-    const std::string base = "engine/q" + std::to_string(qi);
     if (q->parallel) {
       // The query's latest cut, prefix stripped. Without one (no cut had
       // committed, or an older layout kept cuts in a "q<i>par" subdirectory)
@@ -562,81 +533,35 @@ Status Dsms::Restore() {
       if (!ps.ok()) return ps;
       continue;
     }
-    const std::string* ctlb = find(base + "/ctl");
-    if (ctlb == nullptr) {
-      return Status::DataLoss("checkpoint lacks '" + base + "/ctl'");
-    }
-    StateDec cdec(*ctlb);
-    MigrationController::CkptControl control;
-    if (!MigrationController::CkptDecodeControl(&cdec, &control)) {
-      return Status::DataLoss("'" + base + "/ctl' is corrupt");
-    }
-    const std::string* planb = find(base + "/plan");
-    if (planb == nullptr) {
-      return Status::DataLoss("checkpoint lacks '" + base + "/plan'");
-    }
-    Result<LogicalPtr> plan = ckpt::PlanFromBytes(*planb);
-    if (!plan.ok()) return plan.status();
-    q->plan = plan.value();
+    const std::string base = "engine/q" + std::to_string(qi) + "/";
+    ckpt::HostedPlans plans;
+    Status cs = ckpt::ImportController(
+        base, blobs,
+        [q](const LogicalPtr& plan) {
+          Box box = CompilePlan(*logical::StripWindows(plan));
+          box.ReorderInputs(q->source_names);
+          return box;
+        },
+        q->controller.get(), &plans);
+    if (!cs.ok()) return cs;
+    q->plan = plans.plan;
     q->stripped = logical::StripWindows(q->plan);
-    const bool in_flight =
-        control.phase == MigrationController::Phase::kParallel;
-    // The active box hosts the OLD plan while a migration is in flight; the
-    // checkpointed `plan` is already the migration target then.
-    LogicalPtr active_plan = q->stripped;
-    if (in_flight) {
-      const std::string* oldb = find(base + "/oldplan");
-      if (oldb == nullptr) {
-        return Status::DataLoss("checkpoint lacks '" + base + "/oldplan'");
-      }
-      Result<LogicalPtr> old_plan = ckpt::PlanFromBytes(*oldb);
-      if (!old_plan.ok()) return old_plan.status();
-      q->prev_plan = old_plan.value();
-      active_plan = logical::StripWindows(q->prev_plan);
-    }
-    Box active = CompilePlan(*active_plan);
-    active.ReorderInputs(q->source_names);
-    q->controller->ReplaceActiveBox(std::move(active));
-    if (in_flight) {
-      Box nbox = CompilePlan(*q->stripped);
-      nbox.ReorderInputs(q->source_names);
-      q->controller->RestoreGenMigParallel(std::move(nbox), control.genmig,
-                                           control.t_split);
-    }
-    q->controller->CkptRestoreControl(control);
-    Status bs = ckpt::ImportBoxOps(base + "/box/", q->controller->active_box(),
-                                   blobs);
-    if (!bs.ok()) return bs;
-    if (in_flight) {
-      bs = ckpt::ImportBoxOps(base + "/nbox/", q->controller->new_box(), blobs);
-      if (!bs.ok()) return bs;
-      Operator* merge = q->controller->merge_op();
-      if (merge != nullptr && merge->CkptStateful()) {
-        const std::string* mb = find(base + "/merge");
-        if (mb == nullptr) {
-          return Status::DataLoss("checkpoint lacks '" + base + "/merge'");
-        }
-        StateDec mdec(*mb);
-        if (!merge->CkptImport(&mdec) || !mdec.ok()) {
-          return Status::DataLoss("'" + base + "/merge' is corrupt");
-        }
-      }
-    }
-    const std::string* sinkb = find(base + "/sink");
+    q->prev_plan = plans.old_plan;
+    const std::string* sinkb = find(base + "sink");
     if (sinkb == nullptr) {
-      return Status::DataLoss("checkpoint lacks '" + base + "/sink'");
+      return Status::DataLoss("checkpoint lacks '" + base + "sink'");
     }
     StateDec sdec(*sinkb);
     if (!q->sink.CkptImport(&sdec) || !sdec.ok()) {
-      return Status::DataLoss("'" + base + "/sink' is corrupt");
+      return Status::DataLoss("'" + base + "sink' is corrupt");
     }
-    const std::string* calb = find(base + "/cal");
+    const std::string* calb = find(base + "cal");
     if (calb == nullptr) {
-      return Status::DataLoss("checkpoint lacks '" + base + "/cal'");
+      return Status::DataLoss("checkpoint lacks '" + base + "cal'");
     }
     StateDec caldec(*calb);
     if (!q->calibrator.CkptImport(&caldec)) {
-      return Status::DataLoss("'" + base + "/cal' is corrupt");
+      return Status::DataLoss("'" + base + "cal' is corrupt");
     }
   }
   app_time_t_.store(exec_.current_time().t, std::memory_order_relaxed);

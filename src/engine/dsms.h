@@ -185,6 +185,7 @@ class Dsms {
   /// every parallel (sharded) query to completion. If their cuts are on and
   /// the store holds no checkpoint yet, it first calls Checkpoint(); when
   /// that fails (a transient migration phase), this run's cuts are dropped.
+  /// Returns with no checkpoint commit in flight.
   void RunToCompletion();
   Timestamp current_time() const { return exec_.current_time(); }
 

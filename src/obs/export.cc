@@ -11,21 +11,6 @@ namespace genmig {
 namespace obs {
 namespace {
 
-/// RFC 4180: quote fields containing separators/quotes/newlines, double
-/// embedded quotes. Everything else passes through verbatim.
-void AppendCsvField(std::string* out, const std::string& s) {
-  if (s.find_first_of(",\"\n\r") == std::string::npos) {
-    *out += s;
-    return;
-  }
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"') *out += "\"\"";
-    else out->push_back(c);
-  }
-  out->push_back('"');
-}
-
 void AppendKeyU64(std::string* out, const char* key, uint64_t value,
                   bool trailing_comma = true) {
   char buf[96];
@@ -176,34 +161,6 @@ std::string ToJson(const MetricsRegistry& registry,
     AppendMigration(&out, id, records);
   }
   out += "\n  ]\n}\n";
-  return out;
-}
-
-std::string ToCsv(const MetricsRegistry& registry) {
-  std::string out =
-      "name,elements_in,elements_out,heartbeats_in,negatives_in,"
-      "negatives_out,state_inserts,state_expires,state_units,state_bytes,"
-      "peak_state_units,peak_state_bytes,queue_depth,peak_queue_depth,"
-      "push_mean_ns,push_p99_ns,e2e_count,e2e_p50_ns,e2e_p99_ns\n";
-  char buf[512];
-  for (const OperatorMetrics& m : registry.operators()) {
-    AppendCsvField(&out, m.name);
-    std::snprintf(buf, sizeof(buf),
-                  ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-                  ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-                  ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-                  ",%.1f,%.1f,%" PRIu64 ",%.1f,%.1f\n",
-                  m.elements_in.load(), m.elements_out.load(),
-                  m.heartbeats_in.load(), m.negatives_in.load(),
-                  m.negatives_out.load(), m.state_inserts.load(),
-                  m.state_expires.load(), m.state_units.load(),
-                  m.state_bytes.load(), m.peak_state_units.load(),
-                  m.peak_state_bytes.load(), m.queue_depth.load(),
-                  m.peak_queue_depth.load(), m.push_ns.MeanNs(),
-                  m.push_ns.ApproxQuantile(0.99), m.e2e_ns.count(),
-                  m.e2e_ns.ApproxQuantile(0.5), m.e2e_ns.ApproxQuantile(0.99));
-    out += buf;
-  }
   return out;
 }
 

@@ -1,6 +1,6 @@
 // Exporters: serialize a MetricsRegistry (and optionally the migration
-// phases and timeline samples of an EventJournal) to JSON, CSV or
-// Chrome-trace JSON. The plain JSON layout is what bench/ writes into
+// phases and timeline samples of an EventJournal) to JSON or Chrome-trace
+// JSON. The plain JSON layout is what bench/ writes into
 // BENCH_*.json and what examples/quickstart --stats prints:
 //
 // {
@@ -18,8 +18,6 @@
 // }
 //
 // p50/p99 are log-bucket interpolated (LatencyHistogram::ApproxQuantile).
-// CSV is one row per operator with the scalar counters (no histograms),
-// RFC 4180-quoted — convenient for spreadsheet diffing of two runs.
 
 #ifndef GENMIG_OBS_EXPORT_H_
 #define GENMIG_OBS_EXPORT_H_
@@ -38,8 +36,6 @@ namespace obs {
 /// `journal`, by id.
 std::string ToJson(const MetricsRegistry& registry,
                    const EventJournal* journal = nullptr);
-
-std::string ToCsv(const MetricsRegistry& registry);
 
 /// Chrome-trace / Perfetto JSON ({"traceEvents": [...]}; load the file in
 /// chrome://tracing or https://ui.perfetto.dev). Renders

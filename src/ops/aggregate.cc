@@ -89,13 +89,13 @@ void AggregateOp::EmitRegion(Timestamp begin, Timestamp end) {
       const AggSpec& spec = aggs_[i];
       switch (spec.kind) {
         case AggKind::kCount:
-          out.Append(Value(g.count));
+          out.Emplace(g.count);
           break;
         case AggKind::kSum:
-          out.Append(Value(g.sums[i]));
+          out.Emplace(g.sums[i]);
           break;
         case AggKind::kAvg:
-          out.Append(Value(g.sums[i] / static_cast<double>(g.count)));
+          out.Emplace(g.sums[i] / static_cast<double>(g.count));
           break;
         case AggKind::kMin:
           out.Append(*g.ordereds[i].begin());

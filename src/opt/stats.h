@@ -1,15 +1,14 @@
 // Runtime statistics for dynamic query optimization. "A DSMS keeps a
 // plethora of runtime statistics, e.g., on stream rates and selectivities"
-// (Section 1). The catalog is fed either from MonitorOp taps on running
-// plans or from prior knowledge, and is consumed by the cost model.
+// (Section 1). The catalog is fed either from StatsTaps on running plans
+// (opt/stats_tap.h) or from prior knowledge, and is consumed by the cost
+// model.
 
 #ifndef GENMIG_OPT_STATS_H_
 #define GENMIG_OPT_STATS_H_
 
 #include <map>
 #include <string>
-
-#include "ops/monitor.h"
 
 namespace genmig {
 
@@ -52,11 +51,6 @@ class StatsCatalog {
   /// opt/calibrator.h).
   const std::map<std::string, SourceStats>& sources() const {
     return sources_;
-  }
-
-  /// Refreshes a source's rate from a MonitorOp tap placed on it.
-  void UpdateFromMonitor(const std::string& name, const MonitorOp& monitor) {
-    sources_[name].rate = monitor.ObservedRate();
   }
 
   /// Default selectivity of a non-equi predicate.

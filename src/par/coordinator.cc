@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "ckpt/plan_codec.h"
 #include "obs/clock.h"
 #include "stream/state_codec.h"
 
@@ -203,13 +204,24 @@ Status Coordinator::Restore(const std::map<std::string, std::string>& blobs) {
     return Status::DataLoss("the 'router' blob names an invalid active plan");
   }
 
-  // Cuts are only taken migration-quiescent, so every fired broadcast had
-  // completed on every shard; the hosted plan is the last-broadcast target.
-  const LogicalPtr active_plan =
-      active_idx < 0 ? nullptr
-                     : scheduled_[static_cast<size_t>(active_idx)].new_stripped;
+  // Each shard records the plans it hosts. Cuts without them ("s<k>/plan")
+  // were only taken migration-quiescent: every fired broadcast had completed
+  // on every shard, so each hosts the last-broadcast target.
+  const std::map<std::string, std::string>* shard_blobs = &blobs;
+  std::map<std::string, std::string> with_plans;
+  if (blobs.count("s0/plan") == 0) {
+    with_plans = blobs;
+    const std::string plan = ckpt::PlanToBytes(
+        active_idx < 0
+            ? stripped_plan_
+            : scheduled_[static_cast<size_t>(active_idx)].new_stripped);
+    for (int k = 0; k < options_.shards; ++k) {
+      with_plans.emplace("s" + std::to_string(k) + "/plan", plan);
+    }
+    shard_blobs = &with_plans;
+  }
   for (auto& shard : shards_) {
-    s = shard->CkptRestore(blobs, active_plan);
+    s = shard->CkptRestore(*shard_blobs);
     if (!s.ok()) return s;
   }
   auto mb = blobs.find("merge");
@@ -505,12 +517,10 @@ void Coordinator::RouterMain(const InputRefs& inputs) {
       }
     }
 
-    // Cuts are only taken migration-quiescent: every broadcast completed on
-    // every shard, so no split/merge machinery needs capturing. A cut whose
-    // period elapsed during a migration fires at the next quiescent element.
-    if (ckpt_on && !ckpt_inflight_.load(std::memory_order_acquire) &&
-        migrations_completed() >=
-            broadcasts_fired_.load(std::memory_order_acquire)) {
+    // One cut in flight at a time. A cut may land inside a broadcast
+    // migration: each shard captures GenMig's parallel phase as the engine
+    // does, and a restore resumes it at the recorded T_split.
+    if (ckpt_on && !ckpt_inflight_.load(std::memory_order_acquire)) {
       if (!have_last_ckpt) {
         have_last_ckpt = true;  // Period starts at the first routed element.
         last_ckpt_t = max_routed.t;

@@ -91,9 +91,10 @@ class Coordinator {
     obs::MigrationTracer* tracer = nullptr;    // Nullable.
     /// Durable state. With `on_cut` set and checkpoint_period > 0, the
     /// router initiates a marker-based global cut every checkpoint_period
-    /// application-time units (one cut in flight at a time; deferred while a
-    /// broadcast migration is in flight anywhere — sharded cuts are only
-    /// taken migration-quiescent). When a cut completes, the merge thread
+    /// application-time units (one cut in flight at a time). A cut may land
+    /// inside a broadcast migration: a shard in GenMig's parallel phase
+    /// captures it as the engine does; one in a transient phase fails the
+    /// capture and the cut is dropped. When a cut completes, the merge thread
     /// hands its blobs to `on_cut`: "router", "s<k>/..." (chunk group
     /// "s<k>") and "merge". The owner commits them; one that is still busy
     /// may drop the cut, since the next one supersedes it. The next cut
@@ -132,8 +133,10 @@ class Coordinator {
   /// Re-seeds router cursors, shard controllers/boxes, the merge and the
   /// sink from the blobs of one cut (as handed to Options::on_cut, keyed by
   /// blob key), so the next Start()/Run() resumes at the cut instead of
-  /// replaying from scratch. Call before Start(), with the same plan and scheduled
-  /// migrations as the checkpointed run. DataLoss when the cut is unusable.
+  /// replaying from scratch; a broadcast migration the cut caught in its
+  /// parallel phase resumes at the recorded T_split. Call before Start(),
+  /// with the same plan and scheduled migrations as the checkpointed run.
+  /// DataLoss when the cut is unusable.
   Status Restore(const std::map<std::string, std::string>& blobs);
 
   /// Joins every thread; the sink then holds the deterministic merged
@@ -223,7 +226,8 @@ class Coordinator {
   std::unique_ptr<RouterRestore> router_restore_;
   /// Index into scheduled_ of the last-broadcast migration (-1 = none): the
   /// stripped plan every shard hosts once quiescent. Written by Broadcast
-  /// (router thread) and Restore (pre-start), read at capture time.
+  /// (router thread) and Restore (pre-start), recorded in the router blob;
+  /// Restore reads it only for cuts whose shards lack their own plans.
   int active_plan_idx_ = -1;
   /// One cut in flight at a time: set by the router at initiation, cleared
   /// on the merge thread once on_cut returned. Guarantees

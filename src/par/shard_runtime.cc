@@ -2,11 +2,9 @@
 
 #include <utility>
 
-#include "ckpt/box_codec.h"
 #include "ops/sink.h"
 #include "ops/stateless.h"
 #include "plan/compile.h"
-#include "stream/state_codec.h"
 
 namespace genmig {
 namespace par {
@@ -19,6 +17,7 @@ ShardRuntime::ShardRuntime(Config config)
   GENMIG_CHECK(config_.out != nullptr);
   GENMIG_CHECK_EQ(config_.port_sources.size(), config_.port_windows.size());
 
+  plans_.plan = config_.stripped_plan;
   Box box = CompilePlan(*config_.stripped_plan, prefix_);
   GENMIG_CHECK_EQ(static_cast<size_t>(box.num_inputs()),
                   config_.port_sources.size());
@@ -138,6 +137,8 @@ void ShardRuntime::Handle(const ShardInMsg& msg) {
       break;
     case ShardInMsg::Kind::kMigrate: {
       const MigrationOrder& order = *msg.order;
+      plans_.old_plan = plans_.plan;
+      plans_.plan = order.new_plan;
       Box new_box = CompilePlan(*order.new_plan, prefix_);
       new_box.ReorderInputs(order.input_order);
       controller_->StartGenMig(std::move(new_box), order.options);
@@ -159,63 +160,38 @@ void ShardRuntime::Handle(const ShardInMsg& msg) {
 }
 
 void ShardRuntime::CaptureCheckpoint(CkptCapture* capture) {
-  // The router only initiates a cut while every broadcast migration has
-  // completed on every shard, and no kMigrate can overtake the marker in the
-  // FIFO — so the controller must be quiescent here. Fail the capture (skip
-  // the commit) rather than write an unrestorable cut if that ever breaks.
-  if (!controller_->CkptReady() ||
-      controller_->phase() != MigrationController::Phase::kDirect) {
+  // The engine's controller codec: kDirect, or a broadcast GenMig in its
+  // parallel phase. The transient phases resolve within a few messages;
+  // fail the capture (skip the commit) and let the next cut supersede it.
+  if (!controller_->CkptReady()) {
     capture->Fail();
     return;
   }
-  const std::string group = prefix_.substr(0, prefix_.size() - 1);  // "s<k>"
-  {
-    StateEnc enc;
-    controller_->CkptExportControl(&enc);
-    ckpt::Blob blob;
-    blob.key = prefix_ + "ctl";
-    blob.group = group;
-    blob.bytes = enc.Take();
-    capture->Add(std::move(blob));
-  }
-  std::vector<ckpt::Blob> ops;
-  ckpt::ExportBoxOps(prefix_ + "box/", controller_->active_box(), group, &ops);
-  for (ckpt::Blob& blob : ops) capture->Add(std::move(blob));
+  std::vector<ckpt::Blob> blobs;
+  ckpt::ExportController(prefix_, *controller_, plans_,
+                         prefix_.substr(0, prefix_.size() - 1),  // "s<k>"
+                         &blobs);
+  for (ckpt::Blob& blob : blobs) capture->Add(std::move(blob));
 }
 
 Status ShardRuntime::CkptRestore(
-    const std::map<std::string, std::string>& blobs,
-    const LogicalPtr& active_plan) {
+    const std::map<std::string, std::string>& blobs) {
   GENMIG_CHECK(!thread_.joinable());
-  auto it = blobs.find(prefix_ + "ctl");
-  if (it == blobs.end()) {
-    return Status::DataLoss("checkpoint lacks '" + prefix_ +
-                            "ctl' (shard count mismatch?)");
-  }
-  StateDec dec(it->second);
-  MigrationController::CkptControl control;
-  if (!MigrationController::CkptDecodeControl(&dec, &control) || !dec.ok()) {
-    return Status::DataLoss("control blob '" + prefix_ + "ctl' is corrupt");
-  }
-  if (control.phase != MigrationController::Phase::kDirect) {
-    return Status::DataLoss("sharded checkpoint captured a non-quiescent "
-                            "controller; refusing to restore");
-  }
-  if (active_plan != nullptr) {
-    // A broadcast migration had completed before the cut: the hosted box no
-    // longer compiles from the original stripped plan.
-    Box box = CompilePlan(*active_plan, prefix_);
-    box.ReorderInputs(config_.port_sources);
-    controller_->ReplaceActiveBox(std::move(box));
-  }
-  controller_->CkptRestoreControl(control);
-  Status s =
-      ckpt::ImportBoxOps(prefix_ + "box/", controller_->active_box(), blobs);
+  Status s = ckpt::ImportController(
+      prefix_, blobs,
+      [this](const LogicalPtr& plan) {
+        Box box = CompilePlan(*plan, prefix_);
+        box.ReorderInputs(config_.port_sources);
+        return box;
+      },
+      controller_.get(), &plans_);
   if (!s.ok()) return s;
   // Publish the restored progress so coordinator barriers and introspection
   // see the pre-crash counts before the first message batch.
-  migrations_completed_.store(control.migrations_completed,
+  migrations_completed_.store(controller_->migrations_completed(),
                               std::memory_order_release);
+  migration_active_.store(controller_->migration_in_progress(),
+                          std::memory_order_release);
   return Status::OK();
 }
 

@@ -8,7 +8,9 @@
 // atomics published for coordinator introspection. Migration is triggered by
 // an in-band kMigrate message carrying the coordinator's broadcast T_split
 // (GenMigOptions::min_split), so every shard splits at the same instant no
-// matter which subset of the data it saw.
+// matter which subset of the data it saw. A kCheckpoint marker captures the
+// controller with the engine's codec (ckpt/box_codec.h), in GenMig's
+// parallel phase too.
 
 #ifndef GENMIG_PAR_SHARD_RUNTIME_H_
 #define GENMIG_PAR_SHARD_RUNTIME_H_
@@ -22,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "ckpt/box_codec.h"
 #include "ckpt/format.h"
 #include "migration/controller.h"
 #include "ops/sink.h"
@@ -113,14 +116,11 @@ class ShardRuntime {
 
   BoundedQueue<ShardInMsg>& input() { return in_; }
 
-  /// Restore (ISSUE 10): applies this shard's blobs from a loaded checkpoint.
-  /// Must run before Start(). `active_plan` is the stripped plan the shard
-  /// hosted at the cut when a migration broadcast had already completed
-  /// (nullptr = still the original plan). Sharded cuts are only taken while
-  /// every shard is migration-quiescent (kDirect), so no in-flight machinery
-  /// needs rebuilding here.
-  Status CkptRestore(const std::map<std::string, std::string>& blobs,
-                     const LogicalPtr& active_plan);
+  /// Restore: rebuilds this shard's controller from its blobs
+  /// of a loaded cut ("s<k>/ctl", "s<k>/plan", ..., the engine's controller
+  /// codec), including a broadcast GenMig in its parallel phase, which
+  /// resumes at the recorded T_split. Must run before Start().
+  Status CkptRestore(const std::map<std::string, std::string>& blobs);
 
   // --- Cross-thread introspection (published after every message batch) ---
   int migrations_completed() const {
@@ -159,6 +159,9 @@ class ShardRuntime {
   };
   std::vector<PortTarget> port_targets_;
   std::unique_ptr<MigrationController> controller_;
+  /// Stripped plans behind the controller's boxes: the hosted one (the
+  /// target once a kMigrate arrived) and, while migrating, the previous one.
+  ckpt::HostedPlans plans_;
   std::unique_ptr<CallbackOp> out_cb_;
 
   std::thread thread_;

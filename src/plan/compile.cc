@@ -179,8 +179,4 @@ Box CompilePlan(const LogicalNode& root, const std::string& name_prefix) {
   return box;
 }
 
-BoxFactory MakeBoxFactory(LogicalPtr plan) {
-  return [plan]() { return CompilePlan(*plan); };
-}
-
 }  // namespace genmig

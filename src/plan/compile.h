@@ -10,7 +10,6 @@
 #ifndef GENMIG_PLAN_COMPILE_H_
 #define GENMIG_PLAN_COMPILE_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,13 +26,6 @@ namespace genmig {
 /// after its stages in execution order joined by '+' ("select#3",
 /// "select+project#3").
 Box CompilePlan(const LogicalNode& root, const std::string& name_prefix = "");
-
-/// A factory that builds a fresh (state-free) Box every time it is invoked.
-/// Migration strategies use it to instantiate the new plan.
-using BoxFactory = std::function<Box()>;
-
-/// Wraps a logical plan into a BoxFactory.
-BoxFactory MakeBoxFactory(LogicalPtr plan);
 
 }  // namespace genmig
 

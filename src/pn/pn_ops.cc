@@ -130,13 +130,13 @@ Tuple PnAggregate::BuildRow(const Tuple& key, const GroupState& g) const {
   for (size_t i = 0; i < aggs_.size(); ++i) {
     switch (aggs_[i].kind) {
       case AggKind::kCount:
-        row.Append(Value(g.count));
+        row.Emplace(g.count);
         break;
       case AggKind::kSum:
-        row.Append(Value(g.sums[i]));
+        row.Emplace(g.sums[i]);
         break;
       case AggKind::kAvg:
-        row.Append(Value(g.sums[i] / static_cast<double>(g.count)));
+        row.Emplace(g.sums[i] / static_cast<double>(g.count));
         break;
       case AggKind::kMin:
         row.Append(*g.ordereds[i].begin());

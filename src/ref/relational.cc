@@ -59,7 +59,7 @@ Bag GroupAggregate(const Bag& input, const std::vector<size_t>& group_fields,
     for (const AggSpec& spec : aggs) {
       switch (spec.kind) {
         case AggKind::kCount:
-          row.Append(Value(static_cast<int64_t>(members.size())));
+          row.Emplace(static_cast<int64_t>(members.size()));
           break;
         case AggKind::kSum:
         case AggKind::kAvg: {
@@ -70,7 +70,7 @@ Bag GroupAggregate(const Bag& input, const std::vector<size_t>& group_fields,
           if (spec.kind == AggKind::kAvg) {
             sum /= static_cast<double>(members.size());
           }
-          row.Append(Value(sum));
+          row.Emplace(sum);
           break;
         }
         case AggKind::kMin:

@@ -4,7 +4,8 @@
 // form to an uninterrupted oracle run — including a seed with a GenMig in
 // flight at the cut, and a disordered periodic-checkpoint seed where the kill
 // may land before the first commit (NotFound => fresh run, same output),
-// and sharded runs killed right after a marker cut committed.
+// and sharded runs killed right after a marker cut committed, once with
+// that cut inside a broadcast migration.
 
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -15,16 +16,19 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <random>
 #include <string>
 #include <thread>
 
 #include "../test_util.h"
+#include "ckpt/store.h"
 #include "engine/dsms.h"
 #include "obs/journal.h"
 #include "par/coordinator.h"
 #include "ref/checker.h"
 #include "stream/generator.h"
+#include "stream/state_codec.h"
 
 namespace genmig {
 namespace {
@@ -420,6 +424,114 @@ TEST(CrashRecoveryTest, ShardedKillWithoutExplicitCheckpointRestores) {
   const Status s = restored.Restore();
   ASSERT_TRUE(s.ok()) << s.ToString();
   restored.RunToCompletion();
+  EXPECT_EQ(ref::SnapshotNormalForm(restored.Results(id)),
+            ref::SnapshotNormalForm(oracle));
+}
+
+// --- Seed 6: sharded executor killed with a cut inside a migration ----------
+
+// Left-deep -> right-deep 3-way join over windows of 60, the migration
+// broadcast at 180. The data spans about 300 units, so with a period of 200
+// the one cut lands after the broadcast and before T_split (about 241).
+par::InputMap MigratingFeeds() {
+  std::mt19937_64 rng(53);
+  par::InputMap inputs;
+  std::vector<int64_t> t(3, 0);
+  const std::vector<std::string> names = {"A", "B", "C"};
+  for (int i = 0; i < 150; ++i) {
+    for (size_t s = 0; s < names.size(); ++s) {
+      t[s] += static_cast<int64_t>(rng() % 5);
+      inputs[names[s]].push_back(
+          El(static_cast<int64_t>(rng() % 3), t[s], t[s] + 1));
+    }
+  }
+  return inputs;
+}
+
+void SetupMigratingSharded(Dsms* dsms, Dsms::QueryId* id) {
+  using namespace logical;  // NOLINT: test readability.
+  const Schema one = Schema::OfInts({"x"});
+  auto wa = Window(SourceNode("A", one), 60);
+  auto wb = Window(SourceNode("B", one), 60);
+  auto wc = Window(SourceNode("C", one), 60);
+  for (const auto& [name, data] : MigratingFeeds()) {
+    dsms->RegisterStream(name, one, data);
+  }
+  auto installed =
+      dsms->InstallPlan(EquiJoin(EquiJoin(wa, wb, 0, 0), wc, 0, 0));
+  ASSERT_TRUE(installed.ok()) << installed.status().ToString();
+  *id = installed.value();
+  ASSERT_TRUE(dsms->Info(*id).parallel);
+  const Status s = dsms->ScheduleMigration(
+      *id, EquiJoin(wa, EquiJoin(wb, wc, 0, 0), 0, 0), Timestamp(180));
+  ASSERT_TRUE(s.ok()) << s.ToString();
+}
+
+Dsms::Options MigratingShardedOptions(const std::string& dir) {
+  Dsms::Options options;
+  options.shards = 2;
+  options.checkpoint_dir = dir;
+  options.checkpoint_period = 200;
+  return options;
+}
+
+void MigratingShardedVictim(const std::string& dir) {
+  Dsms dsms(MigratingShardedOptions(dir));
+  Dsms::QueryId id = 0;
+  SetupMigratingSharded(&dsms, &id);
+  if (testing::Test::HasFatalFailure()) _exit(93);
+  // Dies as soon as the cut inside the migration is journaled as committed.
+  std::thread killer([&dsms] {
+    for (;;) {
+      if (CutCommitted(dsms.journal().SnapshotKind(
+              obs::JournalEvent::Kind::kCheckpoint))) {
+        raise(SIGKILL);
+      }
+      usleep(200);
+    }
+  });
+  killer.detach();
+  dsms.RunToCompletion();
+  raise(SIGKILL);
+}
+
+TEST(CrashRecoveryTest, ShardedKillWithCutInsideMigrationRestores) {
+  MaterializedStream oracle;
+  {
+    Dsms::Options options;
+    options.shards = 2;
+    Dsms dsms(options);
+    Dsms::QueryId id = 0;
+    ASSERT_NO_FATAL_FAILURE(SetupMigratingSharded(&dsms, &id));
+    dsms.RunToCompletion();
+    ASSERT_EQ(dsms.Info(id).migrations_completed, 1);
+    oracle = dsms.Results(id);
+  }
+  ASSERT_GT(oracle.size(), 0u);
+
+  const std::string dir = TempDir();
+  ASSERT_NO_FATAL_FAILURE(RunVictim(MigratingShardedVictim, dir));
+  {
+    // The surviving cut caught both shards in GenMig's parallel phase.
+    ckpt::Store store(dir);
+    std::map<std::string, std::string> blobs;
+    ASSERT_TRUE(store.Load(&blobs).ok());
+    for (const char* key : {"par/q0/s0/ctl", "par/q0/s1/ctl"}) {
+      ASSERT_EQ(blobs.count(key), 1u) << key;
+      StateDec dec(blobs.at(key));
+      MigrationController::CkptControl control;
+      ASSERT_TRUE(MigrationController::CkptDecodeControl(&dec, &control));
+      EXPECT_EQ(control.phase, MigrationController::Phase::kParallel) << key;
+    }
+  }
+
+  Dsms restored(MigratingShardedOptions(dir));
+  Dsms::QueryId id = 0;
+  ASSERT_NO_FATAL_FAILURE(SetupMigratingSharded(&restored, &id));
+  const Status s = restored.Restore();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  restored.RunToCompletion();
+  EXPECT_EQ(restored.Info(id).migrations_completed, 1);
   EXPECT_EQ(ref::SnapshotNormalForm(restored.Results(id)),
             ref::SnapshotNormalForm(oracle));
 }

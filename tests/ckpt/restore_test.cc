@@ -619,5 +619,223 @@ TEST(RestoreTest, ShardedRouterBlobWithDisorderStateIsDataLoss) {
       << s.ToString();
 }
 
+// --- Sharded cuts inside a broadcast migration ------------------------------
+
+MigrationController::Phase ShardPhase(
+    const std::map<std::string, std::string>& cut, const std::string& key) {
+  StateDec dec(cut.at(key));
+  MigrationController::CkptControl control;
+  EXPECT_TRUE(MigrationController::CkptDecodeControl(&dec, &control)) << key;
+  return control.phase;
+}
+
+// Left-deep -> right-deep over windows of 60: the broadcast at `at` fixes
+// T_split at the max routed start + 61, so the parallel phase spans the
+// next 61 time units of routing.
+struct MigratingJoin {
+  LogicalPtr old_plan;
+  LogicalPtr new_plan;
+  MigratingJoin() {
+    auto wa = Window(SourceNode("A", OneCol()), 60);
+    auto wb = Window(SourceNode("B", OneCol()), 60);
+    auto wc = Window(SourceNode("C", OneCol()), 60);
+    old_plan = EquiJoin(EquiJoin(wa, wb, 0, 0), wc, 0, 0);
+    new_plan = EquiJoin(wa, EquiJoin(wb, wc, 0, 0), 0, 0);
+  }
+};
+
+TEST(RestoreTest, ShardedCutInsideBroadcastMigrationResumes) {
+  const MigratingJoin join;
+  const par::InputMap inputs = RandomFeeds(41, 150, 3, {"A", "B", "C"});
+  const MaterializedStream oracle =
+      ref::SnapshotNormalForm(ref::EvalPlanToStream(*join.old_plan, inputs));
+  const Timestamp at(100);
+
+  par::Coordinator::Options options;
+  options.shards = 2;
+  options.queue_capacity = 4;
+  // The first cut is taken 120 time units into the routing (no cut is in
+  // flight yet), 20 units after the broadcast and before T_split.
+  options.checkpoint_period = 120;
+  std::vector<std::map<std::string, std::string>> cuts;
+  options.on_cut = [&cuts](std::vector<ckpt::Blob> blobs) {
+    std::map<std::string, std::string> cut;
+    for (ckpt::Blob& blob : blobs) cut[blob.key] = std::move(blob.bytes);
+    cuts.push_back(std::move(cut));
+  };
+
+  MaterializedStream first;
+  {
+    CollectorSink sink("sink");
+    par::Coordinator coordinator(join.old_plan, &sink, options);
+    ASSERT_TRUE(coordinator.ScheduleGenMig(join.new_plan, at).ok());
+    const Status s = coordinator.Run(inputs);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    ASSERT_EQ(coordinator.migrations_completed(), 1);
+    first = sink.collected();
+  }
+  EXPECT_EQ(ref::SnapshotNormalForm(first), oracle);
+  ASSERT_FALSE(cuts.empty());
+  const std::map<std::string, std::string>& cut = cuts.front();
+  // Both shards captured GenMig's parallel phase with both boxes' plans.
+  for (const std::string& shard : {std::string("s0/"), std::string("s1/")}) {
+    EXPECT_EQ(ShardPhase(cut, shard + "ctl"),
+              MigrationController::Phase::kParallel);
+    EXPECT_EQ(cut.count(shard + "plan"), 1u);
+    EXPECT_EQ(cut.count(shard + "oldplan"), 1u);
+  }
+
+  CollectorSink sink("sink");
+  par::Coordinator restored(join.old_plan, &sink, options);
+  ASSERT_TRUE(restored.ScheduleGenMig(join.new_plan, at).ok());
+  const Status rs = restored.Restore(cut);
+  ASSERT_TRUE(rs.ok()) << rs.ToString();
+  EXPECT_EQ(restored.migrations_completed(), 0);  // Still in flight.
+  const Status s = restored.Run(inputs);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(restored.migrations_completed(), 1);
+  // Snapshot-equivalent, not byte-identical: operator watermarks are not
+  // part of a cut, so the restored boxes release their results in another
+  // interleaving and the coalesce pairs old and new pieces differently.
+  // The engine's own mid-migration restore behaves the same way.
+  EXPECT_TRUE(IsOrderedByStart(sink.collected()));
+  EXPECT_EQ(ref::SnapshotNormalForm(sink.collected()), oracle);
+}
+
+TEST(RestoreTest, ShardedCutWithoutShardPlansRestoresTheBroadcastTarget) {
+  // A cut whose shards did not record their plans (only quiescent cuts were
+  // taken then) restores the last-broadcast target from the router blob.
+  const MigratingJoin join;
+  const par::InputMap inputs = RandomFeeds(42, 150, 3, {"A", "B", "C"});
+  const Timestamp at(40);
+  par::Coordinator::Options options;
+  options.shards = 2;
+  options.queue_capacity = 4;
+  // Every row ships at once and every other shard hears its start, so the
+  // shards finish the migration soon after routing passes T_split (~101).
+  options.batch_size = 1;
+  options.checkpoint_period = 150;  // One cut, after the migration ended.
+  std::vector<std::map<std::string, std::string>> cuts;
+  options.on_cut = [&cuts](std::vector<ckpt::Blob> blobs) {
+    std::map<std::string, std::string> cut;
+    for (ckpt::Blob& blob : blobs) cut[blob.key] = std::move(blob.bytes);
+    cuts.push_back(std::move(cut));
+  };
+  MaterializedStream first;
+  {
+    CollectorSink sink("sink");
+    par::Coordinator coordinator(join.old_plan, &sink, options);
+    ASSERT_TRUE(coordinator.ScheduleGenMig(join.new_plan, at).ok());
+    ASSERT_TRUE(coordinator.Run(inputs).ok());
+    first = sink.collected();
+  }
+  ASSERT_FALSE(cuts.empty());
+  std::map<std::string, std::string> cut = cuts.front();
+  ASSERT_EQ(ShardPhase(cut, "s0/ctl"), MigrationController::Phase::kDirect);
+  ASSERT_EQ(cut.erase("s0/plan") + cut.erase("s1/plan"), 2u);
+
+  CollectorSink sink("sink");
+  par::Coordinator restored(join.old_plan, &sink, options);
+  ASSERT_TRUE(restored.ScheduleGenMig(join.new_plan, at).ok());
+  const Status rs = restored.Restore(cut);
+  ASSERT_TRUE(rs.ok()) << rs.ToString();
+  EXPECT_EQ(restored.migrations_completed(), 1);
+  ASSERT_TRUE(restored.Run(inputs).ok());
+  EXPECT_EQ(sink.collected(), first);
+}
+
+// A Dsms running the same join sharded, with the migration scheduled at
+// 180: the one cut (period 200, the data spans about 300 units) lands after
+// the broadcast and before T_split (about 241).
+void SetupMigratingSharded(const par::InputMap& feeds, Dsms* dsms,
+                           Dsms::QueryId* id) {
+  const MigratingJoin join;
+  for (const auto& [name, data] : feeds) {
+    dsms->RegisterStream(name, OneCol(), data);
+  }
+  auto installed = dsms->InstallPlan(join.old_plan);
+  ASSERT_TRUE(installed.ok()) << installed.status().ToString();
+  *id = installed.value();
+  ASSERT_TRUE(dsms->Info(*id).parallel);
+  ASSERT_TRUE(
+      dsms->ScheduleMigration(*id, join.new_plan, Timestamp(180)).ok());
+}
+
+TEST(RestoreTest, DsmsShardedCutInsideMigrationResumes) {
+  const par::InputMap feeds = RandomFeeds(43, 150, 3, {"A", "B", "C"});
+  Dsms::Options options;
+  options.shards = 2;
+  MaterializedStream oracle;
+  {
+    Dsms dsms(options);
+    Dsms::QueryId id = 0;
+    ASSERT_NO_FATAL_FAILURE(SetupMigratingSharded(feeds, &dsms, &id));
+    dsms.RunToCompletion();
+    EXPECT_EQ(dsms.Info(id).migrations_completed, 1);
+    oracle = dsms.Results(id);
+  }
+  ASSERT_GT(oracle.size(), 0u);
+
+  options.checkpoint_dir = TempDir();
+  options.checkpoint_period = 200;
+  {
+    Dsms dsms(options);
+    Dsms::QueryId id = 0;
+    ASSERT_NO_FATAL_FAILURE(SetupMigratingSharded(feeds, &dsms, &id));
+    dsms.RunToCompletion();
+  }
+  {
+    ckpt::Store store(options.checkpoint_dir);
+    std::map<std::string, std::string> blobs;
+    ASSERT_TRUE(store.Load(&blobs).ok());
+    EXPECT_EQ(ShardPhase(blobs, "par/q0/s0/ctl"),
+              MigrationController::Phase::kParallel);
+    EXPECT_EQ(ShardPhase(blobs, "par/q0/s1/ctl"),
+              MigrationController::Phase::kParallel);
+  }
+  Dsms restored(options);
+  Dsms::QueryId id = 0;
+  ASSERT_NO_FATAL_FAILURE(SetupMigratingSharded(feeds, &restored, &id));
+  const Status s = restored.Restore();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  restored.RunToCompletion();
+  EXPECT_EQ(restored.Info(id).migrations_completed, 1);
+  EXPECT_TRUE(IsOrderedByStart(restored.Results(id)));
+  EXPECT_EQ(ref::SnapshotNormalForm(restored.Results(id)),
+            ref::SnapshotNormalForm(oracle));
+}
+
+TEST(RestoreTest, DsmsShardedRunReturnsWithNoCommitInFlight) {
+  // The executor pass after the coordinators commits a periodic engine
+  // checkpoint; RunToCompletion waits for it, so the counters, the journal
+  // and the count itself agree on return, run after run.
+  const par::InputMap feeds = RandomFeeds(44, 150, 3, {"A", "B", "C"});
+  uint64_t expected = 0;
+  for (int run = 0; run < 20; ++run) {
+    Dsms::Options options;
+    options.shards = 3;
+    options.checkpoint_dir = TempDir();
+    options.checkpoint_period = 200;
+    Dsms dsms(options);
+    for (const auto& [name, data] : feeds) {
+      dsms.RegisterStream(name, OneCol(), data);
+    }
+    ASSERT_TRUE(dsms.InstallPlan(MigratingJoin().old_plan).ok());
+    dsms.RunToCompletion();
+    const uint64_t commits = dsms.CheckpointStats().commits;
+    size_t journaled = 0;
+    for (const obs::JournalEvent& ev :
+         dsms.journal().SnapshotKind(obs::JournalEvent::Kind::kCheckpoint)) {
+      if (ev.Str("phase") == "commit") ++journaled;
+    }
+    EXPECT_EQ(commits, journaled) << "run " << run;
+    if (run == 0) expected = commits;
+    EXPECT_EQ(commits, expected) << "run " << run;
+  }
+  // The anchor, the one cut (about 200 units in; the data spans about 300)
+  // and the executor pass's periodic commit.
+  EXPECT_EQ(expected, 3u);
+}
+
 }  // namespace
 }  // namespace genmig

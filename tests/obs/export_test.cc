@@ -1,7 +1,6 @@
 // Exporter contracts: ToJson / ToChromeTrace emit well-formed JSON, the
 // Chrome trace carries one phase span per consecutive migration event pair
-// with contained (nested) timestamps plus counter tracks from the timeline,
-// and ToCsv escapes fields per RFC 4180.
+// with contained (nested) timestamps plus counter tracks from the timeline.
 
 #include <gtest/gtest.h>
 
@@ -293,39 +292,6 @@ TEST(ExportTest, ChromeTraceWithoutInputsIsStillValid) {
   MetricsRegistry registry;
   const std::string trace = obs::ToChromeTrace(registry, nullptr);
   EXPECT_TRUE(JsonValidator(trace).Valid()) << trace;
-}
-
-TEST(ExportTest, CsvEscapesSeparatorsAndQuotes) {
-  MetricsRegistry registry;
-  registry.Register("plain");
-  registry.Register("with,comma");
-  registry.Register("with\"quote");
-  const std::string csv = obs::ToCsv(registry);
-
-  // RFC 4180: comma-bearing fields quoted, embedded quotes doubled.
-  EXPECT_NE(csv.find("\n\"with,comma\","), std::string::npos);
-  EXPECT_NE(csv.find("\n\"with\"\"quote\","), std::string::npos);
-  EXPECT_NE(csv.find("\nplain,"), std::string::npos);
-
-  // Every row has the same field count (commas inside quotes excluded).
-  size_t expected_fields = std::string::npos;
-  size_t start = 0;
-  while (start < csv.size()) {
-    size_t end = csv.find('\n', start);
-    if (end == std::string::npos) end = csv.size();
-    const std::string line = csv.substr(start, end - start);
-    if (!line.empty()) {
-      size_t fields = 1;
-      bool in_quotes = false;
-      for (char c : line) {
-        if (c == '"') in_quotes = !in_quotes;
-        else if (c == ',' && !in_quotes) ++fields;
-      }
-      if (expected_fields == std::string::npos) expected_fields = fields;
-      EXPECT_EQ(fields, expected_fields) << line;
-    }
-    start = end + 1;
-  }
 }
 
 }  // namespace

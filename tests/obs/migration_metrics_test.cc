@@ -95,8 +95,6 @@ TEST(MigrationMetricsTest, GenMigDoesNotDoubleCountCoalescedOutputs) {
   EXPECT_NE(json.find("\"ctrl/coalesce\""), std::string::npos);
   EXPECT_NE(json.find("\"migrations\""), std::string::npos);
   EXPECT_NE(json.find("\"reference_point_switch\""), std::string::npos);
-  const std::string csv = obs::ToCsv(registry);
-  EXPECT_NE(csv.find("ctrl/coalesce"), std::string::npos);
 }
 
 TEST(MigrationMetricsTest, RefPointMergeRegistersAndBalances) {

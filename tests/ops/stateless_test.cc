@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
-#include "ops/monitor.h"
 #include "ops/sink.h"
 
 namespace genmig {
@@ -79,27 +78,6 @@ TEST(StatelessChainTest, SelectionOnlyChainForwardsThePushedElement) {
   f.PushElement(0, dropped);
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_EQ(seen[0], &kept);
-}
-
-TEST(MonitorTest, TracksStartEndAndCount) {
-  MonitorOp m("m");
-  EXPECT_FALSE(m.has_seen_element());
-  auto out = testutil::RunUnary(&m, {El(1, 10, 30), El(2, 15, 20)});
-  EXPECT_EQ(out.size(), 2u);  // Pass-through.
-  EXPECT_TRUE(m.has_seen_element());
-  EXPECT_EQ(m.count(), 2u);
-  EXPECT_EQ(m.first_start(), Timestamp(10));
-  EXPECT_EQ(m.last_start(), Timestamp(15));
-  EXPECT_EQ(m.max_end(), Timestamp(30));
-}
-
-TEST(MonitorTest, ObservedRate) {
-  MonitorOp m("m");
-  MaterializedStream in;
-  for (int i = 0; i < 11; ++i) in.push_back(El(i, i * 10, i * 10 + 1));
-  testutil::RunUnary(&m, in);
-  // 11 elements over a span of 100 time units.
-  EXPECT_DOUBLE_EQ(m.ObservedRate(), 0.11);
 }
 
 }  // namespace
