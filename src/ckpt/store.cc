@@ -109,7 +109,10 @@ Status Store::Commit(std::vector<Blob> blobs, std::string scope) {
 bool Store::CommitAsync(std::vector<Blob> blobs, std::string scope) {
   {
     std::lock_guard<std::mutex> lock(worker_mu_);
-    if (busy_ || pending_.has_value()) return false;
+    if (busy_ || pending_.has_value()) {
+      skipped_.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
     pending_ = Round{std::move(blobs), std::move(scope)};
   }
   worker_cv_.notify_all();
@@ -379,6 +382,7 @@ Store::StatsSnapshot Store::stats() const {
   s.seq = seq_.load(std::memory_order_relaxed);
   s.commits = commits_.load(std::memory_order_relaxed);
   s.failures = failures_.load(std::memory_order_relaxed);
+  s.skipped = skipped_.load(std::memory_order_relaxed);
   s.bytes = bytes_.load(std::memory_order_relaxed);
   s.written_bytes = written_bytes_.load(std::memory_order_relaxed);
   s.duration_ns = duration_ns_.load(std::memory_order_relaxed);

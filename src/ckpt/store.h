@@ -66,6 +66,7 @@ class Store {
     uint64_t seq = 0;               // Last committed checkpoint.
     uint64_t commits = 0;
     uint64_t failures = 0;
+    uint64_t skipped = 0;           // CommitAsync rounds refused as busy.
     uint64_t bytes = 0;             // Live bytes of the last commit.
     uint64_t written_bytes = 0;     // Incremental bytes of the last commit.
     uint64_t duration_ns = 0;       // Duration of the last commit.
@@ -91,8 +92,9 @@ class Store {
   /// empty scope makes `blobs` the whole checkpoint.
   Status Commit(std::vector<Blob> blobs, std::string scope = "");
 
-  /// Queues a commit on the background thread. Returns false (and does
-  /// nothing) when a previous async commit is still running.
+  /// Queues a commit on the background thread. Returns false (and only
+  /// counts the round in `StatsSnapshot::skipped`) when a previous async
+  /// commit is still pending or running.
   bool CommitAsync(std::vector<Blob> blobs, std::string scope = "");
 
   /// Blocks until no async commit is pending or running.
@@ -138,6 +140,7 @@ class Store {
   std::atomic<uint64_t> seq_{0};
   std::atomic<uint64_t> commits_{0};
   std::atomic<uint64_t> failures_{0};
+  std::atomic<uint64_t> skipped_{0};
   std::atomic<uint64_t> bytes_{0};
   std::atomic<uint64_t> written_bytes_{0};
   std::atomic<uint64_t> duration_ns_{0};

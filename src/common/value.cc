@@ -19,45 +19,33 @@ const char* ValueTypeName(ValueType type) {
 size_t Value::Hash() const {
   // Mix the type tag in so that e.g. Value(1) and Value(1.0) hash apart,
   // matching operator== which distinguishes them.
-  size_t seed = static_cast<size_t>(rep_.index()) * 0x9e3779b97f4a7c15ULL;
+  size_t seed = static_cast<size_t>(type_) * 0x9e3779b97f4a7c15ULL;
   size_t h = 0;
-  switch (type()) {
+  switch (type_) {
     case ValueType::kInt64:
-      h = std::hash<int64_t>()(std::get<int64_t>(rep_));
+      h = std::hash<int64_t>()(payload_.i);
       break;
     case ValueType::kDouble:
-      h = std::hash<double>()(std::get<double>(rep_));
+      h = std::hash<double>()(payload_.d);
       break;
     case ValueType::kString:
-      h = std::hash<std::string>()(std::get<std::string>(rep_));
+      h = std::hash<std::string>()(payload_.s->str);
       break;
   }
   return seed ^ (h + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
 
-size_t Value::PayloadBytes() const {
-  switch (type()) {
-    case ValueType::kInt64:
-      return sizeof(int64_t);
-    case ValueType::kDouble:
-      return sizeof(double);
-    case ValueType::kString:
-      return std::get<std::string>(rep_).size();
-  }
-  return 0;
-}
-
 std::string Value::ToString() const {
-  switch (type()) {
+  switch (type_) {
     case ValueType::kInt64:
-      return std::to_string(std::get<int64_t>(rep_));
+      return std::to_string(payload_.i);
     case ValueType::kDouble: {
       char buf[32];
-      std::snprintf(buf, sizeof(buf), "%g", std::get<double>(rep_));
+      std::snprintf(buf, sizeof(buf), "%g", payload_.d);
       return buf;
     }
     case ValueType::kString:
-      return "\"" + std::get<std::string>(rep_) + "\"";
+      return "\"" + payload_.s->str + "\"";
   }
   return "?";
 }

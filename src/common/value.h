@@ -1,13 +1,17 @@
-// Value: the atomic datum carried in tuple fields. A small tagged union over
-// the types the CQL subset supports (64-bit integers, doubles, strings).
+// Value: the atomic datum carried in tuple fields. A 16-byte tagged union
+// over the types the CQL subset supports: a 64-bit integer, a double, or a
+// pointer to an immutable, reference-counted string block. Copying a string
+// Value shares its block; the count is atomic because shard threads copy
+// rows.
 
 #ifndef GENMIG_COMMON_VALUE_H_
 #define GENMIG_COMMON_VALUE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <variant>
+#include <utility>
 
 #include "common/check.h"
 
@@ -21,32 +25,59 @@ const char* ValueTypeName(ValueType type);
 
 /// A dynamically typed datum. Values of different types never compare equal;
 /// ordering is first by type tag, then by payload, so Values can key ordered
-/// containers regardless of column type mixes.
+/// containers regardless of column type mixes. Doubles compare with the
+/// built-in `<` and `==` (so NaN is unequal to itself).
 class Value {
  public:
-  Value() : rep_(int64_t{0}) {}
-  explicit Value(int64_t v) : rep_(v) {}
-  explicit Value(double v) : rep_(v) {}
-  explicit Value(std::string v) : rep_(std::move(v)) {}
-  explicit Value(const char* v) : rep_(std::string(v)) {}
+  Value() { payload_.i = 0; }
+  explicit Value(int64_t v) { payload_.i = v; }
+  explicit Value(double v) : type_(ValueType::kDouble) { payload_.d = v; }
+  explicit Value(std::string v) : type_(ValueType::kString) {
+    payload_.s = new StringBlock{std::move(v)};
+  }
+  explicit Value(const char* v) : Value(std::string(v)) {}
 
-  ValueType type() const { return static_cast<ValueType>(rep_.index()); }
+  Value(const Value& other) : type_(other.type_), payload_(other.payload_) {
+    Ref();
+  }
+  Value(Value&& other) noexcept : type_(other.type_), payload_(other.payload_) {
+    other.Reset();
+  }
+  Value& operator=(const Value& other) {
+    other.Ref();  // Before Unref, so self-assignment keeps the block alive.
+    Unref();
+    type_ = other.type_;
+    payload_ = other.payload_;
+    return *this;
+  }
+  Value& operator=(Value&& other) noexcept {
+    if (this != &other) {
+      Unref();
+      type_ = other.type_;
+      payload_ = other.payload_;
+      other.Reset();
+    }
+    return *this;
+  }
+  ~Value() { Unref(); }
 
-  bool is_int64() const { return type() == ValueType::kInt64; }
-  bool is_double() const { return type() == ValueType::kDouble; }
-  bool is_string() const { return type() == ValueType::kString; }
+  ValueType type() const { return type_; }
+
+  bool is_int64() const { return type_ == ValueType::kInt64; }
+  bool is_double() const { return type_ == ValueType::kDouble; }
+  bool is_string() const { return type_ == ValueType::kString; }
 
   int64_t AsInt64() const {
     GENMIG_CHECK(is_int64());
-    return std::get<int64_t>(rep_);
+    return payload_.i;
   }
   double AsDouble() const {
     GENMIG_CHECK(is_double());
-    return std::get<double>(rep_);
+    return payload_.d;
   }
   const std::string& AsString() const {
     GENMIG_CHECK(is_string());
-    return std::get<std::string>(rep_);
+    return payload_.s->str;
   }
 
   /// Numeric view: int64 and double values as double. Aborts on strings.
@@ -55,21 +86,75 @@ class Value {
     return AsDouble();
   }
 
-  bool operator==(const Value& other) const { return rep_ == other.rep_; }
+  bool operator==(const Value& other) const {
+    if (type_ != other.type_) return false;
+    switch (type_) {
+      case ValueType::kInt64:
+        return payload_.i == other.payload_.i;
+      case ValueType::kDouble:
+        return payload_.d == other.payload_.d;
+      case ValueType::kString:
+        return payload_.s == other.payload_.s ||
+               payload_.s->str == other.payload_.s->str;
+    }
+    return false;
+  }
   bool operator!=(const Value& other) const { return !(*this == other); }
-  bool operator<(const Value& other) const { return rep_ < other.rep_; }
+  bool operator<(const Value& other) const {
+    if (type_ != other.type_) return type_ < other.type_;
+    switch (type_) {
+      case ValueType::kInt64:
+        return payload_.i < other.payload_.i;
+      case ValueType::kDouble:
+        return payload_.d < other.payload_.d;
+      case ValueType::kString:
+        return payload_.s->str < other.payload_.s->str;
+    }
+    return false;
+  }
 
   size_t Hash() const;
 
   /// Bytes of payload held by this value (used for the Figure 5 style
   /// "values only" memory accounting).
-  size_t PayloadBytes() const;
+  size_t PayloadBytes() const {
+    return is_string() ? payload_.s->str.size() : sizeof(int64_t);
+  }
 
   std::string ToString() const;
 
  private:
-  std::variant<int64_t, double, std::string> rep_;
+  // Immutable once built; shared by every copy of the Value.
+  struct StringBlock {
+    std::string str;
+    std::atomic<uint32_t> refs{1};
+  };
+  union Payload {
+    int64_t i;
+    double d;
+    StringBlock* s;
+  };
+
+  void Ref() const {
+    if (is_string()) payload_.s->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  void Unref() {
+    if (is_string() &&
+        payload_.s->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      delete payload_.s;
+    }
+  }
+  // Leaves a moved-from Value as int64 zero: no block to release.
+  void Reset() {
+    type_ = ValueType::kInt64;
+    payload_.i = 0;
+  }
+
+  ValueType type_ = ValueType::kInt64;
+  Payload payload_;
 };
+
+static_assert(sizeof(Value) == 16, "Value is a tag plus one 8-byte payload");
 
 /// Hash functor for unordered containers keyed by Value.
 struct ValueHash {

@@ -836,6 +836,9 @@ std::string Dsms::MetricsText() const {
         "gauge", cs.duration_ns);
     u64("genmig_ckpt_failures_total", "Checkpoint commits that failed.",
         "counter", cs.failures);
+    u64("genmig_ckpt_skipped_total",
+        "Checkpoint rounds refused because a commit was in flight.",
+        "counter", cs.skipped);
     head("genmig_ckpt_age_seconds",
          "Wall-clock seconds since the last committed checkpoint (-1 = "
          "never).",
@@ -893,11 +896,12 @@ void Dsms::RefreshStatusCache() {
     const ckpt::Store::StatsSnapshot cs = ckpt_store_->stats();
     std::snprintf(buf, sizeof(buf),
                   ", \"checkpoint\": {\"seq\": %" PRIu64
-                  ", \"commits\": %" PRIu64 ", \"failures\": %" PRIu64
-                  ", \"bytes\": %" PRIu64 ", \"written_bytes\": %" PRIu64
-                  ", \"duration_ns\": %" PRIu64 "}",
-                  cs.seq, cs.commits, cs.failures, cs.bytes, cs.written_bytes,
-                  cs.duration_ns);
+                  ", \"commits\": %" PRIu64 ", \"skipped\": %" PRIu64
+                  ", \"failures\": %" PRIu64 ", \"bytes\": %" PRIu64
+                  ", \"written_bytes\": %" PRIu64 ", \"duration_ns\": %" PRIu64
+                  "}",
+                  cs.seq, cs.commits, cs.skipped, cs.failures, cs.bytes,
+                  cs.written_bytes, cs.duration_ns);
     out += buf;
   }
   out += ", \"queries\": [";

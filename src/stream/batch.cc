@@ -103,10 +103,10 @@ void TupleBatch::AppendFilteredFrom(const TupleBatch& other,
 }
 
 Tuple TupleBatch::RowTuple(size_t row) const {
-  std::vector<Value> fields;
-  fields.reserve(columns_.size());
-  for (const auto& col : columns_) fields.push_back(col[row]);
-  return Tuple(std::move(fields));
+  Tuple t;
+  t.Reserve(columns_.size());
+  for (const auto& col : columns_) t.Append(col[row]);
+  return t;
 }
 
 StreamElement TupleBatch::Row(size_t row) const {

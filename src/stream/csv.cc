@@ -142,7 +142,7 @@ std::string StreamToCsv(const MaterializedStream& stream) {
     out += e.interval.start.ToString();
     out += ",";
     out += e.interval.end.ToString();
-    for (const Value& v : e.tuple.fields()) {
+    for (const Value& v : e.tuple) {
       out += ",";
       out += v.is_string() ? v.AsString() : v.ToString();
     }

@@ -60,6 +60,10 @@ struct StreamElement {
   }
 };
 
+// Feeds and operator queues hold elements contiguously; a wider element
+// slows every walk over them (see DESIGN.md "Row layout").
+static_assert(sizeof(StreamElement) <= 88, "StreamElement stays compact");
+
 /// A materialized stream: elements in non-decreasing tS order.
 using MaterializedStream = std::vector<StreamElement>;
 

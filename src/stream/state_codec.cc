@@ -35,7 +35,7 @@ void StateEnc::Val(const Value& v) {
 
 void StateEnc::Tup(const Tuple& t) {
   U64(t.size());
-  for (const Value& v : t.fields()) Val(v);
+  for (const Value& v : t) Val(v);
 }
 
 void StateEnc::Elem(const StreamElement& e) {

@@ -115,6 +115,22 @@ TEST(StoreTest, AsyncCommitLandsAfterWaitIdle) {
   EXPECT_EQ(blobs.at("k"), "v");
 }
 
+TEST(StoreTest, EveryAsyncRoundIsCommittedFailedOrSkipped) {
+  Store store(TempDir());
+  // Rounds issued back to back find the worker busy some of the time; how
+  // often depends on timing, but every round lands in exactly one counter.
+  constexpr uint64_t kRounds = 50;
+  uint64_t accepted = 0;
+  for (uint64_t i = 0; i < kRounds; ++i) {
+    if (store.CommitAsync({Make("k", std::to_string(i))})) ++accepted;
+  }
+  store.WaitIdle();
+  const Store::StatsSnapshot s = store.stats();
+  EXPECT_EQ(s.commits + s.failures, accepted);
+  EXPECT_EQ(s.commits + s.failures + s.skipped, kRounds);
+  EXPECT_GE(accepted, 1u);
+}
+
 TEST(StoreTest, ObserverSeesBeginAndCommit) {
   Store store(TempDir());
   std::vector<Store::Event::Phase> phases;

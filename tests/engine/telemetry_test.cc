@@ -366,6 +366,7 @@ TEST(TelemetryTest, CheckpointsSurfaceInMetricsStatusAndJournal) {
   EXPECT_NE(body.find("genmig_ckpt_seq"), std::string::npos) << body;
   EXPECT_NE(body.find("genmig_ckpt_commits_total"), std::string::npos);
   EXPECT_NE(body.find("genmig_ckpt_failures_total 0"), std::string::npos);
+  EXPECT_NE(body.find("genmig_ckpt_skipped_total"), std::string::npos);
   EXPECT_NE(body.find("genmig_ckpt_bytes"), std::string::npos);
   EXPECT_NE(body.find("genmig_ckpt_written_bytes"), std::string::npos);
   EXPECT_NE(body.find("genmig_ckpt_duration_ns"), std::string::npos);
@@ -376,6 +377,7 @@ TEST(TelemetryTest, CheckpointsSurfaceInMetricsStatusAndJournal) {
   EXPECT_NE(json.find("\"checkpoint\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"seq\""), std::string::npos);
   EXPECT_NE(json.find("\"commits\""), std::string::npos);
+  EXPECT_NE(json.find("\"skipped\""), std::string::npos);
 
   // Every cycle journals a begin and a matching commit (no aborts here), and
   // the numbers on the commit mirror the store's stats.
