@@ -7,8 +7,8 @@
 // uninterrupted oracle in snapshot normal form. Every third seed runs the
 // join on two shards and schedules a GenMig at a seed-drawn instant: that
 // victim calls RunToCompletion() and dies once the engine's store counted a
-// seed-drawn number of commits (the engine part plus the sharded query's
-// marker cuts, which share the store). A cut may land inside the migration;
+// seed-drawn number of commits (each one the engine's blobs together with
+// the sharded query's marker cut). A cut may land inside the migration;
 // each line reports the phase the restored cut caught the shards in, and
 // the summary counts the cycles killed inside a migration.
 //
@@ -169,9 +169,8 @@ void Victim(const CycleParams& p, const std::string& dir) {
   if (!Setup(p, &dsms, &id)) _exit(90);
   if (dsms.Info(id).parallel != (p.shards > 1)) _exit(89);
   if (p.shards > 1) {
-    // The sharded query produces its results inside RunToCompletion(), so
-    // a watcher kills the victim once enough commits landed; a run that
-    // commits fewer dies when it returns.
+    // A watcher kills the victim once enough commits landed on the store's
+    // thread; a run that commits fewer dies when it returns.
     std::thread killer([&dsms, &p] {
       for (;;) {
         if (dsms.CheckpointStats().commits > p.kill_commits) raise(SIGKILL);

@@ -101,19 +101,19 @@ Store::~Store() {
   if (worker_.joinable()) worker_.join();
 }
 
-Status Store::Commit(std::vector<Blob> blobs, std::string scope) {
+Status Store::Commit(std::vector<Blob> blobs) {
   std::lock_guard<std::mutex> lock(commit_mu_);
-  return CommitLocked(Round{std::move(blobs), std::move(scope)});
+  return CommitLocked(blobs);
 }
 
-bool Store::CommitAsync(std::vector<Blob> blobs, std::string scope) {
+bool Store::CommitAsync(std::vector<Blob> blobs) {
   {
     std::lock_guard<std::mutex> lock(worker_mu_);
     if (busy_ || pending_.has_value()) {
       skipped_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
-    pending_ = Round{std::move(blobs), std::move(scope)};
+    pending_ = std::move(blobs);
   }
   worker_cv_.notify_all();
   return true;
@@ -124,9 +124,14 @@ void Store::WaitIdle() {
   worker_cv_.wait(lock, [this] { return !busy_ && !pending_.has_value(); });
 }
 
+bool Store::idle() const {
+  std::lock_guard<std::mutex> lock(worker_mu_);
+  return !busy_ && !pending_.has_value();
+}
+
 void Store::WorkerMain() {
   for (;;) {
-    Round round;
+    std::vector<Blob> round;
     {
       std::unique_lock<std::mutex> lock(worker_mu_);
       worker_cv_.wait(lock, [this] { return stop_ || pending_.has_value(); });
@@ -151,18 +156,16 @@ void Store::Notify(const Event& event) {
   if (observer_) observer_(event);
 }
 
-Status Store::CommitLocked(const Round& round) {
+Status Store::CommitLocked(const std::vector<Blob>& blobs) {
   const uint64_t t0 = MonoNowNs();
   const uint64_t seq = seq_.load(std::memory_order_relaxed) + 1;
 
   Event begin;
   begin.phase = Event::Phase::kBegin;
   begin.seq = seq;
-  begin.scope = round.scope;
   Notify(begin);
 
-  // Previous entries: those under the scope by key, for hash-based
-  // carry-forward; the rest carry forward as they are.
+  // Previous entries by key, for hash-based carry-forward.
   Manifest next;
   next.seq = seq;
   uint64_t total_bytes = 0;
@@ -171,19 +174,13 @@ Status Store::CommitLocked(const Round& round) {
   if (last_manifest_.has_value()) {
     prev_seq = last_manifest_->seq;
     for (const ManifestEntry& e : last_manifest_->entries) {
-      if (e.key.compare(0, round.scope.size(), round.scope) == 0) {
-        prev.emplace(e.key, &e);
-      } else {
-        next.entries.push_back(e);
-        total_bytes += e.length;
-      }
+      prev.emplace(e.key, &e);
     }
   }
 
   std::map<std::string, std::string> chunks;  // group -> file image.
   uint64_t written_bytes = 0;
-  for (const Blob& blob : round.blobs) {
-    GENMIG_CHECK(blob.key.compare(0, round.scope.size(), round.scope) == 0);
+  for (const Blob& blob : blobs) {
     total_bytes += blob.bytes.size();
     const uint64_t hash = Fnv1a(blob.bytes);
     auto it = prev.find(blob.key);
@@ -207,7 +204,6 @@ Status Store::CommitLocked(const Round& round) {
     Event ev;
     ev.phase = Event::Phase::kAbort;
     ev.seq = seq;
-    ev.scope = round.scope;
     ev.bytes = total_bytes;
     ev.written_bytes = written_bytes;
     ev.duration_ns = MonoNowNs() - t0;
@@ -253,7 +249,6 @@ Status Store::CommitLocked(const Round& round) {
   Event ev;
   ev.phase = Event::Phase::kCommit;
   ev.seq = seq;
-  ev.scope = round.scope;
   ev.bytes = total_bytes;
   ev.written_bytes = written_bytes;
   ev.duration_ns = dur;

@@ -16,11 +16,9 @@
 //     the new checkpoint fully readable; Load() additionally falls back to
 //     older MANIFEST-* files when the newest is torn.
 //
-// A commit may be scoped to a key prefix: it then replaces only the keys
-// under that prefix and carries every other entry of the previous manifest
-// forward unchanged. That is how several writers share one store — the
-// engine commits "engine/...", each sharded query its own cut under
-// "par/q<i>/..." — without any of them serializing the others' state.
+// Every commit is the whole checkpoint: one engine writes one store, its
+// own "engine/..." blobs and each sharded query's cut under "par/q<i>/..."
+// in the same commit.
 //
 // CommitAsync() hands the (already serialized) blob set to a background
 // thread so file IO never blocks stream processing; if the previous commit
@@ -58,7 +56,6 @@ class Store {
     uint64_t bytes = 0;          // Total live bytes in the checkpoint.
     uint64_t written_bytes = 0;  // Bytes actually written (incremental).
     uint64_t duration_ns = 0;
-    std::string scope;    // The commit's key prefix ("" = the full set).
     std::string message;  // Error text on kAbort.
   };
 
@@ -66,7 +63,8 @@ class Store {
     uint64_t seq = 0;               // Last committed checkpoint.
     uint64_t commits = 0;
     uint64_t failures = 0;
-    uint64_t skipped = 0;           // CommitAsync rounds refused as busy.
+    /// Rounds refused: CommitAsync while busy, plus SkipRound() calls.
+    uint64_t skipped = 0;
     uint64_t bytes = 0;             // Live bytes of the last commit.
     uint64_t written_bytes = 0;     // Incremental bytes of the last commit.
     uint64_t duration_ns = 0;       // Duration of the last commit.
@@ -85,20 +83,23 @@ class Store {
     observer_ = std::move(observer);
   }
 
-  /// Synchronously commits `blobs` as checkpoint seq+1. `blobs` is the full
-  /// live set under `scope` (every key starts with it): a previous key under
-  /// `scope` that is absent here is dropped from the new manifest, and every
-  /// previous key outside `scope` carries forward unchanged. The default
-  /// empty scope makes `blobs` the whole checkpoint.
-  Status Commit(std::vector<Blob> blobs, std::string scope = "");
+  /// Synchronously commits `blobs`, the full live set, as checkpoint
+  /// seq+1: a previous key absent here is dropped from the new manifest.
+  Status Commit(std::vector<Blob> blobs);
 
   /// Queues a commit on the background thread. Returns false (and only
   /// counts the round in `StatsSnapshot::skipped`) when a previous async
   /// commit is still pending or running.
-  bool CommitAsync(std::vector<Blob> blobs, std::string scope = "");
+  bool CommitAsync(std::vector<Blob> blobs);
+
+  /// Counts a round its owner refused before handing it over (for example
+  /// while a previous round's state is still being captured).
+  void SkipRound() { skipped_.fetch_add(1, std::memory_order_relaxed); }
 
   /// Blocks until no async commit is pending or running.
   void WaitIdle();
+  /// No async commit is pending or running.
+  bool idle() const;
 
   /// Reads the newest intact checkpoint into `blobs`, falling back to older
   /// manifests on corruption. NotFound when the directory holds no
@@ -109,11 +110,7 @@ class Store {
   StatsSnapshot stats() const;
 
  private:
-  struct Round {
-    std::vector<Blob> blobs;
-    std::string scope;
-  };
-  Status CommitLocked(const Round& round);
+  Status CommitLocked(const std::vector<Blob>& blobs);
   Status TryLoadManifest(const std::string& manifest_file,
                          std::map<std::string, std::string>* blobs,
                          Manifest* manifest);
@@ -128,9 +125,9 @@ class Store {
   std::optional<Manifest> last_manifest_;
 
   // Background commit worker.
-  std::mutex worker_mu_;
+  mutable std::mutex worker_mu_;
   std::condition_variable worker_cv_;
-  std::optional<Round> pending_;
+  std::optional<std::vector<Blob>> pending_;
   bool busy_ = false;
   bool stop_ = false;
   std::thread worker_;

@@ -13,7 +13,7 @@ Operator::Operator(std::string name, int num_inputs, int num_outputs)
       inputs_(static_cast<size_t>(num_inputs)),
       outputs_(static_cast<size_t>(num_outputs)) {
   GENMIG_CHECK_GE(num_inputs, 0);
-  GENMIG_CHECK_GE(num_outputs, 1);
+  GENMIG_CHECK_GE(num_outputs, 0);
 }
 
 void Operator::ConnectTo(int out_port, Operator* downstream, int in_port) {

@@ -125,6 +125,8 @@ void MergeSink::Process(ShardOutMsg& msg) {
       if (shard_wm_[i] < msg.time) shard_wm_[i] = msg.time;
       break;
     case ShardOutMsg::Kind::kEos:
+      // A restored cut of a finished shard sees its EOS re-delivered.
+      if (shard_eos_[i]) break;
       shard_eos_[i] = true;
       eos_seen_.fetch_add(1, std::memory_order_acq_rel);
       break;
@@ -134,14 +136,31 @@ void MergeSink::Process(ShardOutMsg& msg) {
 }
 
 // All markers are in: every shard's pre-marker prefix has been processed and
-// nothing after a marker has — capture the merge state, hand the completed
-// request to the coordinator, then replay the held-back messages. The
-// coordinator initiates at most one cut at a time, so the side buffer cannot
-// contain another marker. The capture releases first: the watermarks now
-// reflect exactly the pre-marker messages, so the split between released and
-// held-back rows, and with it the blob, does not depend on when the merge
-// last ran.
+// nothing after a marker has — capture the merge state, finish the capture,
+// then replay the held-back messages. The coordinator initiates at most one
+// cut at a time, so the side buffer cannot contain another marker.
 void MergeSink::FinishCapture() {
+  std::shared_ptr<CkptCapture> done = std::move(ckpt_pending_);
+  ckpt_pending_ = nullptr;
+  ckpt_markers_ = 0;
+  Capture(done.get());
+  done->Finish();
+
+  std::deque<ShardOutMsg> replay = std::move(ckpt_side_);
+  ckpt_side_.clear();
+  for (ShardOutMsg& msg : replay) Process(msg);
+}
+
+void MergeSink::CaptureJoined(CkptCapture* capture) {
+  GENMIG_CHECK(!thread_.joinable());
+  Capture(capture);
+  capture->Finish();
+}
+
+// The capture releases first: the watermarks now reflect exactly the
+// pre-marker messages, so the split between released and held-back rows,
+// and with it the blob, does not depend on when the merge last ran.
+void MergeSink::Capture(CkptCapture* capture) {
   Release(/*final_flush=*/false);
   StateEnc enc;
   enc.U32(static_cast<uint32_t>(shards_));
@@ -167,16 +186,7 @@ void MergeSink::FinishCapture() {
   // The released prefix, encoded as StateEnc::Stream would: the sink
   // appends only the rows released since the previous cut.
   blob.bytes = enc.Take() + sink_->CkptExportAmortized();
-  ckpt_pending_->Add(std::move(blob));
-
-  std::shared_ptr<CkptCapture> done = std::move(ckpt_pending_);
-  ckpt_pending_ = nullptr;
-  ckpt_markers_ = 0;
-  if (on_checkpoint) on_checkpoint(std::move(done));
-
-  std::deque<ShardOutMsg> replay = std::move(ckpt_side_);
-  ckpt_side_.clear();
-  for (ShardOutMsg& msg : replay) Process(msg);
+  capture->Add(std::move(blob));
 }
 
 bool MergeSink::CkptImport(const std::string& bytes) {
@@ -211,6 +221,7 @@ bool MergeSink::CkptImport(const std::string& bytes) {
     if (shard_eos_[static_cast<size_t>(s)]) ++eos;
   }
   eos_seen_.store(eos, std::memory_order_release);
+  released_count_.store(sink_->count(), std::memory_order_relaxed);
   return true;
 }
 
@@ -266,6 +277,7 @@ void MergeSink::Release(bool final_flush) {
     metrics_->elements_out += released_.size();
   }
   sink_->PushBatch(0, released_);
+  released_count_.fetch_add(released_.size(), std::memory_order_relaxed);
   // Drop the released rows: per shard, a prefix of its FIFO.
   for (size_t s = 0; s < pending_.size(); ++s) {
     std::deque<Pending>& fifo = pending_[s];

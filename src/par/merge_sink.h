@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -61,10 +60,11 @@ class MergeSink {
   void Start();
   void Join();
 
-  /// Checkpoint completion hook (ISSUE 10): invoked on the merge thread once
-  /// kCheckpoint markers from every shard arrived and the merge's own state
-  /// was captured into the request. The coordinator hands the cut on here.
-  std::function<void(std::shared_ptr<CkptCapture>)> on_checkpoint;
+  /// Appends the merge's part of a cut to `capture` and finishes it. The
+  /// merge thread does this once kCheckpoint markers from every shard
+  /// arrived; after Join() the caller may do it for a cut of the final
+  /// state.
+  void CaptureJoined(CkptCapture* capture);
 
   /// Restore: re-seeds the held-back rows and per-shard watermarks from a
   /// "merge" blob, and the sink with the merged prefix. Must run before
@@ -73,6 +73,11 @@ class MergeSink {
 
   /// Shards whose kEos arrived so far (cross-thread readable).
   int eos_seen() const { return eos_seen_.load(std::memory_order_acquire); }
+  /// Rows released into the sink so far, restored prefix included
+  /// (cross-thread readable while the merge thread runs).
+  uint64_t released() const {
+    return released_count_.load(std::memory_order_relaxed);
+  }
 
  private:
   /// A shard's output batch; rows before `next` are released. Row r has
@@ -96,6 +101,8 @@ class MergeSink {
   void Run();
   void Process(ShardOutMsg& msg);
   void FinishCapture();
+  /// Releases what the watermarks allow, then adds the "merge" blob.
+  void Capture(CkptCapture* capture);
   void Release(bool final_flush);
   void SampleHoldBack();
   Timestamp MinLiveWatermark() const;
@@ -113,6 +120,7 @@ class MergeSink {
   std::vector<bool> shard_eos_;
   std::vector<uint64_t> shard_seq_;
   std::atomic<int> eos_seen_{0};
+  std::atomic<uint64_t> released_count_{0};
   std::thread thread_;
 
   // Marker alignment of an in-flight cut (at most one; the coordinator

@@ -255,7 +255,7 @@ PartitionSpec AnalyzePlan(const LogicalNode& windowed_root) {
 size_t OwnerShard(const Tuple& tuple, size_t column, size_t shards) {
   GENMIG_CHECK(shards > 0);
   GENMIG_CHECK(column < tuple.size());
-  return tuple.field(column).Hash() % shards;
+  return OwnerShard(tuple.field(column), shards);
 }
 
 }  // namespace par

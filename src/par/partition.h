@@ -53,6 +53,10 @@ struct PartitionSpec {
 /// `reason` explains the first blocking construct.
 PartitionSpec AnalyzePlan(const LogicalNode& windowed_root);
 
+/// Owner shard of a row whose partition column holds `key`, in [0, shards).
+inline size_t OwnerShard(const Value& key, size_t shards) {
+  return key.Hash() % shards;
+}
 /// Owner shard of `tuple` under `key`, in [0, shards).
 size_t OwnerShard(const Tuple& tuple, size_t column, size_t shards);
 

@@ -1,9 +1,10 @@
 // Bounded blocking queue connecting the shard-parallel executor's threads.
 //
 // Two uses (see par/coordinator.h for the topology):
-//  * router -> shard input: single producer (the router thread), single
-//    consumer (the shard thread). Blocking Push gives backpressure: a slow
-//    shard stalls the router instead of buffering unboundedly.
+//  * router -> shard input: single producer (the router, on the engine
+//    thread), single consumer (the shard thread). Blocking Push gives
+//    backpressure: a slow shard stalls the engine instead of buffering
+//    unboundedly.
 //  * shards -> merge: many producers (one per shard), single consumer (the
 //    merge thread). Per-producer FIFO order is preserved, which is all the
 //    deterministic merge needs (par/merge_sink.h).

@@ -61,6 +61,13 @@ void Executor::AnnounceDisorderHorizon(Feed& feed) {
   }
 }
 
+Timestamp Executor::pending_start(int feed) const {
+  const Feed& f = feeds_[static_cast<size_t>(feed)];
+  if (f.pos < f.elements.size()) return f.elements[f.pos].interval.start;
+  if (f.disordered && !f.flushed) return f.buffer->watermark();
+  return Timestamp::MaxInstant();
+}
+
 int Executor::PickFeed() {
   // Disordered feeds refill lazily: admit arrivals until a release is
   // pending (or arrivals run out), so every policy sees its next element.

@@ -76,14 +76,11 @@ class Executor {
 
   Source* source(int feed) { return feeds_[static_cast<size_t>(feed)].source.get(); }
 
-  /// The raw elements registered for feed `feed` — Dsms hands them to the
-  /// parallel coordinator (src/par), which re-routes them across shards. For
-  /// a disordered feed this is the arrival sequence, which Dsms reorders
-  /// once (Reorder, stream/disorder.h) before the coordinator reads it.
-  const MaterializedStream& feed_elements(int feed) const {
-    const Feed& f = feeds_[static_cast<size_t>(feed)];
-    return f.disordered ? f.arrivals : f.elements;
-  }
+  /// A lower bound on the start of every element feed `feed` will still
+  /// push: its next pending start; for a disordered feed with nothing
+  /// released yet, the reorder buffer's watermark; MaxInstant once nothing
+  /// is left. The sharded router's migration broadcast promises it.
+  Timestamp pending_start(int feed) const;
   const std::string& feed_name(int feed) const {
     return feeds_[static_cast<size_t>(feed)].name;
   }

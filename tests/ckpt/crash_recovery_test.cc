@@ -302,9 +302,9 @@ void ShardedVictim(const std::string& dir) {
   Dsms::QueryId id = 0;
   SetupSharded(&dsms, &id);
   if (!dsms.Info(id).parallel) _exit(93);
-  // Anchor the engine store, then die mid-parallel-run: the watcher fires
-  // SIGKILL the moment the coordinator's first marker cut commits on top of
-  // the anchor.
+  // Checkpoint before the first step, then die mid-parallel-run: the
+  // watcher fires SIGKILL the moment the first periodic round (the engine's
+  // blobs with the coordinator's marker cut) commits on top of it.
   if (!dsms.Checkpoint().ok()) _exit(92);
   std::thread killer([&dsms] {
     for (;;) {
@@ -348,18 +348,19 @@ TEST(CrashRecoveryTest, ShardedKillRestoresThroughCoordinatorCut) {
 
 // --- Seed 5: sharded-only engine, no explicit checkpoint ------------------
 
-/// True once the journal holds a committed cut of sharded query q0.
+/// True once the journal holds a committed checkpoint: the engine's blobs
+/// and sharded query q0's cut, committed together.
 bool CutCommitted(const std::vector<obs::JournalEvent>& events) {
   for (const obs::JournalEvent& ev : events) {
     if (ev.kind == obs::JournalEvent::Kind::kCheckpoint &&
-        ev.subject == "par/q0" && ev.Str("phase") == "commit") {
+        ev.subject == "engine" && ev.Str("phase") == "commit") {
       return true;
     }
   }
   return false;
 }
 
-void UnanchoredShardedVictim(const std::string& dir) {
+void PeriodicShardedVictim(const std::string& dir) {
   Dsms::Options options;
   options.shards = 2;
   options.checkpoint_dir = dir;
@@ -370,7 +371,7 @@ void UnanchoredShardedVictim(const std::string& dir) {
   SetupSharded(&dsms, &id);
   if (!dsms.Info(id).parallel) _exit(93);
   // No Checkpoint() call: the watcher fires SIGKILL as soon as the first
-  // marker cut is journaled as committed (its spill line is written by
+  // periodic round is journaled as committed (its spill line is written by
   // then). Should the run end first, the victim dies right after it.
   std::thread killer([&dsms] {
     for (;;) {
@@ -402,7 +403,7 @@ TEST(CrashRecoveryTest, ShardedKillWithoutExplicitCheckpointRestores) {
   ASSERT_GT(oracle.size(), 0u);
 
   const std::string dir = TempDir();
-  ASSERT_NO_FATAL_FAILURE(RunVictim(UnanchoredShardedVictim, dir));
+  ASSERT_NO_FATAL_FAILURE(RunVictim(PeriodicShardedVictim, dir));
 
   // The spill file outlives the kill and names the committed cut.
   std::vector<obs::JournalEvent> spilled;

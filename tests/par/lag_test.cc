@@ -69,8 +69,7 @@ TEST(ShardLagTest, WatermarksConvergeAndLagGaugesClearAtEos) {
   options.registry = &registry;
   CollectorSink sink("sink");
   par::Coordinator coordinator(plan, &sink, options);
-  ASSERT_TRUE(coordinator.Start(inputs).ok());
-  coordinator.Wait();
+  ASSERT_TRUE(coordinator.Run(inputs).ok());
 
   // The router published the max routed start as the lag reference.
   int64_t max_start = 0;
@@ -104,7 +103,7 @@ TEST(ShardLagTest, WatermarksConvergeAndLagGaugesClearAtEos) {
 
 // Acceptance criterion (ISSUE 9): in sharded disordered runs the per-shard
 // watermark story must agree with the disorder horizon. The router reads
-// the disordered stream reordered (as Dsms hands it over), so at the
+// the disordered stream reordered (as a Dsms executor releases it), so at the
 // broadcast the horizon — the smallest start any stream can still deliver —
 // is the max routed start: the broadcast T_split clears it by the window,
 // every shard splits there, and the gauges drain to zero by EOS.
@@ -133,8 +132,7 @@ TEST(ShardLagTest, DisorderedShardsRespectTheDisorderHorizon) {
   par::Coordinator coordinator(plan, &sink, options);
   const Timestamp at(60);
   ASSERT_TRUE(coordinator.ScheduleGenMig(plan, at).ok());
-  ASSERT_TRUE(coordinator.Start(inputs).ok());
-  coordinator.Wait();
+  ASSERT_TRUE(coordinator.Run(inputs).ok());
   const MaterializedStream& out = sink.collected();
 
   ASSERT_EQ(coordinator.migrations_completed(), 1);
