@@ -240,7 +240,6 @@ void ShardRuntime::PublishProgress() {
   if (!changed) return;
   migrations_completed_.store(done, std::memory_order_release);
   migration_active_.store(active, std::memory_order_release);
-  if (config_.on_progress) config_.on_progress();
 }
 
 }  // namespace par
